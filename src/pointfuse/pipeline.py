@@ -207,6 +207,7 @@ def detect(model: DetectionModel, prepared: PreparedScene,
     """Forward pass, proposal decoding, class-blind NMS in the BEV."""
     state = model.forward(prepared)
     props = model.head.decode_proposals(state.rpn, model.cfg.score_threshold)
+    del state  # NMS needs only the decoded boxes; free the tape and its grad buffers first
     if not props.boxes:
         return []
     dets = [DetectionResult(b, float(s), c, prepared.scene_id)

@@ -10,9 +10,11 @@ example whose AP-40 is exactly 5/6.
 import numpy as np
 import pytest
 
+from pointfuse import boxes
 from pointfuse.boxes import (
     Assignment,
     Box3D,
+    BoxArrays,
     BoxError,
     CLASSES,
     CLASS_IOU_THRESHOLD,
@@ -31,6 +33,7 @@ from pointfuse.boxes import (
     iou_bev,
     nms,
     normalize_angle,
+    pair_iou,
     parse_detection_row,
     polygon_area,
     read_detections,
@@ -131,6 +134,101 @@ def test_iou_is_symmetric():
         assert iou_3d(a, b) == pytest.approx(iou_3d(b, a), abs=1e-12)
 
 
+def degenerate_pairs(rng, n):
+    """Pairs at random poses whose clip runs edge-on to the other box, by
+    kind: end-to-end touching, side-by-side sharing a whole edge, the same
+    footprint labelled with l/w swapped and yaw + pi/2, identical, and
+    nested at half size.  Values are the exact BEV (and 3D) IoU."""
+    pairs = {"touching": [], "shared": [], "swapped": [], "identical": [], "nested": []}
+    for _ in range(n):
+        x, y, yaw = rng.uniform(0, 30), rng.uniform(-5, 5), rng.uniform(-np.pi, np.pi)
+        l, w, h = rng.uniform(1, 5), rng.uniform(0.5, 3), rng.uniform(1, 2)
+        c, s = np.cos(yaw), np.sin(yaw)
+        a = Box3D(x, y, 0.0, l, w, h, yaw)
+        l2 = rng.uniform(1, 5)
+        along = (l + l2) / 2
+        pairs["touching"].append((a, Box3D(x + along * c, y + along * s, 0.0, l2, w, h, yaw)))
+        pairs["shared"].append((a, Box3D(x - w * s, y + w * c, 0.0, l, w, h, yaw)))
+        pairs["swapped"].append((a, Box3D(x, y, 0.0, w, l, h, yaw + np.pi / 2)))
+        pairs["identical"].append((a, Box3D(x, y, 0.0, l, w, h, yaw)))
+        pairs["nested"].append((a, Box3D(x, y, 0.0, l / 2, w / 2, h, yaw)))
+    return pairs
+
+
+DEGENERATE_IOU = {"touching": 0.0, "shared": 0.0, "swapped": 1.0, "identical": 1.0, "nested": 0.25}
+
+
+def test_iou_is_finite_and_exact_on_degenerate_pairs():
+    # a segment parallel to a clip edge whose side test rounding flipped
+    # used to divide by zero: NaN for touching and swapped-label boxes
+    with np.errstate(all="raise"):
+        for kind, pairs in degenerate_pairs(np.random.default_rng(32), 500).items():
+            for a, b in pairs:
+                for iou_fn in (iou_bev, iou_3d):
+                    v, u = iou_fn(a, b), iou_fn(b, a)
+                    assert 0.0 <= v <= 1.0 and abs(v - u) <= 1e-12, kind
+                    assert abs(v - DEGENERATE_IOU[kind]) <= 1e-12, kind
+
+
+def random_box(rng):
+    """A box drawn as the acceptance gate's oracle-equivalence sets draw them."""
+    return Box3D(float(rng.uniform(0, 10)), float(rng.uniform(-4, 4)),
+                 float(rng.uniform(-0.5, 0.5)), float(rng.uniform(2, 5)),
+                 float(rng.uniform(1, 3)), float(rng.uniform(1, 2)),
+                 float(rng.uniform(-np.pi, np.pi)))
+
+
+def assert_pair_iou_matches_scalar(subjects, clips):
+    """pair_iou over all (subject, clip) pairs equals the scalar calls."""
+    rows, cols = (g.ravel() for g in np.meshgrid(np.arange(len(subjects)),
+                                                  np.arange(len(clips)), indexing="ij"))
+    sub, clip = BoxArrays.of(subjects), BoxArrays.of(clips)
+    for overlap, iou_fn in (("bev", iou_bev), ("3d", iou_3d)):
+        got = pair_iou(sub, clip, rows, cols, overlap)
+        want = np.array([iou_fn(subjects[r], clips[c]) for r, c in zip(rows, cols)])
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12, overlap
+
+
+def test_box_arrays_corners_match_bev_corners():
+    rng = np.random.default_rng(35)
+    sample = [random_box(rng) for _ in range(200)] + [make_box(yaw=np.pi), make_box(yaw=-np.pi / 2)]
+    table = BoxArrays.of(sample)
+    want = np.stack([b.bev_corners() for b in sample])
+    assert np.max(np.abs(table.corners - want)) <= 1e-12
+    assert BoxArrays.of([]).corners.shape == (0, 4, 2)
+
+
+def test_pair_iou_matches_scalar_on_random_sets(monkeypatch):
+    rng = np.random.default_rng(33)
+    sample = [random_box(rng) for _ in range(40)]
+    assert_pair_iou_matches_scalar(sample, sample)
+    # the gate's Monte-Carlo pairs: a box at the origin and one near it
+    near = [Box3D(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0)), 0.0,
+                  float(rng.uniform(2, 4)), float(rng.uniform(2, 4)), 2.0,
+                  float(rng.uniform(-np.pi, np.pi))) for _ in range(20)]
+    origin = [Box3D(0.0, 0.0, 0.0, float(rng.uniform(2, 4)), float(rng.uniform(2, 4)), 2.0,
+                    float(rng.uniform(-np.pi, np.pi))) for _ in range(20)]
+    assert_pair_iou_matches_scalar(origin, near)
+    # block boundaries cut pairs anywhere; results must not depend on them
+    monkeypatch.setattr(boxes, "PAIR_BLOCK", 7)
+    assert_pair_iou_matches_scalar(sample[:15], sample[10:])
+
+
+def test_pair_iou_matches_scalar_on_degenerate_pairs():
+    pairs = [p for kind in degenerate_pairs(np.random.default_rng(34), 60).values() for p in kind]
+    # the swapped-label pairs clip to 10 vertices in floating point, past
+    # the 8 of exact arithmetic
+    assert max(len(clip_convex(b.bev_corners(), a.bev_corners())) for a, b in pairs) > 8
+    for a, b in pairs:
+        assert_pair_iou_matches_scalar([a, b], [a, b])
+
+
+def test_pair_iou_of_no_pairs_is_empty():
+    table = BoxArrays.of([make_box()])
+    empty = np.zeros(0, dtype=np.int64)
+    assert pair_iou(table, table, empty, empty).shape == (0,)
+
+
 # -- nms ------------------------------------------------------------------------
 
 
@@ -165,6 +263,44 @@ def test_nms_matches_oracle_on_random_sets():
         thr = float(rng.uniform(0.05, 0.7))
         for overlap in ("bev", "3d"):
             assert nms(dets, thr, overlap) == nms_oracle(dets, thr, overlap), f"trial {trial}"
+
+
+def test_nms_matches_oracle_on_degenerate_sets():
+    rng = np.random.default_rng(36)
+    groups = degenerate_pairs(rng, 8)
+    for trial in range(20):
+        chosen = [groups[kind][int(rng.integers(8))] for kind in groups]
+        dets = [DetectionResult(b, round(float(rng.uniform(0, 1)), 1), "Car")
+                for pair in chosen for b in pair]
+        thr = float(rng.uniform(0.0, 0.99))
+        for overlap in ("bev", "3d"):
+            assert nms(dets, thr, overlap) == nms_oracle(dets, thr, overlap), f"trial {trial}"
+
+
+def test_nms_matches_oracle_on_desk_proposals():
+    from pointfuse.config import NetworkConfig
+    from pointfuse.kitti import SyntheticSceneSpec, generate_scene
+    from pointfuse.nn import Rng
+    from pointfuse.pipeline import DetectionModel, prepare_scene
+
+    cfg = NetworkConfig.desk()
+    prepared = prepare_scene(generate_scene(SyntheticSceneSpec(), Rng(4)), cfg, Rng(1004))
+    model = DetectionModel(cfg, Rng(40))
+    props = model.head.decode_proposals(model.forward(prepared).rpn, 0.0)
+    assert len(props.boxes) == cfg.n_raw == 128
+    # proposals cluster on the cars: many pairs survive the circumradius filter
+    table = BoxArrays.of(props.boxes)
+    later, earlier = np.tril_indices(len(props.boxes), -1)
+    d = table.center[later] - table.center[earlier]
+    near = np.hypot(d[:, 0], d[:, 1]) <= table.radius[later] + table.radius[earlier]
+    assert near.mean() > 0.2
+    for overlap, iou_fn in (("bev", iou_bev), ("3d", iou_3d)):
+        got = pair_iou(table, table, later, earlier, overlap)
+        want = np.array([iou_fn(props.boxes[r], props.boxes[c]) for r, c in zip(later, earlier)])
+        assert np.max(np.abs(got - want)) <= 1e-12, overlap
+    dets = [DetectionResult(b, float(s), c) for b, s, c in zip(props.boxes, props.scores, props.classes)]
+    for overlap, thr in (("bev", cfg.nms_test), ("3d", 0.3)):
+        assert nms(dets, thr, overlap) == nms_oracle(dets, thr, overlap), overlap
 
 
 def test_nms_keeps_identical_boxes_only_once():
@@ -232,6 +368,94 @@ def golden_ap_inputs():
             DetectionResult(make_box(x=5.0), 0.8, "Car"),
             DetectionResult(g2, 0.7, "Car")]
     return dets, gts
+
+
+def ap40_oracle(dets, gts, iou_threshold, klass, overlap="bev", max_difficulty=None):
+    """The per-pair scalar AP-40: the same greedy matching and ignore
+    rule, one iou_bev / iou_3d call per same-scene (det, gt) pair."""
+    iou_fn = iou_bev if overlap == "bev" else iou_3d
+    gts = [g for g in gts if g.klass == klass]
+    counted = [max_difficulty is None or g.difficulty <= max_difficulty for g in gts]
+    n_pos = int(sum(counted))
+    dets = [d for d in dets if d.klass == klass]
+    if n_pos == 0:
+        return (True, float("nan"), 0, len(dets))
+    order = np.argsort(-np.array([d.score for d in dets]), kind="stable")
+    matched = [False] * len(gts)
+    tp_flags = []
+    for i in order:
+        det = dets[int(i)]
+        best = {True: (0.0, -1), False: (0.0, -1)}
+        for j, gt in enumerate(gts):
+            if matched[j] or gt.scene != det.scene:
+                continue
+            v = iou_fn(det.box, gt.box)
+            if v >= iou_threshold and v > best[counted[j]][0]:
+                best[counted[j]] = (v, j)
+        best_j = best[True][1] if best[True][1] >= 0 else best[False][1]
+        if best_j < 0:
+            tp_flags.append(0)
+            continue
+        matched[best_j] = True
+        if counted[best_j]:
+            tp_flags.append(1)
+    tp = np.cumsum(tp_flags)
+    fp = np.cumsum([1 - f for f in tp_flags])
+    recall = tp / n_pos
+    precision = tp / np.maximum(tp + fp, 1)
+    ap = 0.0
+    for k in range(1, 41):
+        mask = recall >= k / 40 - 1e-12
+        ap += float(precision[mask].max()) if mask.any() else 0.0
+    return (False, ap / 40, n_pos, len(dets))
+
+
+def test_ap40_matches_scalar_path_on_multi_scene_sets():
+    rng = np.random.default_rng(37)
+    for trial in range(25):
+        gts, dets = [], []
+        for scene in range(3):
+            for _ in range(int(rng.integers(0, 5))):
+                g = GroundTruth(random_box(rng), str(rng.choice(CLASSES)),
+                                int(rng.integers(0, 4)), scene)
+                gts.append(g)
+                if rng.uniform() < 0.4:
+                    # an overlapping twin of the other difficulty class, so a
+                    # detection can match both a counted and an ignored box
+                    b = g.box
+                    twin = Box3D(b.x + rng.normal(0, 0.2), b.y, b.z, b.l, b.w, b.h, b.yaw)
+                    gts.append(GroundTruth(twin, g.klass, 3 - g.difficulty, scene))
+                # near-copies straddle the 0.5 / 0.7 thresholds; some land
+                # in another scene, where they must not match
+                for _ in range(int(rng.integers(0, 4))):
+                    b = g.box
+                    box = Box3D(b.x + rng.normal(0, 0.3), b.y + rng.normal(0, 0.3), b.z,
+                                b.l * rng.uniform(0.8, 1.2), b.w, b.h, b.yaw + rng.normal(0, 0.1))
+                    dets.append(DetectionResult(box, round(float(rng.uniform(0, 1)), 1), g.klass,
+                                                int(rng.choice([scene, scene, (scene + 1) % 3]))))
+        dets += [DetectionResult(random_box(rng), round(float(rng.uniform(0, 1)), 1),
+                                 str(rng.choice(CLASSES)), int(rng.integers(0, 3)))
+                 for _ in range(int(rng.integers(0, 6)))]
+        for klass in CLASSES:
+            for overlap in ("bev", "3d"):
+                for max_difficulty in (None, 1):
+                    thr = CLASS_IOU_THRESHOLD[klass]
+                    res = average_precision_40(dets, gts, thr, klass, overlap, max_difficulty)
+                    want = ap40_oracle(dets, gts, thr, klass, overlap, max_difficulty)
+                    got = (res.flagged, res.ap, res.n_gt, res.n_det)
+                    assert got[0] == want[0] and got[2:] == want[2:], f"trial {trial}"
+                    assert got[1] == want[1] or (np.isnan(got[1]) and np.isnan(want[1])), f"trial {trial}"
+
+
+def test_ap40_equal_overlaps_go_to_the_first_ground_truth():
+    # the first detection overlaps both ground truths at exactly 0.6 and
+    # takes the first, so the second detection, which overlaps only the
+    # first ground truth, is a false positive
+    gts = [GroundTruth(make_box(x=0.0), "Car"), GroundTruth(make_box(x=2.0), "Car")]
+    dets = [DetectionResult(make_box(x=1.0), 0.9, "Car"), DetectionResult(make_box(x=0.0), 0.8, "Car")]
+    res = average_precision_40(dets, gts, 0.5, "Car")
+    assert res.ap == 0.5
+    assert (False, res.ap, 2, 2) == ap40_oracle(dets, gts, 0.5, "Car")
 
 
 def test_ap40_golden_value_exact():
