@@ -199,7 +199,8 @@ def _check_pseudo_points():
     cfg = NetworkConfig.desk()
     model = pipeline.DetectionModel(cfg, Rng(6))
     prepared = pipeline.prepare_scene(scene, cfg, Rng(7))
-    state = model.forward(prepared)
+    with tensor.no_grad():
+        state = model.forward(prepared)
     ppc = state.pseudo
     lifted = scene.calib.image_to_lidar(ppc.pixel_uv, ppc.source_depth)
     err = np.abs(lifted - ppc.coords.data).max()
@@ -578,7 +579,8 @@ def cmd_ablate(args) -> int:
         scenes = _make_scenes(run_cfg, rng, 1)
         model = pipeline.DetectionModel(run_cfg.net, rng.derive("model"))
         history = pipeline.train(model, scenes, run_cfg.train, run_cfg.loss)
-        state = model.forward(scenes[0])
+        with tensor.no_grad():
+            state = model.forward(scenes[0])
         dets = pipeline.detect(model, scenes[0])
         final = history[-1]["total"] if history else float("nan")
         digest = _state_hash(state)

@@ -434,6 +434,24 @@ def encode_box(gt: Box3D, vote: np.ndarray, anchor) -> np.ndarray:
     return t
 
 
+def encode_boxes(gt: Box3D, votes: np.ndarray, anchor) -> np.ndarray:
+    """``encode_box`` for many votes [N, 3] against one box -> [N, 8].
+
+    The per-box terms come from the same scalar calls and the offsets
+    are the same elementwise float ops, so each row equals
+    ``encode_box(gt, votes[i], anchor)`` bit for bit.
+    """
+    al, aw, ah = anchor
+    diag = float(np.hypot(al, aw))
+    t = np.empty((votes.shape[0], 8))
+    t[:, 0] = (gt.x - votes[:, 0]) / diag
+    t[:, 1] = (gt.y - votes[:, 1]) / diag
+    t[:, 2] = (gt.z - votes[:, 2]) / ah
+    t[:, 3:] = (np.log(gt.l / al), np.log(gt.w / aw), np.log(gt.h / ah),
+                np.sin(gt.yaw), np.cos(gt.yaw))
+    return t
+
+
 def decode_box(res: np.ndarray, vote: np.ndarray, anchor) -> Box3D:
     al, aw, ah = anchor
     diag = float(np.hypot(al, aw))

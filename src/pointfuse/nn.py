@@ -168,37 +168,19 @@ class Mlp:
 # -- optimiser -----------------------------------------------------------------
 
 
-def adam_step(param: Tensor, grad: np.ndarray, state: dict, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-              weight_decay: float = 0.0) -> None:
-    """One coupled-L2 Adam update, in place.
-
-    ``state`` holds m, v and the step counter t; an empty dict means a
-    fresh zero state.  Weight decay enters the gradient (classic Adam),
-    so lr = 0 leaves the parameter untouched.
-    """
-    if not state:
-        state["m"] = np.zeros_like(param.data)
-        state["v"] = np.zeros_like(param.data)
-        state["t"] = 0
-    g = grad + weight_decay * param.data
-    state["t"] += 1
-    t = state["t"]
-    state["m"] = beta1 * state["m"] + (1.0 - beta1) * g
-    state["v"] = beta2 * state["v"] + (1.0 - beta2) * g * g
-    m_hat = state["m"] / (1.0 - beta1 ** t)
-    v_hat = state["v"] / (1.0 - beta2 ** t)
-    param.data = param.data - lr * m_hat / (np.sqrt(v_hat) + eps)
-    _assert_finite_update(param.data)
-
-
-def _assert_finite_update(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError("optimiser produced non-finite parameters")
-
-
 class Adam:
-    """Adam over a name -> Tensor parameter dict."""
+    """Coupled-L2 Adam over a name -> Tensor parameter dict.
+
+    Construction copies the parameters, sorted by name, into one
+    contiguous float64 arena with a matching, zeroed gradient arena and
+    rebinds each Tensor's ``data`` and ``grad`` as views into them.  A step is
+    then one vectorised update and ``zero_grad`` one fill.  Every
+    operation is elementwise, so the values equal per-tensor updates bit
+    for bit.  Weight decay enters the gradient (classic Adam), so lr = 0
+    leaves the parameters untouched.  Rebinding a parameter's ``data``
+    afterwards detaches it from the optimiser; write into it in place
+    instead, as ``restore_params`` does.
+    """
 
     def __init__(self, params: dict, lr: float = 0.01, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
@@ -208,16 +190,45 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.state = {name: {} for name in self.params}
+        tensors = [self.params[name] for name in sorted(self.params)]
+        if len({id(p) for p in tensors}) != len(tensors):
+            raise ValueError("Adam got the same tensor under two names")
+        self.data = np.concatenate([p.data.ravel() for p in tensors] or [np.empty(0)])
+        self.grad = np.zeros(self.data.size)
+        off = 0
+        for p in tensors:
+            end = off + p.data.size
+            p.data, p.grad = (self.data[off:end].reshape(p.data.shape),
+                              self.grad[off:end].reshape(p.data.shape))
+            off = end
+        self.m = self.v = None    # allocated by the first step, keeping set-up light
+        self.t = 0
 
     def step(self) -> None:
-        for name in sorted(self.params):
-            p = self.params[name]
-            adam_step(p, p.grad, self.state[name], self.lr, self.beta1,
-                      self.beta2, self.eps, self.weight_decay)
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        # data -= lr*m_hat / (sqrt(v_hat) + eps), mostly in place to cut
+        # arena-sized temporaries; same roundings in the same order
+        if self.m is None:
+            self.m = np.zeros_like(self.data)
+            self.v = np.zeros_like(self.data)
+        self.t += 1
+        g = self.grad + self.weight_decay * self.data
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        upd = self.m / (1.0 - self.beta1 ** self.t)
+        denom = self.v / (1.0 - self.beta2 ** self.t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        upd *= self.lr
+        upd /= denom
+        np.subtract(self.data, upd, out=self.data)
+        if not np.isfinite(self.data).all():
+            raise NonFiniteError("optimiser produced non-finite parameters")
 
     def zero_grad(self) -> None:
-        zero_grads(self.params.values())
+        self.grad.fill(0.0)
 
 
 # -- checkpoint I/O --------------------------------------------------------------
@@ -282,7 +293,11 @@ def load_checkpoint(path: str) -> dict:
 
 
 def restore_params(params: dict, loaded: dict) -> None:
-    """Copy checkpoint arrays into live parameter tensors, by name."""
+    """Copy checkpoint arrays into live parameter tensors, by name.
+
+    Writes in place, so parameters an optimiser holds as views stay
+    attached to it.  Every name, shape and value is checked before
+    anything is written: a rejected checkpoint changes no parameter."""
     missing = sorted(set(params) - set(loaded))
     extra = sorted(set(loaded) - set(params))
     if missing or extra:
@@ -291,9 +306,10 @@ def restore_params(params: dict, loaded: dict) -> None:
         arr = loaded[name]
         if arr.shape != tensor.data.shape:
             raise CheckpointError(f"shape mismatch for {name}: {arr.shape} vs {tensor.data.shape}")
-        tensor.data = arr.astype(np.float64).copy()
-        if not np.all(np.isfinite(tensor.data)):
+        if not np.isfinite(arr).all():
             raise CheckpointError(f"non-finite values in checkpoint tensor {name}")
+    for name, tensor in params.items():
+        tensor.data[...] = loaded[name]
 
 
 # -- finite-difference gradient checking -------------------------------------------

@@ -18,12 +18,12 @@ from .boxes import (CLASSES, DEFAULT_ANCHORS, Box3D, DetectionResult, GroundTrut
 from .config import NetworkConfig
 from .frustum import (DepthPrediction, ImageEncoder, ImageFeatureGrid, OffsetGrid,
                       PseudoPointSet, generate_pseudo_points, select_foreground)
-from .fusion import ProposalHead, RpnOutput, TwoStreamNetwork, encode_box
+from .fusion import ProposalHead, RpnOutput, TwoStreamNetwork, encode_boxes
 from .geometry import LidBinning, farthest_point_sampling, lid_encode
 from .kitti import SceneSample
 from .losses import DepthTargets, LossWeights, RpnTargets, depth_loss, rpn_loss, total_loss
 from .nn import Adam, Rng, load_checkpoint, restore_params, save_checkpoint
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 
 class PipelineError(ValueError):
@@ -154,9 +154,7 @@ def build_rpn_targets(prepared: PreparedScene, rpn: RpnOutput) -> RpnTargets:
         cls_target[idx, ci] = 1.0
         vote_target[idx] = obj.box.center
         vote_mask[idx] = True
-        anchor = DEFAULT_ANCHORS[obj.klass]
-        for i in idx:
-            reg_target[i] = encode_box(obj.box, votes[i], anchor)
+        reg_target[idx] = encode_boxes(obj.box, votes[idx], DEFAULT_ANCHORS[obj.klass])
         reg_mask[idx] = True
     return RpnTargets(cls_target, cls_valid, reg_target, reg_mask, vote_target, vote_mask)
 
@@ -204,10 +202,12 @@ def train(model: DetectionModel, scenes: list[PreparedScene], settings,
 
 def detect(model: DetectionModel, prepared: PreparedScene,
            nms_threshold: float | None = None) -> list[DetectionResult]:
-    """Forward pass, proposal decoding, class-blind NMS in the BEV."""
-    state = model.forward(prepared)
+    """Forward pass without a tape, proposal decoding, class-blind NMS in
+    the BEV."""
+    with no_grad():
+        state = model.forward(prepared)
     props = model.head.decode_proposals(state.rpn, model.cfg.score_threshold)
-    del state  # NMS needs only the decoded boxes; free the tape and its grad buffers first
+    del state  # NMS needs only the decoded boxes; free the forward arrays first
     if not props.boxes:
         return []
     dets = [DetectionResult(b, float(s), c, prepared.scene_id)

@@ -3,9 +3,13 @@
 Every learned component in this package is built from the primitives in
 this file.  A Tensor wraps a numpy float64 array; each op records the
 parent tensors and a vector-Jacobian closure per parent.  Calling
-``backward`` on a scalar walks the tape in reverse topological order and
-adds the resulting gradients into per-tensor ``grad`` buffers, so
-repeated backward calls accumulate until the buffers are zeroed.
+``backward`` on a scalar walks the tape in reverse topological order,
+carrying each intermediate's gradient only while the walk needs it, and
+adds the gradients of leaves (tensors built with ``requires_grad=True``)
+into their ``grad`` buffers, so repeated backward calls accumulate until
+the buffers are zeroed.  Op results have no buffer (``grad`` is None).
+Inside ``with no_grad():`` ops record no tape at all, which is how
+inference runs.
 
 Three hard rules hold everywhere:
   * non-finite values (NaN/Inf) raise immediately instead of propagating,
@@ -15,6 +19,9 @@ Three hard rules hold everywhere:
 """
 
 from __future__ import annotations
+
+import contextlib
+import sys
 
 import numpy as np
 
@@ -31,19 +38,38 @@ class EmptyInputError(ValueError):
     """An op received an empty axis it cannot reduce over."""
 
 
-def _check_finite(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError("non-finite value (NaN or Inf)")
+_GRAD_ENABLED = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape inside the block: op results get requires_grad=False
+    and no parents, so nothing behind them stays alive.  Leaves keep the
+    flag they are built with.  Nests, and restores the previous mode on
+    exit, exceptions included."""
+    global _GRAD_ENABLED
+    prev = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
+
+
+def _non_finite(op: str, shapes) -> NonFiniteError:
+    listed = ", ".join(str(tuple(s)) for s in shapes)
+    return NonFiniteError(f"non-finite value (NaN or Inf) from {op} on operand shapes [{listed}]")
 
 
 class Tensor:
     """float64 array + optional gradient tape node.
 
     data          : np.ndarray, always float64
-    requires_grad : True for trainable leaves and anything computed
-                    from them
-    grad          : zero-initialised buffer of the same shape, present
-                    iff requires_grad
+    requires_grad : True for trainable leaves and, outside no_grad,
+                    anything computed from them
+    grad          : leaves only: a zero-initialised buffer of the same
+                    shape iff requires_grad; always None on op results,
+                    whose gradients live only inside backward
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps")
@@ -54,7 +80,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        _check_finite(self.data)
+        if not np.isfinite(self.data).all():
+            raise _non_finite("Tensor", (self.data.shape,))
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
         self._parents = ()
@@ -66,15 +93,20 @@ class Tensor:
     def _result(data, parents, vjps):
         out = Tensor.__new__(Tensor)
         out.data = np.asarray(data, dtype=np.float64)
-        _check_finite(out.data)
-        out.requires_grad = any(p.requires_grad for p in parents)
-        out.grad = np.zeros_like(out.data) if out.requires_grad else None
-        if out.requires_grad:
-            out._parents = tuple(parents)
-            out._vjps = tuple(vjps)
-        else:
-            out._parents = ()
-            out._vjps = ()
+        if not np.isfinite(out.data).all():
+            # name the op that called us; only the failure path pays for it
+            raise _non_finite(sys._getframe(1).f_code.co_name,
+                              (p.data.shape for p in parents))
+        out.grad = None
+        out.requires_grad = False
+        out._parents = out._vjps = ()
+        if _GRAD_ENABLED:
+            for p in parents:  # a plain loop: any() over a generator costs ~5x more here
+                if p.requires_grad:
+                    out.requires_grad = True
+                    out._parents = tuple(parents)
+                    out._vjps = tuple(vjps)
+                    break
         return out
 
     # -- basic introspection --------------------------------------------
@@ -154,11 +186,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def constant(x) -> Tensor:
-    """Alias making intent explicit at call sites."""
-    return as_tensor(x)
-
-
 def _topo_order(root: Tensor):
     """Post-order over the tape; iterative to keep deep graphs safe."""
     order = []
@@ -181,7 +208,8 @@ def _topo_order(root: Tensor):
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(x) into ``grad`` for every requires_grad
-    tensor reachable from ``loss``.  ``loss`` must be scalar."""
+    leaf reachable from ``loss``.  ``loss`` must be scalar.  Gradients of
+    intermediates exist only in ``flow`` and are dropped once passed on."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -192,7 +220,8 @@ def backward(loss: Tensor) -> None:
         g = flow.pop(id(node), None)
         if g is None:
             continue
-        node.grad += g
+        if not node._parents:
+            node.grad += g
         for parent, vjp in zip(node._parents, node._vjps):
             if not parent.requires_grad:
                 continue

@@ -8,6 +8,8 @@ whole file stays in the seconds range.  Bitwise reproduction of a real
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -42,6 +44,16 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run()
     assert exc.value.code == 2
+
+
+def test_module_entry_point_runs_without_an_install():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "pointfuse", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage: pointfuse" in done.stdout
+    assert "replay" in done.stdout
 
 
 def test_bad_override_is_config_error(capsys):

@@ -17,14 +17,17 @@ from pointfuse.nn import (
     LinearLayer,
     Mlp,
     Rng,
-    adam_step,
     gradcheck,
     lbr,
     load_checkpoint,
     restore_params,
     save_checkpoint,
 )
-from pointfuse.tensor import EmptyInputError, ShapeError, Tensor
+from pointfuse.config import NetworkConfig
+from pointfuse.kitti import SyntheticSceneSpec, generate_scene
+from pointfuse.losses import LossWeights
+from pointfuse.pipeline import DetectionModel, compute_losses, prepare_scene
+from pointfuse.tensor import EmptyInputError, NonFiniteError, ShapeError, Tensor
 
 
 # -- rng ----------------------------------------------------------------------
@@ -137,20 +140,105 @@ def test_lbr_and_mlp_gradients():
 # -- adam ---------------------------------------------------------------------
 
 
+def adam_step(param: Tensor, grad: np.ndarray, state: dict, lr: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+              weight_decay: float = 0.0) -> None:
+    """Per-tensor coupled-L2 Adam update: the oracle for the arena Adam.
+
+    ``state`` holds m, v and the step counter t; an empty dict means a
+    fresh zero state.
+    """
+    if not state:
+        state["m"] = np.zeros_like(param.data)
+        state["v"] = np.zeros_like(param.data)
+        state["t"] = 0
+    g = grad + weight_decay * param.data
+    state["t"] += 1
+    t = state["t"]
+    state["m"] = beta1 * state["m"] + (1.0 - beta1) * g
+    state["v"] = beta2 * state["v"] + (1.0 - beta2) * g * g
+    m_hat = state["m"] / (1.0 - beta1 ** t)
+    v_hat = state["v"] / (1.0 - beta2 ** t)
+    param.data = param.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def test_adam_first_step_magnitude_is_lr():
     # bias correction cancels on step 1: update = lr * g / (|g| + eps),
     # i.e. lr to within eps/|g| whatever the gradient magnitude
     for g in (1e-6, 1.0, 1e6):
         p = Tensor([0.0], requires_grad=True)
-        state = {}
-        adam_step(p, np.array([g]), state, lr=0.01)
+        opt = Adam({"p": p}, lr=0.01)
+        p.grad[...] = g
+        opt.step()
         assert p.data[0] == pytest.approx(-0.01 * g / (g + 1e-8), rel=1e-12)
 
 
 def test_adam_zero_lr_is_a_no_op():
     p = Tensor([1.5], requires_grad=True)
-    adam_step(p, np.array([2.0]), {}, lr=0.0)
+    opt = Adam({"p": p}, lr=0.0, weight_decay=0.1)
+    p.grad[...] = 2.0
+    opt.step()
     assert p.data[0] == 1.5
+
+
+def test_adam_holds_parameters_as_views_of_one_arena():
+    params = {"b": Tensor(np.arange(3.0), requires_grad=True),
+              "a": Tensor(np.ones((2, 2)), requires_grad=True)}
+    opt = Adam(params, lr=0.1)
+    # sorted by name: a's four entries come first
+    assert np.array_equal(opt.data, [1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 2.0])
+    assert opt.grad.shape == (7,) and not opt.grad.any()
+    for p in params.values():
+        assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad, opt.grad)
+    T.tsum(params["a"] * 2.0).backward()
+    assert np.array_equal(opt.grad[:4], np.full(4, 2.0))
+    opt.zero_grad()
+    assert not opt.grad.any() and not params["b"].grad.any()
+    with pytest.raises(ValueError):
+        Adam({"x": params["a"], "y": params["a"]})
+
+
+def test_adam_rejects_a_non_finite_update():
+    p = Tensor([1e308], requires_grad=True)
+    opt = Adam({"p": p}, lr=-1e308)
+    p.grad[...] = 1.0
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError):
+            opt.step()
+
+
+def _desk_model_and_scene():
+    cfg = NetworkConfig.desk()
+    scene = generate_scene(SyntheticSceneSpec(), Rng(21))
+    prepared = prepare_scene(scene, cfg, Rng(22))
+    return cfg, prepared
+
+
+def test_arena_adam_matches_per_tensor_updates_bit_for_bit():
+    cfg, prepared = _desk_model_and_scene()
+    weights = LossWeights()
+    settings = dict(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+    arena = DetectionModel(cfg, Rng(23))
+    oracle = DetectionModel(cfg, Rng(23))
+    opt = Adam(arena.params(), **settings)
+    states = {}
+    for _ in range(5):
+        opt.zero_grad()
+        arena_total, _ = compute_losses(prepared, arena.forward(prepared), weights)
+        arena_total.backward()
+        opt.step()
+
+        params = oracle.params()
+        T.zero_grads(params.values())
+        oracle_total, _ = compute_losses(prepared, oracle.forward(prepared), weights)
+        oracle_total.backward()
+        for name in sorted(params):
+            p = params[name]
+            adam_step(p, p.grad, states.setdefault(name, {}), **settings)
+        assert arena_total.data.tobytes() == oracle_total.data.tobytes()
+    got, want = arena.params(), oracle.params()
+    for name in want:
+        assert got[name].data.tobytes() == want[name].data.tobytes(), name
 
 
 def test_adam_descends_a_quadratic():
@@ -222,6 +310,46 @@ def test_checkpoint_restore_validates_names_and_shapes(tmp_path):
     bad = {n: Tensor(np.zeros((9, 9)), requires_grad=True) for n in params}
     with pytest.raises(CheckpointError):
         restore_params(bad, loaded)
+
+
+def test_checkpoint_load_writes_into_parameters_the_optimiser_holds(tmp_path):
+    cfg, prepared = _desk_model_and_scene()
+    source = DetectionModel(cfg, Rng(31))
+    path = str(tmp_path / "model.bin")
+    source.save(path)
+    model = DetectionModel(cfg, Rng(32))
+    opt = Adam(model.params(), lr=0.01)
+    model.load(path)
+    params = model.params()
+    for name, p in source.params().items():
+        assert np.array_equal(params[name].data, p.data)
+    assert opt.data.tobytes() == b"".join(p.data.tobytes() for _, p in sorted(params.items()))
+
+    before = {n: p.data.copy() for n, p in params.items()}
+    opt.zero_grad()
+    total, _ = compute_losses(prepared, model.forward(prepared), LossWeights())
+    total.backward()
+    opt.step()
+    moved = [n for n, p in params.items() if not np.array_equal(p.data, before[n])]
+    assert len(moved) > len(params) // 2  # the model sees the optimiser's update
+
+    # a rejected checkpoint leaves every parameter as it was
+    after = {n: p.data.copy() for n, p in params.items()}
+    loaded = load_checkpoint(path)
+    last = list(params)[-1]  # checked after every other name
+    for bad_value in (np.nan, np.inf):
+        corrupt = dict(loaded)
+        corrupt[last] = loaded[last].copy()
+        corrupt[last].reshape(-1)[0] = bad_value
+        with pytest.raises(CheckpointError):
+            restore_params(params, corrupt)
+    corrupt = dict(loaded)
+    corrupt[last] = np.zeros(loaded[last].shape + (1,))
+    with pytest.raises(CheckpointError):
+        restore_params(params, corrupt)
+    for n, p in params.items():
+        assert np.array_equal(p.data, after[n]), n
+        assert np.shares_memory(p.data, opt.data)
 
 
 def test_checkpoint_corruption_is_detected(tmp_path):

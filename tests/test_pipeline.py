@@ -8,8 +8,11 @@ acceptance criteria); it asserts direction, not convergence.
 import numpy as np
 import pytest
 
-from pointfuse.boxes import CLASSES, iou_bev
+from pointfuse import tensor as T
+from pointfuse.boxes import (CLASSES, DEFAULT_ANCHORS, DetectionResult, format_detection_row,
+                             iou_bev, nms)
 from pointfuse.config import NetworkConfig, RunConfig, TrainSettings
+from pointfuse.fusion import encode_box
 from pointfuse.kitti import SyntheticSceneSpec, generate_scene
 from pointfuse.losses import LossWeights
 from pointfuse.nn import Rng
@@ -143,6 +146,27 @@ def test_build_rpn_targets_point_in_box_semantics():
     assert np.all(targets.cls_valid == 1.0)
 
 
+def test_rpn_regression_targets_match_the_per_point_encoder_bit_for_bit():
+    # the per-point loop build_rpn_targets ran before it encoded each box's
+    # points in one array expression
+    cfg = NetworkConfig.desk()
+    model = DetectionModel(cfg, Rng(81))
+    checked = 0
+    for seed in (8, 10, 11, 12):
+        _, prepared = make_prepared(seed, cfg=cfg)
+        state = model.forward(prepared)
+        targets = build_rpn_targets(prepared, state.rpn)
+        coords = prepared.scene.points.coords[prepared.raw_indices]
+        want = np.zeros((cfg.n_raw, 8))
+        for obj in prepared.scene.labels:
+            for i in np.flatnonzero(obj.box.contains(coords)):
+                want[i] = encode_box(obj.box, state.rpn.votes.data[i],
+                                     DEFAULT_ANCHORS[obj.klass])
+                checked += 1
+        assert targets.reg_target.tobytes() == want.tobytes()
+    assert checked > 100
+
+
 def test_compute_losses_reports_finite_components():
     cfg, prepared = make_prepared(9)
     model = DetectionModel(cfg, Rng(90))
@@ -208,6 +232,35 @@ def test_detect_applies_nms_and_scene_ids():
     # a permissive threshold can only keep more boxes
     loose = detect(model, prepared, nms_threshold=1.0)
     assert len(loose) >= len(dets)
+
+
+def test_detect_without_a_tape_matches_a_taped_forward(monkeypatch):
+    cfg, model, prepared = overfit_one_scene()
+    taped = model.forward(prepared)
+    with T.no_grad():
+        free = model.forward(prepared)
+    assert taped.rpn.cls_prob.requires_grad and not free.rpn.cls_prob.requires_grad
+    assert free.rpn.cls_prob._parents == () and free.raw_out._parents == ()
+    for a, b in ((taped.raw_out, free.raw_out), (taped.pseudo_out, free.pseudo_out),
+                 (taped.rpn.cls_prob, free.rpn.cls_prob), (taped.rpn.reg, free.rpn.reg),
+                 (taped.rpn.votes, free.rpn.votes)):
+        assert a.data.tobytes() == b.data.tobytes()
+    props = model.head.decode_proposals(taped.rpn, cfg.score_threshold)
+    dets = [DetectionResult(b, float(s), c, prepared.scene_id)
+            for b, s, c in zip(props.boxes, props.scores, props.classes)]
+    want = [format_detection_row(dets[i]) for i in nms(dets, cfg.nms_test, overlap="bev")]
+    decoded = []
+    decode = model.head.decode_proposals
+
+    def spy(out, score_threshold):
+        decoded.append(out.cls_prob.requires_grad or bool(out.cls_prob._parents))
+        return decode(out, score_threshold)
+
+    monkeypatch.setattr(model.head, "decode_proposals", spy)
+    got = [format_detection_row(d) for d in detect(model, prepared)]
+    assert got == want and got
+    assert decoded == [False]  # detect decoded head outputs that carry no tape
+    assert (model.params()["head.cls.fc2.bias"] * 1.0).requires_grad  # detect restored the tape
 
 
 def test_evaluate_recovers_a_trained_scene():

@@ -6,7 +6,8 @@ Covers, in rough order:
   subgradient conventions (relu/abs at 0, clamp at the boundary,
     first-argmax ties),
   grid sampling (exact affine reproduction, position gradients),
-  graph mechanics (reuse accumulation, detach, zero_grad),
+  graph mechanics (reuse accumulation, detach, zero_grad, leaf-only
+    grad buffers, no_grad),
   the finite-value guard,
   and the ndarray-on-the-left operator regression.
 """
@@ -164,6 +165,53 @@ def test_detach_blocks_gradient():
     y = x.detach() * x
     y.backward()
     assert np.allclose(x.grad, [2.0])  # only the live factor contributes
+
+
+def test_only_leaves_hold_grad_buffers():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    c = Tensor([3.0, 4.0])
+    assert c.grad is None
+    mid = T.exp(x) * c
+    out = T.tsum(mid * mid)
+    assert mid.grad is None and out.grad is None
+    out.backward()
+    assert mid.grad is None and out.grad is None and c.grad is None
+    want = 2.0 * np.exp(2.0 * x.data) * c.data ** 2
+    assert np.allclose(x.grad, want, rtol=1e-14)
+    first = x.grad.copy()
+    T.tsum(mid * mid).backward()  # a second backward over the same tape accumulates
+    assert np.array_equal(x.grad, first + first)
+
+
+def test_no_grad_builds_no_tape():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with T.no_grad():
+        y = T.tsum(T.exp(x) * x)
+        leaf = Tensor([3.0], requires_grad=True)  # leaves keep their own flag
+    assert not y.requires_grad and y._parents == () and y.grad is None
+    assert leaf.requires_grad and np.array_equal(leaf.grad, [0.0])
+    y.backward()  # nothing to walk
+    assert not x.grad.any()
+    assert T.tsum(T.exp(x) * x).data == y.data
+    assert T.tsum(x * x).requires_grad
+
+
+def test_no_grad_nests_and_restores_on_exceptions():
+    x = Tensor([1.0], requires_grad=True)
+    with T.no_grad():
+        with T.no_grad():
+            assert not (x * x).requires_grad
+        assert not (x * x).requires_grad
+    assert (x * x).requires_grad
+    with pytest.raises(NonFiniteError):
+        with T.no_grad():
+            Tensor([np.inf])
+    assert (x * x).requires_grad
+    with pytest.raises(KeyError):
+        with T.no_grad():
+            with T.no_grad():
+                raise KeyError("boom")
+    assert (x * x).requires_grad
 
 
 def test_backward_requires_scalar():
@@ -340,6 +388,32 @@ def test_non_finite_results_raise():
             T.log(Tensor([0.0]))
         with pytest.raises(NonFiniteError):
             Tensor([1.0]) / Tensor([0.0])
+
+
+def test_finite_guard_checks_every_element_without_overflowing():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteError):
+            Tensor([1.0, bad, 2.0])
+    # op results from finite operands: NaN, +Inf and -Inf in one element
+    with np.errstate(all="ignore"):
+        for op in (lambda: T.div(Tensor([1.0, 0.0]), Tensor([1.0, 0.0])),
+                   lambda: T.exp(Tensor([0.0, 1000.0])),
+                   lambda: T.log(Tensor([1.0, 0.0]))):
+            with pytest.raises(NonFiniteError):
+                op()
+    # the sum of these overflows to inf, yet every element is finite
+    big = Tensor([1e308, 1e308])
+    assert np.array_equal((big * 1.0).data, [1e308, 1e308])
+
+
+def test_non_finite_error_names_the_op_and_operand_shapes():
+    with np.errstate(divide="ignore"):
+        with pytest.raises(NonFiniteError, match=r"log.*\(1,\)"):
+            T.log(Tensor([0.0]))
+        with pytest.raises(NonFiniteError, match=r"div.*\(2, 1\).*\(3,\)"):
+            T.div(Tensor(np.ones((2, 1))), Tensor(np.zeros(3)))
+    with pytest.raises(NonFiniteError, match=r"Tensor.*\(2,\)"):
+        Tensor([0.0, np.nan])
 
 
 def test_tensor_is_float64_and_item():
