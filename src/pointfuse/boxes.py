@@ -1,5 +1,5 @@
-"""Oriented 3D boxes, rotated-overlap IoU, NMS, proposal assignment and
-40-point average precision.
+"""Oriented 3D boxes, rotated-overlap IoU, NMS and 40-point average
+precision.
 
 Boxes live in the LiDAR frame: center (x, y, z), dimensions (l, w, h)
 with l along the heading, and yaw about +z measured from +x, normalised
@@ -98,11 +98,6 @@ class Box3D:
         return ((np.abs(local_x) <= self.l / 2 * inflate + eps)
                 & (np.abs(local_y) <= self.w / 2 * inflate + eps)
                 & (np.abs(d[:, 2]) <= self.h / 2 * inflate + eps))
-
-
-def box_from_array(a) -> Box3D:
-    a = np.asarray(a, dtype=np.float64).reshape(7)
-    return Box3D(*a.tolist())
 
 
 @dataclass
@@ -352,46 +347,6 @@ def nms(dets: list[DetectionResult], iou_threshold: float, overlap: str = "bev")
             kept.append(int(order[r]))
             suppressed |= over[r]
     return kept
-
-
-# -- proposal-to-ground-truth assignment -----------------------------------------
-
-CLS_POSITIVE_IOU = 0.6   # strictly above: classification positive
-CLS_NEGATIVE_IOU = 0.45  # strictly below: classification negative
-REG_ACTIVE_IOU = 0.55    # strictly above: regression supervised
-
-
-@dataclass
-class Assignment:
-    cls_label: int        # 1 positive, 0 negative, -1 ignored
-    reg_active: bool
-    gt_index: int         # best-overlap ground truth, -1 if none
-    iou: float
-
-
-def assign_proposals(boxes: list[Box3D], gts: list[Box3D], overlap: str = "bev") -> list[Assignment]:
-    """Label each proposal against its best-overlap ground truth.
-
-    IoU > 0.6 is a classification positive, < 0.45 negative, in between
-    ignored; IoU > 0.55 activates regression.  With no ground truth every
-    proposal is negative.
-    """
-    iou_fn = iou_bev if overlap == "bev" else iou_3d
-    out = []
-    for box in boxes:
-        best_iou, best_j = 0.0, -1
-        for j, gt in enumerate(gts):
-            v = iou_fn(box, gt)
-            if v > best_iou:
-                best_iou, best_j = v, j
-        if best_iou > CLS_POSITIVE_IOU:
-            cls_label = 1
-        elif best_iou < CLS_NEGATIVE_IOU:
-            cls_label = 0
-        else:
-            cls_label = -1
-        out.append(Assignment(cls_label, best_iou > REG_ACTIVE_IOU, best_j, best_iou))
-    return out
 
 
 # -- average precision -------------------------------------------------------------

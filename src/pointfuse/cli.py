@@ -38,12 +38,18 @@ def _sha256_file(path: str) -> str:
 class Manifest:
     """Append-only run record; the run line goes out before any result."""
 
-    def __init__(self, out_dir: str, command: str, seed: int, cfg: RunConfig):
+    def __init__(self, out_dir: str, command: str, seed: int, cfg: RunConfig,
+                 checkpoint: str | None = None):
+        """A run that reads a checkpoint records its absolute path and
+        sha256, so replay can evaluate the same weights."""
         self.out_dir = out_dir
         self.path = os.path.join(out_dir, "manifest.jsonl")
         os.makedirs(out_dir, exist_ok=True)
         run = {"kind": "run", "tool": "pointfuse", "version": __version__,
                "command": command, "seed": seed, "config": flatten_config(cfg)}
+        if checkpoint:
+            run["checkpoint"] = {"path": os.path.abspath(checkpoint),
+                                 "sha256": _sha256_file(checkpoint)}
         with open(self.path, "w") as fh:
             fh.write(json.dumps(run, sort_keys=True) + "\n")
 
@@ -514,7 +520,7 @@ def cmd_eval(args) -> int:
     if not args.out:
         print("eval requires --out", file=sys.stderr)
         return 2
-    manifest = Manifest(args.out, "eval", args.seed, cfg)
+    manifest = Manifest(args.out, "eval", args.seed, cfg, args.checkpoint)
     rng = Rng(args.seed)
     scenes = _make_scenes(cfg, rng, cfg.eval.n_scenes)
     model = pipeline.DetectionModel(cfg.net, rng.derive("model"))
@@ -648,8 +654,20 @@ def cmd_replay(args) -> int:
         print(f"unknown command in manifest: {command}", file=sys.stderr)
         return 2
 
+    checkpoint = run.get("checkpoint")
+    if checkpoint is not None:
+        path = checkpoint["path"]
+        if not os.path.exists(path):
+            print(f"checkpoint {path} named by the manifest is missing", file=sys.stderr)
+            return 2
+        if _sha256_file(path) != checkpoint["sha256"]:
+            print(f"checkpoint {path} differs from the one the manifest recorded "
+                  f"(sha256 {checkpoint['sha256']})", file=sys.stderr)
+            return 2
+        checkpoint = path
+
     replay_args = argparse.Namespace(
-        config=None, seed=run["seed"], out=args.out, set=[], checkpoint=None,
+        config=None, seed=run["seed"], out=args.out, set=[], checkpoint=checkpoint,
         manifest=None)
     for key, value in sorted(run["config"].items()):
         replay_args.set.append(f"{key}={json.dumps(value)}")

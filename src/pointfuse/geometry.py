@@ -59,98 +59,75 @@ def farthest_point_sampling(coords: np.ndarray, m: int, start: int = 0) -> np.nd
         raise GeometryError(f"need 1 <= m <= N, got m={m}, N={n}")
     if not 0 <= start < n:
         raise GeometryError(f"start index {start} out of range")
+    cols = coords.T.copy()  # x, y, z as contiguous rows
+    diff = np.empty_like(cols)
+    d = np.empty(n)
+
+    def sq_dist(i, out):
+        # dx*dx + dy*dy + dz*dz: the terms and order of summing (c - c_i)**2 over xyz
+        np.subtract(cols, cols[:, i:i + 1], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(diff[0], diff[1], out=out)
+        return np.add(out, diff[2], out=out)
+
     chosen = np.empty(m, dtype=np.int64)
     chosen[0] = start
-    best = np.sum((coords - coords[start]) ** 2, axis=1)
+    best = sq_dist(start, np.empty(n))
     for i in range(1, m):
-        nxt = int(np.argmax(best))  # argmax takes the first max: smaller index
+        nxt = int(best.argmax())  # argmax takes the first max: smaller index
         chosen[i] = nxt
-        best = np.minimum(best, np.sum((coords - coords[nxt]) ** 2, axis=1))
+        np.minimum(best, sq_dist(nxt, d), out=best)
     return chosen
+
+
+# Up to this many query-candidate pairs a full stable sort is cheaper
+# than selection.
+_KNN_SORT_MAX_PAIRS = 2048
 
 
 def knn_group(queries: np.ndarray, coords: np.ndarray, k: int) -> np.ndarray:
     """[Mq, k] indices of the k nearest coords per query, each row sorted
-    ascending by (distance, index)."""
+    ascending by (distance, index), exactly as a full stable sort orders
+    them.
+
+    Rows select their k nearest with a partition and sort only those.  A
+    row with a tie at its k-th distance (more than k entries within it)
+    takes the full stable sort instead, as do small inputs and k == N.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
     if not 1 <= k <= n:
         raise GeometryError(f"need 1 <= k <= N, got k={k}, N={n}")
-    d2 = np.sum((queries[:, None, :] - coords[None, :, :]) ** 2, axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")  # stable: equal distances keep index order
-    return order[:, :k].astype(np.int64)
-
-
-def idw_interpolate(target: np.ndarray, neighbors: PointSet, k: int = 3, p: float = 2.0) -> np.ndarray:
-    """Inverse-distance-weighted feature at one target coordinate.
-
-    Weights are 1/d^p over the k nearest neighbor points; a neighbor
-    within 1e-10 of the target short-circuits to its feature row exactly.
-    """
-    target = np.asarray(target, dtype=np.float64).reshape(3)
-    if neighbors.feats is None or len(neighbors) == 0:
-        raise GeometryError("idw needs a non-empty neighbor set with features")
-    k_eff = min(k, len(neighbors))
-    idx = knn_group(target[None, :], neighbors.coords, k_eff)[0]
-    d = np.sqrt(np.sum((neighbors.coords[idx] - target) ** 2, axis=1))
-    exact = np.nonzero(d < 1e-10)[0]
-    if exact.size:
-        return neighbors.feats[idx[exact[0]]].copy()
-    w = 1.0 / d ** p
-    return (w[:, None] * neighbors.feats[idx]).sum(axis=0) / w.sum()
-
-
-# -- grid interpolation -------------------------------------------------------
-
-
-def clamp_coord(c: np.ndarray, n: int):
-    """Clamp continuous grid coordinates to [0, n-1]; also report whether
-    any clamping happened (callers flag out-of-bounds reads)."""
-    c = np.asarray(c, dtype=np.float64)
-    clamped = np.clip(c, 0.0, n - 1.0)
-    return clamped, bool(np.any(clamped != c))
-
-
-def bilinear_sample(grid: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """Sample grid [H, W, C] at a single continuous (u, v) -> [C].
-
-    u runs along W, v along H; out-of-range positions clamp to the border.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 3:
-        raise GeometryError(f"grid must be [H,W,C], got {grid.shape}")
-    h, w, _ = grid.shape
-    u, _ = clamp_coord(np.asarray(uv, dtype=np.float64)[0], w)
-    v, _ = clamp_coord(np.asarray(uv, dtype=np.float64)[1], h)
-    u0 = min(int(np.floor(u)), w - 2) if w > 1 else 0
-    v0 = min(int(np.floor(v)), h - 2) if h > 1 else 0
-    u1, v1 = min(u0 + 1, w - 1), min(v0 + 1, h - 1)
-    fu, fv = u - u0, v - v0
-    return ((1 - fu) * (1 - fv) * grid[v0, u0] + fu * (1 - fv) * grid[v0, u1]
-            + (1 - fu) * fv * grid[v1, u0] + fu * fv * grid[v1, u1])
-
-
-def trilinear_sample(volume: np.ndarray, uvd: np.ndarray) -> np.ndarray:
-    """Sample volume [H, W, D, C] at a single continuous (u, v, d) -> [C]."""
-    volume = np.asarray(volume, dtype=np.float64)
-    if volume.ndim != 4:
-        raise GeometryError(f"volume must be [H,W,D,C], got {volume.shape}")
-    h, w, d, _ = volume.shape
-    pos = np.asarray(uvd, dtype=np.float64)
-    u, _ = clamp_coord(pos[0], w)
-    v, _ = clamp_coord(pos[1], h)
-    z, _ = clamp_coord(pos[2], d)
-    u0 = min(int(np.floor(u)), w - 2) if w > 1 else 0
-    v0 = min(int(np.floor(v)), h - 2) if h > 1 else 0
-    z0 = min(int(np.floor(z)), d - 2) if d > 1 else 0
-    u1, v1, z1 = min(u0 + 1, w - 1), min(v0 + 1, h - 1), min(z0 + 1, d - 1)
-    fu, fv, fz = u - u0, v - v0, z - z0
-    out = 0.0
-    for cv, wv in ((v0, 1 - fv), (v1, fv)):
-        for cu, wu in ((u0, 1 - fu), (u1, fu)):
-            for cz, wz in ((z0, 1 - fz), (z1, fz)):
-                out = out + wv * wu * wz * volume[cv, cu, cz]
+    # dx*dx + dy*dy + dz*dz over per-axis columns, in the same order as
+    # summing (q - c)**2 over xyz.  One scratch buffer serves every step:
+    # each fresh array of this size would cost its own page faults.
+    d2 = np.subtract(queries[:, 0:1], coords[:, 0])
+    np.multiply(d2, d2, out=d2)
+    tmp = np.empty_like(d2)
+    for axis in (1, 2):
+        np.subtract(queries[:, axis:axis + 1], coords[:, axis], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(d2, tmp, out=d2)
+    if k == n or d2.size <= _KNN_SORT_MAX_PAIRS:
+        return np.argsort(d2, axis=1, kind="stable")[:, :k].astype(np.int64)
+    np.copyto(tmp, d2)
+    tmp.partition(k - 1, axis=1)
+    within = d2 <= tmp[:, k - 1:k]
+    clean = within.sum(axis=1) == k  # no tie at the k-th distance
+    rows = np.flatnonzero(clean)
+    tied = rows.size < d2.shape[0]
+    if tied:
+        within = within[rows]
+    cols = (np.flatnonzero(within) % n).reshape(-1, k)  # ascending index per row
+    order = np.argsort(d2[rows[:, None], cols], axis=1, kind="stable")
+    picked = cols[np.arange(rows.size)[:, None], order]
+    if not tied:
+        return picked
+    out = np.empty((d2.shape[0], k), dtype=np.int64)
+    out[rows] = picked
+    ties = np.flatnonzero(~clean)
+    out[ties] = np.argsort(d2[ties], axis=1, kind="stable")[:, :k]
     return out
 
 
@@ -175,10 +152,6 @@ class LidBinning:
 
     def width(self, b) -> np.ndarray:
         return self.edges[np.asarray(b) + 1] - self.edges[np.asarray(b)]
-
-
-def lid_bin_edges(binning: LidBinning) -> np.ndarray:
-    return binning.edges.copy()
 
 
 def lid_encode(depth, binning: LidBinning):

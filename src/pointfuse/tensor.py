@@ -500,6 +500,19 @@ def concat(parts, axis: int = 0) -> Tensor:
     return Tensor._result(out, tuple(parts), tuple(make_vjp(i) for i in range(len(parts))))
 
 
+def _scatter_rows(rows: np.ndarray, vals: np.ndarray, shape: tuple) -> np.ndarray:
+    """Zeros of ``shape`` with each ``vals[i]`` added into row ``rows[i]``.
+
+    ``rows`` indexes axis 0 (after flattening); ``vals`` holds one row per
+    entry.  A single weighted bincount adds the entries in input order,
+    so the sums equal a sequential ``np.add.at`` bit for bit.
+    """
+    width = int(np.prod(shape[1:], dtype=np.int64))
+    flat = (rows.reshape(-1, 1) * width + np.arange(width)).ravel()
+    summed = np.bincount(flat, weights=vals.ravel(), minlength=shape[0] * width)
+    return summed.reshape(shape)
+
+
 def gather_rows(a, idx) -> Tensor:
     """Index axis 0 with an integer array; output shape idx.shape + a.shape[1:].
 
@@ -513,12 +526,7 @@ def gather_rows(a, idx) -> Tensor:
         raise ShapeError("gather_rows index out of range")
     out = a.data[idx]
 
-    def vjp(g):
-        z = np.zeros_like(a.data)
-        np.add.at(z, idx, g)
-        return z
-
-    return Tensor._result(out, (a,), (vjp,))
+    return Tensor._result(out, (a,), (lambda g: _scatter_rows(idx, g, a.data.shape),))
 
 
 # -- differentiable grid sampling ---------------------------------------------
@@ -563,12 +571,11 @@ def bilinear_sample(grid, uv) -> Tensor:
            + (1 - wu) * wv * g10 + wu * wv * g11)
 
     def vjp_grid(g):
-        z = np.zeros_like(grid.data)
-        np.add.at(z, (v0, u0), (1 - wu) * (1 - wv) * g)
-        np.add.at(z, (v0, u1), wu * (1 - wv) * g)
-        np.add.at(z, (v1, u0), (1 - wu) * wv * g)
-        np.add.at(z, (v1, u1), wu * wv * g)
-        return z
+        # all four corners in one scatter, in corner order
+        cells = np.concatenate([v0 * w + u0, v0 * w + u1, v1 * w + u0, v1 * w + u1])
+        vals = np.concatenate([(1 - wu) * (1 - wv) * g, wu * (1 - wv) * g,
+                               (1 - wu) * wv * g, wu * wv * g])
+        return _scatter_rows(cells, vals, (h * w,) + grid.data.shape[2:]).reshape(grid.data.shape)
 
     def vjp_uv(g):
         du = ((1 - wv) * (g01 - g00) + wv * (g11 - g10)) * g
@@ -607,10 +614,10 @@ def trilinear_sample(volume, uvd) -> Tensor:
     out = sum(weight(*key) * val for key, (_, _, _, val) in corners.items())
 
     def vjp_volume(g):
-        z = np.zeros_like(volume.data)
-        for key, (vi, ui, di, _) in corners.items():
-            np.add.at(z, (vi, ui, di), weight(*key) * g)
-        return z
+        # all eight corners in one scatter, in corner order
+        cells = np.concatenate([(vi * w + ui) * d + di for vi, ui, di, _ in corners.values()])
+        vals = np.concatenate([weight(*key) * g for key in corners])
+        return _scatter_rows(cells, vals, (h * w * d,) + volume.data.shape[3:]).reshape(volume.data.shape)
 
     def vjp_uvd(g):
         c = {k: v[3] for k, v in corners.items()}

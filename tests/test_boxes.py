@@ -12,21 +12,15 @@ import pytest
 
 from pointfuse import boxes
 from pointfuse.boxes import (
-    Assignment,
     Box3D,
     BoxArrays,
     BoxError,
     CLASSES,
     CLASS_IOU_THRESHOLD,
-    CLS_NEGATIVE_IOU,
-    CLS_POSITIVE_IOU,
     DEFAULT_ANCHORS,
     DetectionResult,
     GroundTruth,
-    REG_ACTIVE_IOU,
-    assign_proposals,
     average_precision_40,
-    box_from_array,
     clip_convex,
     format_detection_row,
     iou_3d,
@@ -38,6 +32,15 @@ from pointfuse.boxes import (
     polygon_area,
     read_detections,
     write_detections,
+)
+
+from oracles import (
+    Assignment,
+    CLS_NEGATIVE_IOU,
+    CLS_POSITIVE_IOU,
+    REG_ACTIVE_IOU,
+    assign_proposals,
+    box_from_array,
 )
 
 

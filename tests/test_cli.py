@@ -205,6 +205,31 @@ def test_eval_writes_ap_table(tmp_path, overfit_run):
     assert os.path.exists(os.path.join(out, "detections_0000.txt"))
 
 
+def test_replay_of_eval_with_checkpoint_reproduces_bitwise(tmp_path, overfit_run, capsys):
+    ckpt = tmp_path / "weights.bin"
+    ckpt.write_bytes(open(os.path.join(overfit_run, "checkpoint.bin"), "rb").read())
+    out = str(tmp_path / "eval")
+    assert run("eval", "--out", out, "--seed", "7", "--checkpoint", str(ckpt),
+               "--set", "eval.n_scenes=1") == 0
+    recorded = read_manifest(out)[0]["checkpoint"]
+    assert recorded == {"path": str(ckpt), "sha256": sha256(str(ckpt))}
+    capsys.readouterr()
+    manifest = os.path.join(out, "manifest.jsonl")
+    assert run("replay", "--manifest", manifest, "--out", str(tmp_path / "again")) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-1] == "all 2 artifacts reproduced bit for bit"
+    assert [line.split()[0] for line in lines[:-1]][-2:] == ["ok", "ok"]
+
+    # a changed checkpoint is refused before any work, naming the file
+    ckpt.write_bytes(ckpt.read_bytes() + b"\0")
+    assert run("replay", "--manifest", manifest, "--out", str(tmp_path / "changed")) == 2
+    assert str(ckpt) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "changed")
+    ckpt.unlink()
+    assert run("replay", "--manifest", manifest, "--out", str(tmp_path / "gone")) == 2
+    assert "missing" in capsys.readouterr().err
+
+
 def test_ablate_rows_have_distinct_hashes(tmp_path, capsys):
     out = str(tmp_path / "ablate")
     assert run("ablate", "--out", out, "--set", "train.steps=1") == 0

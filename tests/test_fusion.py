@@ -35,6 +35,8 @@ from pointfuse.fusion import (
 from pointfuse.nn import Rng, gradcheck
 from pointfuse.tensor import Tensor
 
+import oracles
+
 
 def cloud(rng, n, c):
     coords = Tensor(rng.uniform(-4.0, 4.0, size=(n, 3)))
@@ -69,7 +71,7 @@ def test_idw_matches_geometry_oracle():
         targets = rng.uniform(-2, 2, size=(5, 3))
         got = idw_interpolate(Tensor(targets), Tensor(src.coords), Tensor(src.feats))
         for i in range(5):
-            want = G.idw_interpolate(targets[i], src, k=3)
+            want = oracles.idw_interpolate(targets[i], src, k=3)
             assert np.max(np.abs(got.data[i] - want)) < 1e-9, f"trial {trial}"
 
 

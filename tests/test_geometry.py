@@ -3,7 +3,12 @@ calibration and cropping.
 
 Sampling and grouping are checked against independent brute-force
 re-derivations (a literal greedy loop for farthest-point sampling, a
-sort of explicit distance lists for kNN) over seeded random clouds.
+sort of explicit distance lists for kNN) over seeded random clouds, and
+bit for bit against the previous array kernels kept in ``oracles``
+(the loop sampler and the full stable argsort), including clouds with
+ties at the k-th distance.  The single-position grid reads and the
+scalar IDW in ``oracles`` are checked here too, since other tests
+compare the library against them.
 """
 
 import numpy as np
@@ -16,15 +21,21 @@ from pointfuse.geometry import (
     LidBinning,
     PointSet,
     SCENE_BOUNDS,
-    bilinear_sample,
-    clamp_coord,
     crop_points,
     farthest_point_sampling,
-    idw_interpolate,
     knn_group,
-    lid_bin_edges,
     lid_decode,
     lid_encode,
+)
+from pointfuse.tensor import Tensor
+from pointfuse.tensor import bilinear_sample as bilinear_batch, trilinear_sample as trilinear_batch
+
+from oracles import (
+    bilinear_sample,
+    clamp_coord,
+    fps_loop,
+    idw_interpolate,
+    knn_argsort,
     trilinear_sample,
 )
 
@@ -88,6 +99,20 @@ def test_fps_start_and_validation():
         farthest_point_sampling(pts, 2, start=5)
 
 
+def test_fps_equals_loop_sampler_on_large_and_tied_clouds():
+    rng = np.random.default_rng(27)
+    for trial in range(6):
+        n = int(rng.integers(200, 700))
+        if trial % 2:
+            coords = rng.integers(-4, 5, size=(n, 3)).astype(np.float64)  # many equal distances
+        else:
+            coords = rng.uniform(-30.0, 30.0, size=(n, 3))
+        m = int(rng.integers(1, n // 2))
+        start = int(rng.integers(0, n))
+        assert np.array_equal(farthest_point_sampling(coords, m, start),
+                              fps_loop(coords, m, start)), f"trial {trial}"
+
+
 # -- knn -------------------------------------------------------------------------
 
 
@@ -110,6 +135,37 @@ def test_knn_equal_distances_keep_index_order():
     assert got[0].tolist() == [0, 1, 2]
     with pytest.raises(GeometryError):
         knn_group(np.zeros((1, 3)), coords, 4)
+
+
+def test_knn_equals_stable_argsort_on_large_clouds():
+    rng = np.random.default_rng(28)
+    for trial in range(12):
+        n = int(rng.integers(40, 400))
+        coords = rng.uniform(-20.0, 20.0, size=(n, 3))
+        queries = np.concatenate([coords[rng.integers(0, n, size=30)],
+                                  rng.uniform(-25.0, 25.0, size=(int(rng.integers(40, 200)), 3))])
+        for k in (1, 3, 8, n):
+            got = knn_group(queries, coords, k)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, knn_argsort(queries, coords, k)), f"trial {trial}, k {k}"
+
+
+def test_knn_ties_at_the_kth_distance_keep_the_smaller_indices():
+    # an integer grid with repeated points: many rows have more than k
+    # candidates within their k-th distance, others have exactly k
+    rng = np.random.default_rng(29)
+    for trial in range(8):
+        n = int(rng.integers(60, 300))
+        coords = rng.integers(-3, 4, size=(n, 3)).astype(np.float64)
+        coords[rng.integers(0, n, size=n // 4)] = coords[0]
+        queries = np.concatenate([coords, rng.integers(-3, 4, size=(20, 3)) + 0.5])
+        for k in (1, 4, 8):
+            d2 = np.sum((queries[:, None, :] - coords[None, :, :]) ** 2, axis=2)
+            kth = np.sort(d2, axis=1)[:, k - 1:k]
+            within = np.count_nonzero(d2 <= kth, axis=1)
+            assert np.any(within > k) and np.any(within == k)  # both paths run
+            assert np.array_equal(knn_group(queries, coords, k),
+                                  knn_argsort(queries, coords, k)), f"trial {trial}, k {k}"
 
 
 # -- inverse distance weighting ---------------------------------------------------
@@ -149,6 +205,9 @@ def test_bilinear_matches_corners_and_midpoints():
     assert bilinear_sample(grid, [1.0, 1.0])[0] == 3.0
     assert bilinear_sample(grid, [0.5, 0.5])[0] == pytest.approx(1.5)
     assert bilinear_sample(grid, [5.0, -1.0])[0] == 1.0  # clamps to (u=1, v=0)
+    uv = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [5.0, -1.0]])
+    got = bilinear_batch(Tensor(grid), Tensor(uv)).data[:, 0]
+    assert got.tolist() == [bilinear_sample(grid, p)[0] for p in uv]
 
 
 def test_trilinear_matches_separable_product():
@@ -161,6 +220,7 @@ def test_trilinear_matches_separable_product():
     want = 0.1 * lo + 0.9 * hi
     got = trilinear_sample(vol, pos)
     assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose(trilinear_batch(Tensor(vol), Tensor(pos[None, :])).data[0], want, atol=1e-12)
 
 
 def test_clamp_coord_reports_clamping():
@@ -176,7 +236,7 @@ def test_clamp_coord_reports_clamping():
 
 def test_lid_edges_start_end_and_grow():
     binning = LidBinning(2.0, 46.8, 10)
-    edges = lid_bin_edges(binning)
+    edges = binning.edges
     assert edges[0] == 2.0
     assert edges[-1] == pytest.approx(46.8, abs=1e-12)
     widths = np.diff(edges)

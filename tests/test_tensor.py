@@ -24,6 +24,8 @@ from pointfuse.tensor import (
     Tensor,
 )
 
+from oracles import bilinear_grid_grad, scatter_add_at, trilinear_grid_grad
+
 
 def leaf(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
@@ -253,6 +255,42 @@ def test_gather_rows_scatter_add_backward():
     T.tsum(T.gather_rows(x, idx)).backward()
     counts = np.array([1.0, 0.0, 3.0, 0.0])
     assert np.array_equal(x.grad, np.repeat(counts[:, None], 2, axis=1))
+
+
+def upstream(rng, shape):
+    # magnitudes spread over six decades, so the order of the adds shows
+    # in the rounding of every heavily repeated cell
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+
+
+def test_gather_rows_backward_equals_add_at_bit_for_bit():
+    rng = np.random.default_rng(30)
+    for shape, idx_shape in (((5,), (40,)), ((6, 3), (50, 4)), ((4, 2, 3), (30,))):
+        a = Tensor(rng.standard_normal(shape), requires_grad=True)
+        idx = rng.integers(0, shape[0], size=idx_shape)
+        g = upstream(rng, idx_shape + shape[1:])
+        T.tsum(T.gather_rows(a, idx) * g).backward()
+        assert np.array_equal(a.grad, scatter_add_at(shape, idx, g)), shape
+    empty = Tensor(np.ones((3, 2)), requires_grad=True)
+    T.tsum(T.gather_rows(empty, np.zeros(0, dtype=np.int64))).backward()
+    assert np.array_equal(empty.grad, np.zeros((3, 2)))
+
+
+def test_sampler_grid_gradients_equal_per_corner_add_at_bit_for_bit():
+    # few cells, many reads: every cell sums dozens of terms from all
+    # corners, so one sum per corner would round differently
+    rng = np.random.default_rng(31)
+    for trial in range(3):
+        grid = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
+        uv = rng.uniform(-0.5, 3.5, size=(200, 2))
+        g = upstream(rng, (200, 2))
+        T.tsum(T.bilinear_sample(grid, Tensor(uv)) * g).backward()
+        assert np.array_equal(grid.grad, bilinear_grid_grad(grid.shape, uv, g)), trial
+        vol = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True)
+        uvd = rng.uniform(-0.5, 3.5, size=(200, 3))
+        g = upstream(rng, (200, 2))
+        T.tsum(T.trilinear_sample(vol, Tensor(uvd)) * g).backward()
+        assert np.array_equal(vol.grad, trilinear_grid_grad(vol.shape, uvd, g)), trial
 
 
 def test_gradcheck_every_smooth_op():
