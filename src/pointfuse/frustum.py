@@ -6,7 +6,11 @@ over LID bins plus an in-bin residual, and a 2-vector keypoint offset.
 Softmaxed depth weights times the feature vector give a frustum volume;
 foreground LiDAR points pick (optionally offset-shifted) pixels, the
 depth head turns each pixel into a metric depth, and trilinear reads of
-the frustum give the pseudo-point features.
+the frustum give the pseudo-point features.  Those reads go through
+``tensor.frustum_sample``, which forms only the 8 corner values of each
+read from the depth weights and the feature grid and never builds the
+[H_F, W_F, D, C] volume; ``build_frustum`` builds it, as the oracle the
+tests and ``pointfuse check`` compare against.
 
 Gradients flow through every continuous quantity: frustum values,
 offsets, residuals and the resulting sample positions.  The only
@@ -272,9 +276,9 @@ def generate_pseudo_points(points: PointSet, mask: np.ndarray, calib: Calibratio
     depth = T.Tensor(binning.edges[bins]) + res * T.Tensor(binning.width(bins))
 
     coords = _lift_to_lidar(T.reshape(u_px, (-1,)), T.reshape(v_px, (-1,)), depth, calib)
-    frustum = build_frustum(fi, dp, binning)
     cont_bin = T.Tensor(bins.astype(np.float64)) + res
     uvd = T.concat([T.reshape(u_f, (-1, 1)), T.reshape(v_f, (-1, 1)),
                     T.reshape(cont_bin, (-1, 1))], axis=1)
-    feats = T.trilinear_sample(frustum.feats, uvd)
+    # the frustum read of build_frustum's volume, without building it
+    feats = T.frustum_sample(T.softmax(dp.bin_logits, axis=2), fi.feats, uvd)
     return PseudoPointSet(coords, feats, raw_px.copy(), depth.data.copy(), keep, clamped)

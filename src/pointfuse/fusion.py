@@ -5,7 +5,11 @@ Both streams (LiDAR points and lifted pseudo points) run the same
 encoder/decoder machinery; they only meet inside CrossFusion blocks.
 Neighbour selection (sampling, kNN grouping) routes on raw coordinate
 values and carries no gradient; everything downstream of the routing,
-including the interpolation weights, is differentiable.
+including the interpolation weights, is differentiable.  The routing of
+a whole stream is computed apart from the blocks (``route_stream``) and
+passed in: the raw stream's coordinates are fixed per scene, so a
+prepared scene builds its raw routing once and reuses it on every step,
+while the pseudo stream is routed on every forward.
 
 Group reductions sort member indices ascending first, so outputs are
 bitwise identical under any permutation of a group's members.
@@ -34,20 +38,22 @@ class FusionError(ValueError):
 _EXACT_D2 = 1e-20    # squared distance below this counts as coincident
 
 
-def idw_interpolate(target_coords, source_coords, source_feats, k: int = 3, p: float = 2.0) -> Tensor:
+def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray,
+                    p: float = 2.0) -> Tensor:
     """Interpolate source features at target positions, weights 1/d^p over
-    the k nearest sources.
+    each target's neighbours ``idx`` [n, k] (its k nearest sources, as
+    ``knn_group`` lists them).
 
     Neighbour choice is routing (no gradient); the weights themselves are
     differentiable in both coordinate sets.  A target sitting exactly on
-    a source copies that source's features (smallest index wins), with no
+    a source copies that source's features (first listed wins), with no
     coordinate gradient for that row.
     """
     tc = as_tensor(target_coords)
     sc = as_tensor(source_coords)
     sf = as_tensor(source_feats)
     n = tc.data.shape[0]
-    idx = knn_group(tc.data, sc.data, k)
+    k = idx.shape[1]
 
     diff = gather_rows(sc, idx) - reshape(tc, (n, 1, 3))
     d2 = tsum(diff * diff, axis=2)                       # [n, k]
@@ -126,6 +132,68 @@ class PointAttention:
         return self.out_lbr(pooled) + feats
 
 
+# -- routing --------------------------------------------------------------------------
+#
+# Which points a block samples, groups and interpolates from depends only
+# on coordinate values, so it is computed apart from the blocks and passed
+# in.  The raw stream's coordinates are fixed per scene, so its routing is
+# built once per scene (pipeline.PreparedScene.raw_route); the pseudo
+# stream's move with every step and are routed on every forward.
+
+IDW_K = 3     # neighbours per interpolated point
+
+
+@dataclass(frozen=True)
+class DownRoute:
+    """Routing of one TransitionDown over N input points."""
+
+    centers: np.ndarray   # [m] farthest-point picks among the inputs
+    neigh: np.ndarray     # [m, L] kNN of each centre among the inputs, ascending index
+    groups: np.ndarray    # [m, L] kNN of each centre among the centres
+
+
+@dataclass(frozen=True)
+class UpRoute:
+    """Routing of one decoder step from a coarse level to a skip level."""
+
+    interp: np.ndarray          # [n, IDW_K] kNN of each skip point among the coarse points
+    groups: np.ndarray | None   # [n, L] kNN among the skip points; None without attention
+
+
+@dataclass(frozen=True)
+class StreamRoute:
+    down: tuple           # DownRoute per encoder stage
+    up: tuple             # UpRoute per decoder step, coarsest first
+
+
+def route_down(coords: np.ndarray, m_out: int, l_group: int) -> DownRoute:
+    n = coords.shape[0]
+    if not l_group <= m_out < n:
+        raise FusionError(f"need l_group <= m_out < N, got {l_group}, {m_out}, {n}")
+    centers = farthest_point_sampling(coords, m_out)
+    down = coords[centers]
+    neigh = np.sort(knn_group(down, coords, l_group), axis=1)
+    return DownRoute(centers, neigh, knn_group(down, down, l_group))
+
+
+def route_up(coarse: np.ndarray, skip: np.ndarray, l_group: int, attention: bool) -> UpRoute:
+    groups = knn_group(skip, skip, l_group) if attention else None
+    return UpRoute(knn_group(skip, coarse, IDW_K), groups)
+
+
+def route_stream(coords: np.ndarray, stages, l_group: int, attention_up: bool) -> StreamRoute:
+    """Routing of a whole stream: the encoder stages down from coords,
+    then the decoder steps back up through the same levels."""
+    levels = [coords]
+    down = []
+    for m_out in stages:
+        down.append(route_down(levels[-1], m_out, l_group))
+        levels.append(levels[-1][down[-1].centers])
+    up = [route_up(levels[-1 - i], levels[-2 - i], l_group, attention_up)
+          for i in range(len(stages))]
+    return StreamRoute(tuple(down), tuple(up))
+
+
 # -- encoder / decoder blocks -----------------------------------------------------
 
 
@@ -134,7 +202,8 @@ class TransitionDown:
 
     Farthest-point sampling picks the survivors; each keeps the max over
     an LBR embedding of its k nearest originals, then attends within its
-    neighbourhood among the survivors.
+    neighbourhood among the survivors.  The picks and neighbourhoods come
+    in as a ``route_down`` result.
     """
 
     def __init__(self, rng: Rng, c_in: int, c_out: int, m_out: int, l_group: int,
@@ -148,20 +217,16 @@ class TransitionDown:
     def params(self, prefix: str):
         return self.local_lbr.params(prefix + ".local") + self.attention.params(prefix + ".attn")
 
-    def __call__(self, coords: Tensor, feats: Tensor):
+    def __call__(self, coords: Tensor, feats: Tensor, route: DownRoute):
         n = coords.data.shape[0]
         if feats.data.shape != (n, self.c_in):
             raise FusionError(f"expected feats [{n}, {self.c_in}], got {feats.data.shape}")
-        if not self.l_group <= self.m_out < n:
-            raise FusionError(f"need l_group <= m_out < N, got {self.l_group}, {self.m_out}, {n}")
-        centers = farthest_point_sampling(coords.data, self.m_out)
-        neigh = knn_group(coords.data[centers], coords.data, self.l_group)
-        neigh = np.sort(neigh, axis=1)
-        local = maxpool_group(self.local_lbr(gather_rows(feats, neigh)))
-        down_coords = gather_rows(coords, centers)
-        groups = knn_group(down_coords.data, down_coords.data, self.l_group)
-        out = self.attention(down_coords, local, groups)
-        return down_coords, out, centers
+        if route.neigh.shape != (self.m_out, self.l_group):
+            raise FusionError(f"route groups {route.neigh.shape}, block keeps "
+                              f"[{self.m_out}, {self.l_group}]")
+        local = maxpool_group(self.local_lbr(gather_rows(feats, route.neigh)))
+        down_coords = gather_rows(coords, route.centers)
+        return down_coords, self.attention(down_coords, local, route.groups)
 
 
 class TransitionUp:
@@ -184,12 +249,15 @@ class TransitionUp:
         return self.skip_lbr.params(prefix + ".skip") + self.attention.params(prefix + ".attn")
 
     def __call__(self, coarse_coords: Tensor, coarse_feats: Tensor,
-                 skip_coords: Tensor, skip_feats: Tensor) -> Tensor:
+                 skip_coords: Tensor, skip_feats: Tensor, route: UpRoute) -> Tensor:
         if coarse_feats.data.shape[1] != self.c_coarse or skip_feats.data.shape[1] != self.c_skip:
             raise FusionError("transition-up channel mismatch")
-        merged = idw_interpolate(skip_coords, coarse_coords, coarse_feats) + self.skip_lbr(skip_feats)
-        groups = knn_group(skip_coords.data, skip_coords.data, self.l_group)
-        return self.attention(skip_coords, merged, groups)
+        if route.groups.shape != (skip_coords.data.shape[0], self.l_group):
+            raise FusionError(f"route groups {route.groups.shape}, block attends over "
+                              f"[{skip_coords.data.shape[0]}, {self.l_group}]")
+        merged = (idw_interpolate(skip_coords, coarse_coords, coarse_feats, route.interp)
+                  + self.skip_lbr(skip_feats))
+        return self.attention(skip_coords, merged, route.groups)
 
 
 class FeatureProp:
@@ -206,10 +274,10 @@ class FeatureProp:
         return self.lbr1.params(prefix + ".lbr1") + self.lbr2.params(prefix + ".lbr2")
 
     def __call__(self, coarse_coords: Tensor, coarse_feats: Tensor,
-                 skip_coords: Tensor, skip_feats: Tensor) -> Tensor:
+                 skip_coords: Tensor, skip_feats: Tensor, route: UpRoute) -> Tensor:
         if coarse_feats.data.shape[1] != self.c_coarse or skip_feats.data.shape[1] != self.c_skip:
             raise FusionError("feature-prop channel mismatch")
-        upsampled = idw_interpolate(skip_coords, coarse_coords, coarse_feats)
+        upsampled = idw_interpolate(skip_coords, coarse_coords, coarse_feats, route.interp)
         return self.lbr2(self.lbr1(concat([upsampled, skip_feats], axis=1)))
 
 
@@ -359,7 +427,13 @@ class TwoStreamNetwork:
             out += self.final_link.params(f"{prefix}.final_link")
         return out
 
-    def __call__(self, raw_coords, raw_feats, pseudo_coords, pseudo_feats):
+    def route_raw(self, coords: np.ndarray) -> StreamRoute:
+        """Routing of the raw stream at coords [n_raw, 3]."""
+        return route_stream(coords, self.cfg.raw_stages, self.cfg.l_group, attention_up=True)
+
+    def __call__(self, raw_coords, raw_feats, pseudo_coords, pseudo_feats, raw_route: StreamRoute):
+        """raw_route is ``route_raw(raw_coords)``, which callers build once
+        per point set; the pseudo stream is routed here on every call."""
         cfg = self.cfg
         rc, rf = as_tensor(raw_coords), as_tensor(raw_feats)
         pc, pf = as_tensor(pseudo_coords), as_tensor(pseudo_feats)
@@ -367,13 +441,14 @@ class TwoStreamNetwork:
             raise FusionError(f"raw stream expects [{cfg.n_raw}, {cfg.raw_in_channels}], got {rf.data.shape}")
         if pf.data.shape != (cfg.n_pseudo, cfg.feature_channels):
             raise FusionError(f"pseudo stream expects [{cfg.n_pseudo}, {cfg.feature_channels}], got {pf.data.shape}")
+        pseudo_route = route_stream(pc.data, cfg.pseudo_stages, cfg.l_group, attention_up=False)
 
         aux = {"links": []}
         r_skips = [(rc, rf)]
         p_skips = [(pc, pf)]
         for k in range(len(cfg.stage_channels)):
-            rc, rf, _ = self.raw_down[k](rc, rf)
-            pc, pf, _ = self.pseudo_down[k](pc, pf)
+            rc, rf = self.raw_down[k](rc, rf, raw_route.down[k])
+            pc, pf = self.pseudo_down[k](pc, pf, pseudo_route.down[k])
             if self.links[k] is not None:
                 rf, pf, info = self.links[k](rf, pf)
                 aux["links"].append(info)
@@ -384,10 +459,10 @@ class TwoStreamNetwork:
         pc, pf = p_skips[-1]
         for i in range(len(self.raw_up)):
             sc_r, sf_r = r_skips[-2 - i]
-            rf = self.raw_up[i](rc, rf, sc_r, sf_r)
+            rf = self.raw_up[i](rc, rf, sc_r, sf_r, raw_route.up[i])
             rc = sc_r
             sc_p, sf_p = p_skips[-2 - i]
-            pf = self.pseudo_up[i](pc, pf, sc_p, sf_p)
+            pf = self.pseudo_up[i](pc, pf, sc_p, sf_p, pseudo_route.up[i])
             pc = sc_p
 
         if self.final_link is not None:

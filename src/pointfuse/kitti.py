@@ -111,11 +111,6 @@ def read_velodyne(data: bytes) -> PointSet:
     return PointSet(arr[:, :3], arr[:, 3:4])
 
 
-def read_velodyne_file(path: str) -> PointSet:
-    with open(path, "rb") as fh:
-        return read_velodyne(fh.read())
-
-
 def write_velodyne(points: PointSet) -> bytes:
     feats = points.feats if points.feats is not None else np.zeros((len(points), 1))
     arr = np.hstack([points.coords, feats[:, :1]]).astype("<f4")

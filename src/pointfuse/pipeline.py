@@ -18,7 +18,7 @@ from .boxes import (CLASSES, DEFAULT_ANCHORS, Box3D, DetectionResult, GroundTrut
 from .config import NetworkConfig
 from .frustum import (DepthPrediction, ImageEncoder, ImageFeatureGrid, OffsetGrid,
                       PseudoPointSet, generate_pseudo_points, select_foreground)
-from .fusion import ProposalHead, RpnOutput, TwoStreamNetwork, encode_boxes
+from .fusion import ProposalHead, RpnOutput, StreamRoute, TwoStreamNetwork, encode_boxes
 from .geometry import LidBinning, farthest_point_sampling, lid_encode
 from .kitti import SceneSample
 from .losses import DepthTargets, LossWeights, RpnTargets, depth_loss, rpn_loss, total_loss
@@ -32,14 +32,25 @@ class PipelineError(ValueError):
 
 @dataclass
 class PreparedScene:
-    """Fixed per-scene state: which points feed each branch and the
-    depth supervision extracted from the true foreground."""
+    """Fixed per-scene state: which points feed each branch, the
+    depth supervision extracted from the true foreground, and the raw
+    stream's routing once a forward has built it."""
 
     scene: SceneSample
     scene_id: int
     raw_indices: np.ndarray
     depth_targets: DepthTargets
     rng_seed: int                 # routing rng handed to pseudo-point generation
+    routes: dict = field(default_factory=dict, repr=False)   # (raw_stages, l_group) -> StreamRoute
+
+    def raw_route(self, backbone: TwoStreamNetwork) -> StreamRoute:
+        """The raw stream's routing under backbone's stage config.  The
+        raw coordinates never change, so the first forward builds it
+        and every later one reuses it."""
+        key = (tuple(backbone.cfg.raw_stages), backbone.cfg.l_group)
+        if key not in self.routes:
+            self.routes[key] = backbone.route_raw(self.scene.points.coords[self.raw_indices])
+        return self.routes[key]
 
     def ground_truths(self) -> list[GroundTruth]:
         return [GroundTruth(o.box, o.klass, o.difficulty, self.scene_id)
@@ -118,8 +129,8 @@ class DetectionModel:
             cfg.n_pseudo, self.binning, cfg.sampling_mode, Rng(prepared.rng_seed))
         raw_coords = Tensor(scene.points.coords[prepared.raw_indices])
         raw_feats = Tensor(scene.points.feats[prepared.raw_indices, :cfg.raw_in_channels])
-        raw_out, pseudo_out, aux = self.backbone(raw_coords, raw_feats,
-                                                 pseudo.coords, pseudo.feats)
+        raw_out, pseudo_out, aux = self.backbone(raw_coords, raw_feats, pseudo.coords,
+                                                 pseudo.feats, prepared.raw_route(self.backbone))
         rpn = self.head(raw_coords, raw_out)
         return ForwardState(fi, dp, og, pseudo, raw_coords, raw_out, pseudo_out, rpn, aux)
 

@@ -585,6 +585,41 @@ def bilinear_sample(grid, uv) -> Tensor:
     return Tensor._result(out, (grid, uv), (vjp_grid, vjp_uv))
 
 
+_CORNERS = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+            (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))     # (v, u, d) offsets, corner order
+
+
+def _trilinear_corners(h: int, w: int, d: int, uvd: np.ndarray):
+    """Corner cells and weights of an 8-corner read of an [h, w, d, ...]
+    grid at M positions.  Returns the (v, u, d) index arrays and the
+    [M, 1] weight of each corner, in corner order, plus the fractional
+    parts and interior masks that the position gradient needs."""
+    u0, u1, fu, u_in = _corner_setup(uvd[:, 0], w)
+    v0, v1, fv, v_in = _corner_setup(uvd[:, 1], h)
+    d0, d1, fd, d_in = _corner_setup(uvd[:, 2], d)
+    wu, wv, wd = fu[:, None], fv[:, None], fd[:, None]
+    cells = [(v1 if cv else v0, u1 if cu else u0, d1 if cd else d0) for cv, cu, cd in _CORNERS]
+    weights = [(wv if cv else 1 - wv) * (wu if cu else 1 - wu) * (wd if cd else 1 - wd)
+               for cv, cu, cd in _CORNERS]
+    return cells, weights, (wu, wv, wd), (u_in, v_in, d_in)
+
+
+def _trilinear_position_grad(vals, frac, inside, g):
+    """d(sum(g * read))/d(u, v, d) from the 8 corner values [M, C]."""
+    wu, wv, wd = frac
+    c = dict(zip(_CORNERS, vals))
+    du = ((1 - wv) * ((1 - wd) * (c[(0, 1, 0)] - c[(0, 0, 0)]) + wd * (c[(0, 1, 1)] - c[(0, 0, 1)]))
+          + wv * ((1 - wd) * (c[(1, 1, 0)] - c[(1, 0, 0)]) + wd * (c[(1, 1, 1)] - c[(1, 0, 1)])))
+    dv = ((1 - wu) * ((1 - wd) * (c[(1, 0, 0)] - c[(0, 0, 0)]) + wd * (c[(1, 0, 1)] - c[(0, 0, 1)]))
+          + wu * ((1 - wd) * (c[(1, 1, 0)] - c[(0, 1, 0)]) + wd * (c[(1, 1, 1)] - c[(0, 1, 1)])))
+    dd = ((1 - wu) * ((1 - wv) * (c[(0, 0, 1)] - c[(0, 0, 0)]) + wv * (c[(1, 0, 1)] - c[(1, 0, 0)]))
+          + wu * ((1 - wv) * (c[(0, 1, 1)] - c[(0, 1, 0)]) + wv * (c[(1, 1, 1)] - c[(1, 1, 0)])))
+    u_in, v_in, d_in = inside
+    return np.stack([(du * g).sum(axis=1) * u_in,
+                     (dv * g).sum(axis=1) * v_in,
+                     (dd * g).sum(axis=1) * d_in], axis=1)
+
+
 def trilinear_sample(volume, uvd) -> Tensor:
     """Sample volume [H, W, D, C] at M continuous (u, v, d) positions -> [M, C].
 
@@ -595,40 +630,64 @@ def trilinear_sample(volume, uvd) -> Tensor:
     if volume.data.ndim != 4 or uvd.data.ndim != 2 or uvd.data.shape[1] != 3:
         raise ShapeError(f"trilinear_sample expects [H,W,D,C] and [M,3], got {volume.data.shape}, {uvd.data.shape}")
     h, w, d, _ = volume.data.shape
-    u0, u1, fu, u_in = _corner_setup(uvd.data[:, 0], w)
-    v0, v1, fv, v_in = _corner_setup(uvd.data[:, 1], h)
-    d0, d1, fd, d_in = _corner_setup(uvd.data[:, 2], d)
-    wu, wv, wd = fu[:, None], fv[:, None], fd[:, None]
-
-    corners = {}
-    for (cv, cu, cd) in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
-                         (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)):
-        vi = v1 if cv else v0
-        ui = u1 if cu else u0
-        di = d1 if cd else d0
-        corners[(cv, cu, cd)] = (vi, ui, di, volume.data[vi, ui, di])
-
-    def weight(cv, cu, cd):
-        return ((wv if cv else 1 - wv) * (wu if cu else 1 - wu) * (wd if cd else 1 - wd))
-
-    out = sum(weight(*key) * val for key, (_, _, _, val) in corners.items())
+    cells, weights, frac, inside = _trilinear_corners(h, w, d, uvd.data)
+    vals = [volume.data[vi, ui, di] for vi, ui, di in cells]
+    out = sum(wt * val for wt, val in zip(weights, vals))
 
     def vjp_volume(g):
         # all eight corners in one scatter, in corner order
-        cells = np.concatenate([(vi * w + ui) * d + di for vi, ui, di, _ in corners.values()])
-        vals = np.concatenate([weight(*key) * g for key in corners])
-        return _scatter_rows(cells, vals, (h * w * d,) + volume.data.shape[3:]).reshape(volume.data.shape)
+        flat = np.concatenate([(vi * w + ui) * d + di for vi, ui, di in cells])
+        rows = np.concatenate([wt * g for wt in weights])
+        return _scatter_rows(flat, rows, (h * w * d,) + volume.data.shape[3:]).reshape(volume.data.shape)
 
-    def vjp_uvd(g):
-        c = {k: v[3] for k, v in corners.items()}
-        du = ((1 - wv) * ((1 - wd) * (c[(0, 1, 0)] - c[(0, 0, 0)]) + wd * (c[(0, 1, 1)] - c[(0, 0, 1)]))
-              + wv * ((1 - wd) * (c[(1, 1, 0)] - c[(1, 0, 0)]) + wd * (c[(1, 1, 1)] - c[(1, 0, 1)])))
-        dv = ((1 - wu) * ((1 - wd) * (c[(1, 0, 0)] - c[(0, 0, 0)]) + wd * (c[(1, 0, 1)] - c[(0, 0, 1)]))
-              + wu * ((1 - wd) * (c[(1, 1, 0)] - c[(0, 1, 0)]) + wd * (c[(1, 1, 1)] - c[(0, 1, 1)])))
-        dd = ((1 - wu) * ((1 - wv) * (c[(0, 0, 1)] - c[(0, 0, 0)]) + wv * (c[(1, 0, 1)] - c[(1, 0, 0)]))
-              + wu * ((1 - wv) * (c[(0, 1, 1)] - c[(0, 1, 0)]) + wv * (c[(1, 1, 1)] - c[(1, 1, 0)])))
-        return np.stack([(du * g).sum(axis=1) * u_in,
-                         (dv * g).sum(axis=1) * v_in,
-                         (dd * g).sum(axis=1) * d_in], axis=1)
+    return Tensor._result(out, (volume, uvd),
+                          (vjp_volume, lambda g: _trilinear_position_grad(vals, frac, inside, g)))
 
-    return Tensor._result(out, (volume, uvd), (vjp_volume, vjp_uvd))
+
+def frustum_sample(weights, feats, uvd) -> Tensor:
+    """Read the frustum volume weights[..., None] * feats[:, :, None, :]
+    at M continuous (u, v, d) positions -> [M, C], without building it.
+
+    weights is [H, W, D] (a depth distribution per cell), feats [H, W, C].
+    Equal bit for bit to ``trilinear_sample`` of the built volume: each
+    corner value is the same w * f product the volume holds, added in the
+    same corner order.  Backward forms the volume gradient only at the
+    touched cells (one scatter in corner order, as ``trilinear_sample``
+    does), then reduces it over channels for the weights and over depth,
+    ascending, for the features.  With C >= 2 that equals the volume
+    path's reductions bit for bit; with C == 1 numpy sums the volume's
+    depth axis pairwise instead, so the feature gradient may differ in
+    the last bits.
+    """
+    weights, feats, uvd = as_tensor(weights), as_tensor(feats), as_tensor(uvd)
+    if weights.data.ndim != 3 or feats.data.ndim != 3 or uvd.data.ndim != 2 or uvd.data.shape[1] != 3:
+        raise ShapeError(f"frustum_sample expects [H,W,D], [H,W,C] and [M,3], got "
+                         f"{weights.data.shape}, {feats.data.shape}, {uvd.data.shape}")
+    h, w, d = weights.data.shape
+    if feats.data.shape[:2] != (h, w):
+        raise ShapeError(f"frustum_sample grids differ: weights {weights.data.shape}, feats {feats.data.shape}")
+    c = feats.data.shape[2]
+    cells, corner_w, frac, inside = _trilinear_corners(h, w, d, uvd.data)
+    vals = [weights.data[vi, ui, di][:, None] * feats.data[vi, ui] for vi, ui, di in cells]
+    out = sum(wt * val for wt, val in zip(corner_w, vals))
+
+    flat = np.concatenate([(vi * w + ui) * d + di for vi, ui, di in cells])
+    touched, slot = np.unique(flat, return_inverse=True)     # ascending: by pixel, then depth
+    pixel = touched // d
+
+    def cell_grad(g):
+        # the volume path's gradient, restricted to the touched cells [K, C]
+        return _scatter_rows(slot, np.concatenate([wt * g for wt in corner_w]), (touched.size, c))
+
+    def vjp_weights(g):
+        gw = np.zeros(h * w * d)
+        gw[touched] = (cell_grad(g) * feats.data.reshape(h * w, c)[pixel]).sum(axis=1)
+        return gw.reshape(h, w, d)
+
+    def vjp_feats(g):
+        rows = cell_grad(g) * weights.data.reshape(-1)[touched][:, None]
+        return _scatter_rows(pixel, rows, (h * w, c)).reshape(h, w, c)
+
+    return Tensor._result(out, (weights, feats, uvd),
+                          (vjp_weights, vjp_feats,
+                           lambda g: _trilinear_position_grad(vals, frac, inside, g)))

@@ -31,6 +31,9 @@ from pointfuse.fusion import (
     decode_box,
     encode_box,
     idw_interpolate,
+    route_down,
+    route_stream,
+    route_up,
 )
 from pointfuse.nn import Rng, gradcheck
 from pointfuse.tensor import Tensor
@@ -69,7 +72,8 @@ def test_idw_matches_geometry_oracle():
         n_src = int(rng.integers(4, 15))
         src = G.PointSet(rng.uniform(-2, 2, size=(n_src, 3)), rng.standard_normal((n_src, 4)))
         targets = rng.uniform(-2, 2, size=(5, 3))
-        got = idw_interpolate(Tensor(targets), Tensor(src.coords), Tensor(src.feats))
+        idx = G.knn_group(targets, src.coords, 3)
+        got = idw_interpolate(Tensor(targets), Tensor(src.coords), Tensor(src.feats), idx)
         for i in range(5):
             want = oracles.idw_interpolate(targets[i], src, k=3)
             assert np.max(np.abs(got.data[i] - want)) < 1e-9, f"trial {trial}"
@@ -79,7 +83,8 @@ def test_idw_coincident_target_copies_the_source():
     src_coords = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [0.0, 0, 0]])
     src_feats = np.array([[10.0], [20.0], [30.0], [40.0]])
     # first exact match (smallest index) wins; the other weights vanish
-    got = idw_interpolate(Tensor(np.zeros((1, 3))), Tensor(src_coords), Tensor(src_feats), k=4)
+    idx = G.knn_group(np.zeros((1, 3)), src_coords, 4)
+    got = idw_interpolate(Tensor(np.zeros((1, 3))), Tensor(src_coords), Tensor(src_feats), idx)
     assert got.data[0, 0] == 10.0
 
 
@@ -88,7 +93,8 @@ def test_idw_gradients_away_from_coincidence():
     tc = Tensor(rng.uniform(-1, 1, size=(4, 3)), requires_grad=True)
     sc = Tensor(rng.uniform(2, 4, size=(8, 3)), requires_grad=True)
     sf = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
-    err = gradcheck(lambda: T.tsum(idw_interpolate(tc, sc, sf) ** 2), [tc, sc, sf], rng=Rng(72))
+    idx = G.knn_group(tc.data, sc.data, 3)
+    err = gradcheck(lambda: T.tsum(idw_interpolate(tc, sc, sf, idx) ** 2), [tc, sc, sf], rng=Rng(72))
     assert err < 1e-6
 
 
@@ -96,7 +102,7 @@ def test_idw_coincident_rows_keep_finite_gradients():
     sc = Tensor(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.5, 0.5, 0]]), requires_grad=True)
     sf = Tensor(np.array([[1.0], [2.0], [3.0]]), requires_grad=True)
     tc = Tensor(np.array([[0.0, 0, 0], [0.2, 0.1, 0]]), requires_grad=True)
-    out = idw_interpolate(tc, sc, sf, k=3)
+    out = idw_interpolate(tc, sc, sf, G.knn_group(tc.data, sc.data, 3))
     assert out.data[0, 0] == 1.0
     T.tsum(out).backward()
     assert np.all(np.isfinite(tc.grad))
@@ -168,15 +174,18 @@ def test_transition_down_contract():
     rng = np.random.default_rng(77)
     coords, feats = cloud(rng, 20, 5)
     td = TransitionDown(Rng(4), 5, 7, m_out=8, l_group=4)
-    down_coords, out, centers = td(coords, feats)
+    route = route_down(coords.data, 8, 4)
+    down_coords, out = td(coords, feats, route)
     assert down_coords.shape == (8, 3)
     assert out.shape == (8, 7)
-    assert np.array_equal(centers, G.farthest_point_sampling(coords.data, 8))
-    assert np.array_equal(down_coords.data, coords.data[centers])
+    assert np.array_equal(route.centers, G.farthest_point_sampling(coords.data, 8))
+    assert np.array_equal(down_coords.data, coords.data[route.centers])
     with pytest.raises(FusionError):
-        td(coords, Tensor(np.zeros((20, 4))))
+        td(coords, Tensor(np.zeros((20, 4))), route)
     with pytest.raises(FusionError):
-        TransitionDown(Rng(4), 5, 7, m_out=20, l_group=4)(coords, feats)
+        route_down(coords.data, 20, 4)
+    with pytest.raises(FusionError):  # a route built for another block
+        td(coords, feats, route_down(coords.data, 9, 4))
 
 
 def test_transition_up_and_feature_prop_contract():
@@ -184,13 +193,16 @@ def test_transition_up_and_feature_prop_contract():
     coarse_c, coarse_f = cloud(rng, 6, 8)
     skip_c, skip_f = cloud(rng, 15, 5)
     tu = TransitionUp(Rng(5), 8, 5, l_group=4)
-    out = tu(coarse_c, coarse_f, skip_c, skip_f)
+    route = route_up(coarse_c.data, skip_c.data, 4, attention=True)
+    out = tu(coarse_c, coarse_f, skip_c, skip_f, route)
     assert out.shape == (15, 8)  # width stays at the coarse width
     fp = FeatureProp(Rng(6), 8, 5, 9)
-    out = fp(coarse_c, coarse_f, skip_c, skip_f)
+    out = fp(coarse_c, coarse_f, skip_c, skip_f, route_up(coarse_c.data, skip_c.data, 4, attention=False))
     assert out.shape == (15, 9)
     with pytest.raises(FusionError):
-        tu(coarse_c, Tensor(np.zeros((6, 5))), skip_c, skip_f)
+        tu(coarse_c, Tensor(np.zeros((6, 5))), skip_c, skip_f, route)
+    with pytest.raises(FusionError):  # groups of another size
+        tu(coarse_c, coarse_f, skip_c, skip_f, route_up(coarse_c.data, skip_c.data, 3, attention=True))
 
 
 def test_transition_gradients_flow_to_both_levels():
@@ -198,7 +210,8 @@ def test_transition_gradients_flow_to_both_levels():
     coarse_c, coarse_f = cloud(rng, 5, 4)
     skip_c, skip_f = cloud(rng, 9, 3)
     tu = TransitionUp(Rng(7), 4, 3, l_group=3)
-    T.tsum(tu(coarse_c, coarse_f, skip_c, skip_f) ** 2).backward()
+    route = route_up(coarse_c.data, skip_c.data, 3, attention=True)
+    T.tsum(tu(coarse_c, coarse_f, skip_c, skip_f, route) ** 2).backward()
     assert np.any(coarse_f.grad != 0.0)
     assert np.any(skip_f.grad != 0.0)
 
@@ -287,11 +300,14 @@ def test_cross_fusion_attention_modes_differ():
 
 
 def backbone_inputs(cfg, seed=84):
+    """Raw coords and feats, pseudo coords and feats, and the raw route."""
     rng = np.random.default_rng(seed)
-    return (Tensor(rng.uniform(-4, 4, size=(cfg.n_raw, 3))),
+    rc = rng.uniform(-4, 4, size=(cfg.n_raw, 3))
+    return (Tensor(rc),
             Tensor(rng.standard_normal((cfg.n_raw, cfg.raw_in_channels))),
             Tensor(rng.uniform(-4, 4, size=(cfg.n_pseudo, 3))),
-            Tensor(rng.standard_normal((cfg.n_pseudo, cfg.feature_channels))))
+            Tensor(rng.standard_normal((cfg.n_pseudo, cfg.feature_channels))),
+            route_stream(rc, cfg.raw_stages, cfg.l_group, attention_up=True))
 
 
 def test_backbone_width_contract_and_aux():
@@ -319,28 +335,28 @@ def test_backbone_disabled_links_change_structure_not_shapes():
 def test_backbone_without_links_isolates_the_streams():
     cfg = tiny_config(pft_enabled=False, pft_final=False)
     net = TwoStreamNetwork(cfg, Rng(14))
-    rc, rfeat, pc, pfeat = backbone_inputs(cfg)
-    base_raw = net(rc, rfeat, pc, pfeat)[0].data
+    rc, rfeat, pc, pfeat, route = backbone_inputs(cfg)
+    base_raw = net(rc, rfeat, pc, pfeat, route)[0].data
     pc2 = Tensor(pc.data + 0.25)
     pfeat2 = Tensor(pfeat.data * -1.5)
-    again_raw = net(rc, rfeat, pc2, pfeat2)[0].data
+    again_raw = net(rc, rfeat, pc2, pfeat2, route)[0].data
     assert np.array_equal(base_raw, again_raw)
     # with links enabled the pseudo stream must influence the raw output
     cfg2 = tiny_config()
     net2 = TwoStreamNetwork(cfg2, Rng(14))
-    a = net2(rc, rfeat, pc, pfeat)[0].data
-    b = net2(rc, rfeat, pc2, pfeat2)[0].data
+    a = net2(rc, rfeat, pc, pfeat, route)[0].data
+    b = net2(rc, rfeat, pc2, pfeat2, route)[0].data
     assert np.max(np.abs(a - b)) > 1e-9
 
 
 def test_backbone_validates_input_shapes():
     cfg = tiny_config()
     net = TwoStreamNetwork(cfg, Rng(15))
-    rc, rfeat, pc, pfeat = backbone_inputs(cfg)
+    rc, rfeat, pc, pfeat, route = backbone_inputs(cfg)
     with pytest.raises(FusionError):
-        net(rc, Tensor(np.zeros((cfg.n_raw, 9))), pc, pfeat)
+        net(rc, Tensor(np.zeros((cfg.n_raw, 9))), pc, pfeat, route)
     with pytest.raises(FusionError):
-        net(rc, rfeat, pc, Tensor(np.zeros((cfg.n_pseudo + 1, cfg.feature_channels))))
+        net(rc, rfeat, pc, Tensor(np.zeros((cfg.n_pseudo + 1, cfg.feature_channels))), route)
 
 
 # -- box encoding and the proposal head ---------------------------------------------

@@ -8,7 +8,7 @@ acceptance criteria); it asserts direction, not convergence.
 import numpy as np
 import pytest
 
-from pointfuse import tensor as T
+from pointfuse import fusion, tensor as T
 from pointfuse.boxes import (CLASSES, DEFAULT_ANCHORS, DetectionResult, format_detection_row,
                              iou_bev, nms)
 from pointfuse.config import NetworkConfig, RunConfig, TrainSettings
@@ -122,6 +122,82 @@ def test_model_params_unique_and_trainable():
     params = model.params()
     assert len(params) > 50
     assert all(p.requires_grad for p in params.values())
+
+
+# -- raw routing, built once per scene ----------------------------------------------
+
+
+def one_step(model, prepared):
+    """Loss parts and leaf gradients of one step (no optimiser update)."""
+    params = model.params()
+    for t in params.values():
+        t.zero_grad()
+    total, parts = compute_losses(prepared, model.forward(prepared), LossWeights())
+    total.backward()
+    return parts, {k: t.grad.copy() for k, t in params.items()}
+
+
+def assert_steps_equal(a, b):
+    assert {k: float(v).hex() for k, v in a[0].items()} == {k: float(v).hex() for k, v in b[0].items()}
+    assert a[1].keys() == b[1].keys()
+    for k in a[1]:
+        assert a[1][k].tobytes() == b[1][k].tobytes(), k
+
+
+def test_a_step_on_a_routed_scene_equals_one_on_a_fresh_copy():
+    cfg, used = make_prepared(11)
+    _, fresh = make_prepared(11)
+    one_step(DetectionModel(cfg, Rng(110)), used)      # fills used's raw routing
+    assert len(used.routes) == 1 and not fresh.routes
+    routed = one_step(DetectionModel(cfg, Rng(111)), used)
+    first = one_step(DetectionModel(cfg, Rng(111)), fresh)
+    assert_steps_equal(routed, first)
+
+
+def test_raw_routing_runs_once_per_scene_and_pseudo_routing_every_step(monkeypatch):
+    cfg = NetworkConfig.desk()
+    scenes = [make_prepared(12 + i, scene_id=i, cfg=cfg)[1] for i in range(2)]
+    raw_rows = [{r.tobytes() for r in p.scene.points.coords[p.raw_indices]} for p in scenes]
+    calls = {"fps": [], "knn": []}
+
+    def stream(coords):
+        # which scene's raw stream these coordinates come from, else "pseudo"
+        for i, rows in enumerate(raw_rows):
+            if all(r.tobytes() in rows for r in coords):
+                return i
+        return "pseudo"
+
+    fps, knn = fusion.farthest_point_sampling, fusion.knn_group
+    monkeypatch.setattr(fusion, "farthest_point_sampling",
+                        lambda coords, m: calls["fps"].append(stream(coords)) or fps(coords, m))
+    monkeypatch.setattr(fusion, "knn_group",
+                        lambda q, coords, k: calls["knn"].append(stream(coords)) or knn(q, coords, k))
+    model = DetectionModel(cfg, Rng(120))
+    steps = 5
+    for step in range(steps):
+        one_step(model, scenes[step % 2])
+    stages = len(cfg.raw_stages)
+    for scene in (0, 1):
+        assert calls["fps"].count(scene) == stages
+        assert calls["knn"].count(scene) == 4 * stages   # 2 per encoder stage, 2 per decoder step
+    assert calls["fps"].count("pseudo") == steps * len(cfg.pseudo_stages)
+    assert calls["knn"].count("pseudo") == steps * 3 * len(cfg.pseudo_stages)
+
+
+def test_a_second_stage_config_gets_its_own_raw_routing():
+    cfg, prepared = make_prepared(13)
+    DetectionModel(cfg, Rng(130)).forward(prepared)
+    others = [NetworkConfig.desk(), NetworkConfig.desk()]
+    others[0].raw_stages = (48, 24, 12, 8)
+    others[1].l_group = 4
+    for other in others:
+        _, fresh = make_prepared(13, cfg=other)
+        model = DetectionModel(other, Rng(131))
+        got = model.forward(prepared).raw_out.data
+        assert got.tobytes() == model.forward(fresh).raw_out.data.tobytes()
+    assert sorted(prepared.routes) == sorted([((64, 32, 16, 8), 8), ((48, 24, 12, 8), 8),
+                                              ((64, 32, 16, 8), 4)])
+    assert [len(r.centers) for r in prepared.routes[((48, 24, 12, 8), 8)].down] == [48, 24, 12, 8]
 
 
 # -- supervision --------------------------------------------------------------------

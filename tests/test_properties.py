@@ -1,5 +1,5 @@
-"""Property tests (hypothesis) for the routing kernels, depth binning and
-the batched rotated IoU.
+"""Property tests (hypothesis) for the routing kernels, depth binning,
+the batched rotated IoU and NMS.
 
 Every property runs derandomized with a bounded number of examples and
 no example database, so the suite stays deterministic and quick.
@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pointfuse.boxes import Box3D, BoxArrays, iou_bev, pair_iou
+from pointfuse.boxes import Box3D, BoxArrays, DetectionResult, iou_bev, nms, pair_iou
 from pointfuse.geometry import LidBinning, farthest_point_sampling, knn_group, lid_decode, lid_encode
 
 from oracles import knn_argsort
@@ -96,3 +96,32 @@ def test_pair_iou_symmetric_bounded_and_scalar(a, b, same):
     assert np.max(np.abs(ab - ba)) <= 1e-12
     want = np.array([iou_bev(a[r], b[c]) for r, c in zip(rows, cols)])
     assert np.max(np.abs(ab - want)) <= 1e-12
+
+
+@BOUNDED
+@given(boxes=st.lists(box, min_size=1, max_size=10), data=st.data(),
+       thr=st.floats(0.05, 0.95))
+def test_nms_keeps_map_through_a_permutation_of_distinct_scores(boxes, data, thr):
+    scores = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(boxes), max_size=len(boxes),
+                                unique=True))
+    perm = data.draw(st.permutations(range(len(boxes))))
+    dets = [DetectionResult(b, s, "Car") for b, s in zip(boxes, scores)]
+    kept = nms(dets, thr)
+    assert [perm[i] for i in nms([dets[p] for p in perm], thr)] == kept
+
+
+@BOUNDED
+@given(others=st.lists(box, max_size=6), copy=box, slots=st.lists(st.integers(0, 6), min_size=2,
+       max_size=5), score=st.floats(0.0, 1.0), data=st.data(), thr=st.floats(0.05, 0.95))
+def test_nms_keeps_the_smallest_index_among_equal_overlapping_scores(others, copy, slots, score,
+                                                                      data, thr):
+    # copies of one box (IoU 1 with each other) share a score and sit at
+    # drawn places among other boxes with other scores
+    dets = [DetectionResult(b, s, "Car") for b, s in zip(others, data.draw(st.lists(
+        st.floats(0.0, 1.0).filter(lambda v: v != score), min_size=len(others),
+        max_size=len(others))))]
+    for slot in slots:
+        dets.insert(min(slot, len(dets)), DetectionResult(copy, score, "Car"))
+    copies = [i for i, d in enumerate(dets) if d.box is copy]
+    kept = nms(dets, thr)
+    assert [i for i in kept if i in copies] in ([], [copies[0]])

@@ -6,6 +6,7 @@ Covers, in rough order:
   subgradient conventions (relu/abs at 0, clamp at the boundary,
     first-argmax ties),
   grid sampling (exact affine reproduction, position gradients),
+  the fused frustum read against the read of the built volume,
   graph mechanics (reuse accumulation, detach, zero_grad, leaf-only
     grad buffers, no_grad),
   the finite-value guard,
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import pointfuse.tensor as T
+from pointfuse.frustum import DepthPrediction, ImageFeatureGrid, build_frustum
 from pointfuse.nn import Rng, gradcheck
 from pointfuse.tensor import (
     EmptyInputError,
@@ -388,6 +390,64 @@ def test_sampling_clamps_positions_with_zero_gradient():
     T.tsum(out).backward()
     assert np.array_equal(uv.grad[:, 0], [0.0, 0.0])  # u pinned at the border
     assert uv.grad[0, 1] != 0.0  # v still free
+
+
+# -- the fused frustum read -----------------------------------------------------
+
+
+def frustum_reads(logits, feats, uvd, g, fused):
+    """Output and gradients (logits, feats, positions) of the frustum read
+    at uvd, fused or through the built volume of build_frustum."""
+    lg = Tensor(logits, requires_grad=True)
+    ff = Tensor(feats, requires_grad=True)
+    pos = Tensor(uvd, requires_grad=True)
+    if fused:
+        out = T.frustum_sample(T.softmax(lg, axis=2), ff, pos)
+    else:
+        vol = build_frustum(ImageFeatureGrid(ff, 1), DepthPrediction(lg, lg))
+        out = T.trilinear_sample(vol.feats, pos)
+    T.tsum(out * g).backward()
+    return out.data, lg.grad, ff.grad, pos.grad
+
+
+def test_frustum_sample_equals_the_built_volume_read_bit_for_bit():
+    rng = np.random.default_rng(33)
+    shapes = [(1, 1, 2, 3), (1, 5, 2, 1), (4, 1, 9, 2), (3, 4, 2, 16), (2, 3, 24, 8),
+              (5, 6, 12, 1), (1, 7, 30, 5)]
+    shapes += [tuple(int(v) for v in rng.integers([1, 1, 2, 1], [6, 8, 32, 18]))
+               for _ in range(20)]
+    for h, w, d, c in shapes:
+        m = int(rng.integers(1, 80))
+        # some reads fall outside the grid on every axis and clamp
+        uvd = rng.uniform([-1.5, -1.5, -1.5], [w + 0.5, h + 0.5, d + 0.5], size=(m, 3))
+        logits = rng.standard_normal((h, w, d)) * 3.0
+        feats = rng.standard_normal((h, w, c))
+        g = upstream(rng, (m, c))
+        out, g_logits, g_feats, g_pos = frustum_reads(logits, feats, uvd, g, fused=True)
+        want = frustum_reads(logits, feats, uvd, g, fused=False)
+        shape = (h, w, d, c)
+        assert np.array_equal(out, want[0]), shape
+        assert np.array_equal(g_logits, want[1]), shape
+        assert np.array_equal(g_pos, want[3]), shape
+        if c >= 2:
+            assert np.array_equal(g_feats, want[2]), shape
+        else:
+            # numpy sums the volume's contiguous depth axis pairwise here
+            assert np.max(np.abs(g_feats - want[2])) <= 1e-12 * max(1.0, np.abs(want[2]).max()), shape
+
+
+def test_frustum_sample_gradcheck_and_shape_checks():
+    rng = np.random.default_rng(34)
+    weights = Tensor(T.softmax(Tensor(rng.standard_normal((4, 5, 6))), axis=2).data, requires_grad=True)
+    feats = Tensor(rng.standard_normal((4, 5, 3)), requires_grad=True)
+    uvd = Tensor(rng.uniform([0.2, 0.2, 0.2], [3.6, 2.6, 4.6], size=(9, 3)), requires_grad=True)
+    err = gradcheck(lambda: T.tsum(T.frustum_sample(weights, feats, uvd) ** 2),
+                    [weights, feats, uvd], rng=Rng(35))
+    assert err < 1e-6
+    with pytest.raises(ShapeError):
+        T.frustum_sample(weights, Tensor(np.ones((4, 4, 3))), uvd)
+    with pytest.raises(ShapeError):
+        T.frustum_sample(weights, feats, Tensor(np.ones((9, 2))))
 
 
 # -- ndarray-on-the-left regression -------------------------------------------
