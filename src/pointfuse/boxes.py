@@ -437,25 +437,7 @@ def format_detection_row(det: DetectionResult) -> str:
     return " ".join(fields)
 
 
-def parse_detection_row(line: str, scene: int = 0) -> DetectionResult:
-    parts = line.split()
-    if len(parts) != 9:
-        raise BoxError(f"detection row needs 9 fields, got {len(parts)}: {line!r}")
-    box = Box3D(*[float(v) for v in parts[2:9]])
-    return DetectionResult(box, float(parts[1]), parts[0], scene)
-
-
 def write_detections(path: str, dets: list[DetectionResult]) -> None:
     with open(path, "w") as fh:
         for det in dets:
             fh.write(format_detection_row(det) + "\n")
-
-
-def read_detections(path: str, scene: int = 0) -> list[DetectionResult]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(parse_detection_row(line, scene))
-    return out

@@ -194,14 +194,6 @@ def _parse_value(raw: str):
     return tuple(v) if isinstance(v, list) else v
 
 
-def _format_value(v):
-    if isinstance(v, tuple):
-        return json.dumps(list(v))
-    if isinstance(v, str):
-        return v
-    return json.dumps(v)
-
-
 def apply_override(cfg: RunConfig, key: str, raw_value: str) -> None:
     """Set one dotted key, e.g. apply_override(cfg, 'train.lr', '0.02')."""
     section, _, name = key.partition(".")
@@ -244,15 +236,6 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
     return cfg
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    lines = []
-    for section in _SECTIONS:
-        target = getattr(cfg, section)
-        for f in fields(target):
-            lines.append(f"{section}.{f.name} = {_format_value(getattr(target, f.name))}")
-    return "\n".join(lines) + "\n"
 
 
 def flatten_config(cfg: RunConfig) -> dict:

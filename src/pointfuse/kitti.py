@@ -1,16 +1,15 @@
-"""KITTI-format ingestion and seeded synthetic scene generation.
+"""KITTI-format output and seeded synthetic scene generation.
 
-Real-data side: calibration text, velodyne binary scans and label files
-parse into the package's native types (labels convert from the camera
-frame to LiDAR-frame boxes through the calibration).  Synthetic side: a
-SyntheticSceneSpec plus an Rng deterministically produces a scene whose
-points, silhouette image, foreground mask and labels are all mutually
-consistent, at a size a laptop handles comfortably.
+Real-data side: scenes write out as KITTI calibration text, velodyne
+binary scans and label files (LiDAR-frame boxes convert to the camera
+frame through the calibration).  Synthetic side: a SyntheticSceneSpec
+plus an Rng deterministically produces a scene whose points, silhouette
+image, foreground mask and labels are all mutually consistent, at a size
+a laptop handles comfortably.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,10 +17,6 @@ import numpy as np
 from .boxes import Box3D, DEFAULT_ANCHORS, iou_bev, normalize_angle
 from .geometry import Calibration, PointSet, SCENE_BOUNDS, crop_points
 from .nn import Rng
-
-
-class KittiParseError(ValueError):
-    """Malformed calibration, scan or label input."""
 
 
 class SceneError(ValueError):
@@ -61,34 +56,6 @@ class LabeledObject:
 
 # -- calibration files -------------------------------------------------------------
 
-_CALIB_KEYS = {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
-
-
-def parse_calib(text: str) -> Calibration:
-    """Parse 'KEY: v0 v1 ...' lines; P2, R0_rect and Tr_velo_to_cam are
-    required, anything else is ignored.  Errors carry line numbers."""
-    found = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or ":" not in line:
-            continue
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        if key not in _CALIB_KEYS:
-            continue
-        try:
-            vals = [float(v) for v in rest.split()]
-        except ValueError as exc:
-            raise KittiParseError(f"line {lineno}: bad float in {key}: {exc}") from exc
-        if len(vals) != _CALIB_KEYS[key]:
-            raise KittiParseError(f"line {lineno}: {key} needs {_CALIB_KEYS[key]} floats, got {len(vals)}")
-        found[key] = np.array(vals)
-    missing = sorted(set(_CALIB_KEYS) - set(found))
-    if missing:
-        raise KittiParseError(f"missing calibration keys: {missing}")
-    return Calibration(found["P2"].reshape(3, 4), found["R0_rect"].reshape(3, 3),
-                       found["Tr_velo_to_cam"].reshape(3, 4))
-
 
 def write_calib(calib: Calibration) -> str:
     def row(name, arr):
@@ -98,17 +65,6 @@ def write_calib(calib: Calibration) -> str:
 
 
 # -- velodyne scans ------------------------------------------------------------------
-
-
-def read_velodyne(data: bytes) -> PointSet:
-    """Little-endian float32 (x, y, z, intensity) quadruples -> PointSet
-    with the intensity as a single feature column."""
-    if len(data) % 16:
-        raise KittiParseError(f"scan length {len(data)} not divisible by 16")
-    arr = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise KittiParseError("non-finite values in scan")
-    return PointSet(arr[:, :3], arr[:, 3:4])
 
 
 def write_velodyne(points: PointSet) -> bytes:
@@ -122,34 +78,6 @@ def write_velodyne(points: PointSet) -> bytes:
 # Row: type trunc occl alpha bbox(4) h w l x y z ry [score]
 # Camera-frame location is the bottom face center; LiDAR boxes store the
 # geometric center, so conversion lifts by h/2 along camera -y first.
-
-
-def parse_labels(text: str, calib: Calibration) -> list[LabeledObject]:
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "DontCare":
-            continue
-        if len(parts) < 15:
-            raise KittiParseError(f"line {lineno}: label row needs 15+ fields, got {len(parts)}")
-        try:
-            vals = [float(v) for v in parts[1:15]]
-        except ValueError as exc:
-            raise KittiParseError(f"line {lineno}: bad float: {exc}") from exc
-        trunc, occl, alpha = vals[0], int(vals[1]), vals[2]
-        bbox = np.array(vals[3:7])
-        h, w, l = vals[7:10]
-        loc_cam = np.array([vals[10], vals[11] - h / 2.0, vals[12]])
-        ry = vals[13]
-        center = calib.camera_to_lidar(loc_cam)
-        yaw = normalize_angle(-ry - np.pi / 2.0)
-        box = Box3D(center[0], center[1], center[2], l, w, h, yaw)
-        diff = difficulty_of(bbox[3] - bbox[1], occl, trunc)
-        out.append(LabeledObject(parts[0], box, trunc, occl, alpha, bbox, diff))
-    return out
 
 
 def write_labels(objs: list[LabeledObject], calib: Calibration) -> str:

@@ -168,15 +168,26 @@ class Mlp:
 # -- optimiser -----------------------------------------------------------------
 
 
+# Adam.step runs its elementwise chain over blocks of this many arena
+# entries (256 KB per array), so the chain's temporaries stay in cache.
+# On a 1.05M-entry arena a step took 18 ms against 42 ms in one pass;
+# blocks of 16k and 64k entries timed the same, 8k and 128k slower.
+ADAM_BLOCK = 32768
+
+
 class Adam:
     """Coupled-L2 Adam over a name -> Tensor parameter dict.
 
     Construction copies the parameters, sorted by name, into one
     contiguous float64 arena with a matching, zeroed gradient arena and
-    rebinds each Tensor's ``data`` and ``grad`` as views into them.  A step is
-    then one vectorised update and ``zero_grad`` one fill.  Every
-    operation is elementwise, so the values equal per-tensor updates bit
-    for bit.  Weight decay enters the gradient (classic Adam), so lr = 0
+    rebinds each Tensor's ``data`` and ``grad`` as views into them.  A step
+    runs one chain of vectorised operations over each block of
+    ``ADAM_BLOCK`` entries in turn, so its temporaries stay in cache
+    instead of streaming arena-sized arrays through memory, and
+    ``zero_grad`` is one fill.  Every operation is elementwise, so the
+    values equal one pass over the whole arena, and per-tensor updates,
+    bit for bit.  The finite check runs over the whole arena after the
+    last block.  Weight decay enters the gradient (classic Adam), so lr = 0
     leaves the parameters untouched.  Rebinding a parameter's ``data``
     afterwards detaches it from the optimiser; write into it in place
     instead, as ``restore_params`` does.
@@ -206,24 +217,29 @@ class Adam:
 
     def step(self) -> None:
         # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-        # data -= lr*m_hat / (sqrt(v_hat) + eps), mostly in place to cut
-        # arena-sized temporaries; same roundings in the same order
+        # data -= lr*m_hat / (sqrt(v_hat) + eps), block by block and mostly
+        # in place; same roundings in the same order
         if self.m is None:
             self.m = np.zeros_like(self.data)
             self.v = np.zeros_like(self.data)
         self.t += 1
-        g = self.grad + self.weight_decay * self.data
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
-        upd = self.m / (1.0 - self.beta1 ** self.t)
-        denom = self.v / (1.0 - self.beta2 ** self.t)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        upd *= self.lr
-        upd /= denom
-        np.subtract(self.data, upd, out=self.data)
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for lo in range(0, self.data.size, ADAM_BLOCK):
+            block = slice(lo, lo + ADAM_BLOCK)
+            data, m, v = self.data[block], self.m[block], self.v[block]
+            g = self.grad[block] + self.weight_decay * data
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            upd = m / c1
+            denom = v / c2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            upd *= self.lr
+            upd /= denom
+            np.subtract(data, upd, out=data)
         if not np.isfinite(self.data).all():
             raise NonFiniteError("optimiser produced non-finite parameters")
 

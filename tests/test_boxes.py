@@ -28,12 +28,11 @@ from pointfuse.boxes import (
     nms,
     normalize_angle,
     pair_iou,
-    parse_detection_row,
     polygon_area,
-    read_detections,
     write_detections,
 )
 
+from formats import parse_detection_row, read_detections
 from oracles import (
     Assignment,
     CLS_NEGATIVE_IOU,

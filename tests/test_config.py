@@ -13,8 +13,9 @@ from pointfuse.config import (
     flatten_config,
     load_config,
     parse_config,
-    serialize_config,
 )
+
+from formats import serialize_config
 
 
 def test_default_configs_validate():

@@ -14,7 +14,6 @@ import pytest
 from pointfuse.boxes import Box3D, iou_bev
 from pointfuse.geometry import PointSet
 from pointfuse.kitti import (
-    KittiParseError,
     LabeledObject,
     SceneError,
     SceneSample,
@@ -24,15 +23,14 @@ from pointfuse.kitti import (
     fill_convex,
     generate_scene,
     make_camera,
-    parse_calib,
-    parse_labels,
     rasterize_foreground,
-    read_velodyne,
     write_calib,
     write_labels,
     write_velodyne,
 )
 from pointfuse.nn import Rng
+
+from formats import KittiParseError, parse_calib, parse_labels, read_velodyne
 
 
 # -- difficulty -----------------------------------------------------------------

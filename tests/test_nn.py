@@ -9,6 +9,7 @@ of gradient scale; the checkpoint tests do byte-level corruption.
 import numpy as np
 import pytest
 
+import pointfuse.nn as nn
 import pointfuse.tensor as T
 from pointfuse.nn import (
     Adam,
@@ -162,6 +163,27 @@ def adam_step(param: Tensor, grad: np.ndarray, state: dict, lr: float,
     param.data = param.data - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def adam_one_pass(opt: Adam) -> None:
+    """The arena Adam step as one pass over the whole arena: the oracle
+    for the blocked ``Adam.step``."""
+    if opt.m is None:
+        opt.m = np.zeros_like(opt.data)
+        opt.v = np.zeros_like(opt.data)
+    opt.t += 1
+    g = opt.grad + opt.weight_decay * opt.data
+    opt.m *= opt.beta1
+    opt.m += (1.0 - opt.beta1) * g
+    opt.v *= opt.beta2
+    opt.v += (1.0 - opt.beta2) * g * g
+    upd = opt.m / (1.0 - opt.beta1 ** opt.t)
+    denom = opt.v / (1.0 - opt.beta2 ** opt.t)
+    np.sqrt(denom, out=denom)
+    denom += opt.eps
+    upd *= opt.lr
+    upd /= denom
+    np.subtract(opt.data, upd, out=opt.data)
+
+
 def test_adam_first_step_magnitude_is_lr():
     # bias correction cancels on step 1: update = lr * g / (|g| + eps),
     # i.e. lr to within eps/|g| whatever the gradient magnitude
@@ -207,6 +229,16 @@ def test_adam_rejects_a_non_finite_update():
             opt.step()
 
 
+def test_adam_rejects_a_non_finite_update_in_an_early_block(monkeypatch):
+    monkeypatch.setattr(nn, "ADAM_BLOCK", 1)
+    p = Tensor([1e308, 0.0, 0.0], requires_grad=True)
+    opt = Adam({"p": p}, lr=-1e308)
+    p.grad[...] = [1.0, 0.0, 0.0]
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError):
+            opt.step()
+
+
 def _desk_model_and_scene():
     cfg = NetworkConfig.desk()
     scene = generate_scene(SyntheticSceneSpec(), Rng(21))
@@ -239,6 +271,54 @@ def test_arena_adam_matches_per_tensor_updates_bit_for_bit():
     got, want = arena.params(), oracle.params()
     for name in want:
         assert got[name].data.tobytes() == want[name].data.tobytes(), name
+
+
+def check_blocked_adam_against_one_pass(monkeypatch, block, make_model):
+    """Five steps with weight decay from two identical models, one stepped
+    by the blocked Adam.step at ``block``, one by the one-pass oracle:
+    the losses and the data, m and v arenas must match bit for bit.
+    ``make_model`` returns a parameter dict and a loss closure."""
+    settings = dict(lr=0.01, weight_decay=0.01)
+    runs = []
+    for step in (Adam.step, adam_one_pass):
+        params, loss_of = make_model()
+        runs.append((Adam(params, **settings), loss_of, step))
+    monkeypatch.setattr(nn, "ADAM_BLOCK", block)
+    for _ in range(5):
+        losses = []
+        for opt, loss_of, step in runs:
+            opt.zero_grad()
+            total = loss_of()
+            total.backward()
+            step(opt)
+            losses.append(total.data.tobytes())
+        assert losses[0] == losses[1]
+    (blocked, _, _), (oracle, _, _) = runs
+    for arena in ("data", "m", "v"):
+        assert getattr(blocked, arena).tobytes() == getattr(oracle, arena).tobytes(), arena
+
+
+@pytest.mark.parametrize("block", [7, 10**9])     # does not divide the desk arena; exceeds it
+def test_blocked_adam_matches_the_one_pass_step_on_desk_steps(monkeypatch, block):
+    cfg, prepared = _desk_model_and_scene()
+
+    def make_model():
+        model = DetectionModel(cfg, Rng(23))
+        return model.params(), lambda: compute_losses(prepared, model.forward(prepared), LossWeights())[0]
+
+    assert sum(p.data.size for p in make_model()[0].values()) % 7
+    check_blocked_adam_against_one_pass(monkeypatch, block, make_model)
+
+
+def test_blocked_adam_matches_the_one_pass_step_with_one_entry_blocks(monkeypatch):
+    # a desk step at block size 1 takes seconds, so a small model stands in
+    x = Tensor(Rng(4).normal((5, 4)))
+
+    def make_model():
+        mlp = Mlp(Rng(5), 4, 6, 3)
+        return dict(mlp.params("m")), lambda: T.tsum(mlp(x) ** 2)
+
+    check_blocked_adam_against_one_pass(monkeypatch, 1, make_model)
 
 
 def test_adam_descends_a_quadratic():

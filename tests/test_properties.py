@@ -1,5 +1,5 @@
 """Property tests (hypothesis) for the routing kernels, depth binning,
-the batched rotated IoU and NMS.
+the batched rotated IoU, NMS and the subnormal-lifted matmul gradients.
 
 Every property runs derandomized with a bounded number of examples and
 no example database, so the suite stays deterministic and quick.
@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import pointfuse.tensor as T
 from pointfuse.boxes import Box3D, BoxArrays, DetectionResult, iou_bev, nms, pair_iou
 from pointfuse.geometry import LidBinning, farthest_point_sampling, knn_group, lid_decode, lid_encode
 
@@ -125,3 +126,32 @@ def test_nms_keeps_the_smallest_index_among_equal_overlapping_scores(others, cop
     copies = [i for i, d in enumerate(dets) if d.box is copy]
     kept = nms(dets, thr)
     assert [i for i in kept if i in copies] in ([], [copies[0]])
+
+
+@BOUNDED
+@given(m=st.integers(1, 12), n=st.integers(1, 12), extra_k=st.integers(0, 64),
+       sub_frac=st.floats(0, 1), zero_frac=st.floats(0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_lifted_matmul_gradients_differ_only_where_the_plain_ones_underflow(
+        m, n, extra_k, sub_frac, zero_frac, seed):
+    # integer operands keep every product with a normal gradient entry
+    # normal, so only rows (g @ b.T) and columns (a.T @ g) of g that hold
+    # subnormals can round differently, and by at most one subnormal
+    # step per summed term
+    rng = np.random.default_rng(seed)
+    k = T.LIFT_MIN_K + extra_k
+    a = rng.integers(-8, 9, (m, k)).astype(np.float64)
+    b = rng.integers(-8, 9, (k, n)).astype(np.float64)
+    g = rng.normal(0.0, 1e-3, (m, n))
+    sub = rng.random((m, n)) < sub_frac
+    g[sub] = rng.uniform(-1.0, 1.0, int(sub.sum())) * T._TINY
+    g[rng.random((m, n)) < zero_frac] = 0.0
+    has_sub = (g != 0) & (np.abs(g) < T._TINY)
+    lifted = T.grad_products_lifted
+    out = T.matmul(T.Tensor(a, requires_grad=True), T.Tensor(b, requires_grad=True))
+    ga, gb = out._vjps[0](g), out._vjps[1](g)
+    assert T.grad_products_lifted == lifted + (2 if has_sub.any() else 0)
+    for got, plain, clean, terms in ((ga, g @ b.T, ~has_sub.any(axis=1)[:, None], n),
+                                     (gb, a.T @ g, ~has_sub.any(axis=0)[None, :], m)):
+        assert np.abs(got - plain).max() <= terms * 2.0 ** -1074
+        clean = np.broadcast_to(clean, got.shape)
+        assert got[clean].tobytes() == plain[clean].tobytes()

@@ -7,11 +7,14 @@ Covers, in rough order:
     first-argmax ties),
   grid sampling (exact affine reproduction, position gradients),
   the fused frustum read against the read of the built volume,
+  the subnormal-lifted matmul gradient products and their counters,
   graph mechanics (reuse accumulation, detach, zero_grad, leaf-only
     grad buffers, no_grad),
   the finite-value guard,
   and the ndarray-on-the-left operator regression.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -336,6 +339,97 @@ def test_gradcheck_nonsmooth_ops_away_from_kinks():
     ]):
         err = gradcheck(fn, [x], rng=Rng(200 + i))
         assert err < 1e-6, f"case {i}: rel err {err:.3e}"
+
+
+# -- lifted gradient products -------------------------------------------------
+#
+# The two vjps of one matmul are its closures: g -> g @ b.T and g -> a.T @ g.
+
+SUBNORMAL_ULP = 2.0 ** -1074
+
+
+def matmul_vjps(a, b):
+    return T.matmul(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))._vjps
+
+
+def plant_subnormals(rng, g, count):
+    """g with ``count`` random entries replaced by nonzero subnormals."""
+    g = g.copy()
+    flat = g.reshape(-1)
+    flat[rng.choice(flat.size, count, replace=False)] = rng.uniform(0.05, 1.0, count) * T._TINY
+    return g
+
+
+def test_lifted_gradient_products_equal_plain_ones_on_normal_gradients(monkeypatch):
+    rng = np.random.default_rng(40)
+    a = rng.standard_normal((64, T.LIFT_MIN_K))
+    b = rng.standard_normal((T.LIFT_MIN_K, 48))
+    g = rng.standard_normal((64, 48))
+    monkeypatch.setattr(T, "_TINY", np.inf)    # every nonzero entry counts: always lift
+    lifted = T.grad_products_lifted
+    ga, gb = (vjp(g) for vjp in matmul_vjps(a, b))
+    assert T.grad_products_lifted == lifted + 2
+    assert ga.tobytes() == (g @ b.T).tobytes()
+    assert gb.tobytes() == (a.T @ g).tobytes()
+
+
+def test_lifted_gradient_products_equal_plain_ones_where_outputs_stay_normal():
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((512, 192))
+    b = rng.standard_normal((192, 192))
+    g = plant_subnormals(rng, rng.normal(0.0, 1e-3, (512, 192)), 4000)
+    guarded, lifted = T.grad_products_guarded, T.grad_products_lifted
+    ga, gb = (vjp(g) for vjp in matmul_vjps(a, b))
+    assert (T.grad_products_guarded, T.grad_products_lifted) == (guarded + 2, lifted + 2)
+    for got, plain in ((ga, g @ b.T), (gb, a.T @ g)):
+        assert np.abs(plain).min() >= T._TINY
+        assert got.tobytes() == plain.tobytes()
+
+
+def test_lifted_gradient_products_are_closer_to_exact_on_subnormal_rows_and_columns():
+    # every entry of g, and so of both products, is subnormal: the plain
+    # products round each term to the subnormal grid, the lifted ones
+    # round once at the end
+    rng = np.random.default_rng(42)
+    m, n = 8, 6
+    a = rng.standard_normal((m, T.LIFT_MIN_K))
+    b = rng.standard_normal((T.LIFT_MIN_K, n))
+    g = rng.uniform(-1.0, 1.0, (m, n)) * T._TINY * 2.0 ** -20
+    ga, gb = (vjp(g) for vjp in matmul_vjps(a, b))
+    for got, lhs, rhs in ((ga, g, b.T), (gb, a.T, g)):
+        plain = lhs @ rhs
+        exact = np.array([[float(sum(Fraction(x) * Fraction(y) for x, y in zip(row, col)))
+                           for col in rhs.T] for row in lhs])
+        terms = lhs.shape[1]
+        assert np.abs(exact).max() < T._TINY
+        assert np.abs(got - plain).max() <= terms * SUBNORMAL_ULP
+        assert np.abs(plain - exact).max() <= terms * SUBNORMAL_ULP
+        assert np.abs(got - exact).max() <= SUBNORMAL_ULP
+        assert (got != plain).any()
+        assert np.abs(got - exact).sum() < np.abs(plain - exact).sum()
+
+
+def test_gradient_products_below_the_contraction_gate_are_not_guarded():
+    rng = np.random.default_rng(43)
+    k = T.LIFT_MIN_K - 1
+    a, b = rng.standard_normal((32, k)), rng.standard_normal((k, 24))
+    g = plant_subnormals(rng, rng.normal(0.0, 1e-3, (32, 24)), 40)
+    guarded, lifted = T.grad_products_guarded, T.grad_products_lifted
+    ga, gb = (vjp(g) for vjp in matmul_vjps(a, b))
+    assert (T.grad_products_guarded, T.grad_products_lifted) == (guarded, lifted)
+    assert ga.tobytes() == (g @ b.T).tobytes() and gb.tobytes() == (a.T @ g).tobytes()
+
+
+def test_gradient_products_that_could_overflow_when_lifted_run_plain():
+    rng = np.random.default_rng(44)
+    a = rng.standard_normal((32, T.LIFT_MIN_K))
+    b = rng.standard_normal((T.LIFT_MIN_K, 24))
+    g = plant_subnormals(rng, rng.normal(0.0, 1e-3, (32, 24)), 40)
+    g[3, 5] = 1e300        # 1e300 * 2**600 overflows
+    guarded, lifted = T.grad_products_guarded, T.grad_products_lifted
+    ga, gb = (vjp(g) for vjp in matmul_vjps(a, b))
+    assert (T.grad_products_guarded, T.grad_products_lifted) == (guarded + 2, lifted)
+    assert ga.tobytes() == (g @ b.T).tobytes() and gb.tobytes() == (a.T @ g).tobytes()
 
 
 # -- grid sampling ------------------------------------------------------------
