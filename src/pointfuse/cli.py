@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, boxes, frustum, geometry, kitti, losses, nn, pipeline, tensor
+from . import __version__, boxes, frustum, geometry, kitti, nn, pipeline, tensor
 from .config import ConfigError, RunConfig, apply_override, flatten_config, load_config
 from .gradsuite import gradcheck_cases as _gradcheck_cases
 from .nn import Rng

@@ -20,12 +20,12 @@ selection, farthest-point sampling and the argmax depth bin).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .geometry import Calibration, GeometryError, LidBinning, PointSet, farthest_point_sampling
+from .geometry import Calibration, LidBinning, PointSet, farthest_point_sampling
 from .nn import LbrLayer, LinearLayer, Rng
 from .tensor import Tensor
 

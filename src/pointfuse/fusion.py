@@ -24,9 +24,8 @@ import numpy as np
 from .boxes import Box3D, normalize_angle
 from .geometry import farthest_point_sampling, knn_group
 from .nn import LbrLayer, LinearLayer, Mlp, Rng, init_weight
-from .tensor import (ShapeError, Tensor, as_tensor, concat, exp, gather_rows, matmul,
-                     maxpool_group, narrow, relu, reshape, sigmoid, softmax, transpose,
-                     tsum)
+from .tensor import (Tensor, as_tensor, concat, gather_rows, matmul, maxpool_group, narrow,
+                     reshape, sigmoid, softmax, transpose, tsum)
 
 
 class FusionError(ValueError):

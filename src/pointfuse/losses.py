@@ -9,7 +9,7 @@ log; the clamp count is the caller-visible saturation signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

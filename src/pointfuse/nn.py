@@ -17,12 +17,11 @@ from .tensor import (
     NonFiniteError,
     ShapeError,
     Tensor,
+    _grad_product,
+    _non_finite,
+    _unbroadcast,
     as_tensor,
-    matmul,
     relu,
-    reshape,
-    sqrt,
-    tmean,
     zero_grads,
 )
 
@@ -92,15 +91,60 @@ class LinearLayer:
         return linear(x, self)
 
 
+def _shared_vjps(n_parents, grads_of):
+    """One vjp per parent, all reading one backward computation.
+
+    ``grads_of(g)`` returns a dict from parent index to that parent's
+    gradient, for the parents that require grad.  The first vjp called
+    with a given g runs it; each vjp then takes its own entry, and the
+    last one taken releases them all.
+    """
+    state = [None, None]     # the upstream gradient, the entries not yet taken
+
+    def vjp_of(i):
+        def vjp(g):
+            if state[0] is not g:
+                state[0], state[1] = g, grads_of(g)
+            grads = state[1]
+            out = grads.pop(i)
+            if not grads:
+                state[0] = state[1] = None
+            return out
+        return vjp
+
+    return tuple(vjp_of(i) for i in range(n_parents))
+
+
 def linear(x, layer: LinearLayer) -> Tensor:
-    """Row-wise affine map; accepts [..., c_in] and keeps leading axes."""
+    """Row-wise affine map; accepts [..., c_in] and keeps leading axes.
+
+    One tape op with parents (x, weight, bias).  Forward and backward run
+    the numpy expressions of the chain reshape -> matmul -> add ->
+    reshape in its order, so values and gradients equal that chain's bit
+    for bit (``tests/oracles.py`` keeps it).
+    """
     x = as_tensor(x)
+    w, b = layer.weight, layer.bias
     if x.data.shape[-1] != layer.c_in:
         raise ShapeError(f"linear expects trailing dim {layer.c_in}, got {x.data.shape}")
     lead = x.data.shape[:-1]
-    flat = reshape(x, (-1, layer.c_in))
-    out = matmul(flat, layer.weight) + layer.bias
-    return reshape(out, lead + (layer.c_out,))
+    flat = x.data.reshape((-1, layer.c_in))
+    out = flat @ w.data + b.data
+    parents = (x, w, b)
+
+    def grads_of(g):
+        g = g.reshape(out.shape)
+        grads = {}
+        if x.requires_grad:
+            grads[0] = _grad_product(g, w.data.T, layer.c_in, True).reshape(x.data.shape)
+        if w.requires_grad:
+            grads[1] = _grad_product(flat.T, g, layer.c_in, False)
+        if b.requires_grad:
+            grads[2] = _unbroadcast(g, b.data.shape)
+        return grads
+
+    return Tensor._result(out.reshape(lead + (layer.c_out,)), parents,
+                          _shared_vjps(len(parents), grads_of))
 
 
 class LbrLayer:
@@ -132,23 +176,79 @@ class LbrLayer:
 
 
 def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
-    """Apply an LbrLayer to [N, c_in] (or [..., c_in], flattened to rows)."""
+    """Apply an LbrLayer to [N, c_in] (or [..., c_in], flattened to rows).
+
+    One tape op with parents (x, weight, bias, norm_scale, norm_shift).
+    Forward runs the numpy expressions of the chain reshape -> matmul ->
+    add -> mean -> centre -> mean of squares -> sqrt(var + eps) -> divide
+    -> scale -> shift -> relu -> reshape in its order; backward runs that
+    chain's vjps once per upstream gradient, with its ``_unbroadcast``
+    sums and its accumulation order, so values and gradients equal the
+    chain's bit for bit (``tests/oracles.py`` keeps it).  Like the chain,
+    it raises NonFiniteError at the first non-finite stage, checking the
+    pre-norm values, the mean, the variance and the pre-ReLU values.
+    """
     x = as_tensor(x)
+    w, b, scale, shift = layer.weight, layer.bias, layer.norm_scale, layer.norm_shift
     if x.data.shape[-1] != layer.c_in:
         raise ShapeError(f"lbr expects trailing dim {layer.c_in}, got {x.data.shape}")
     lead = x.data.shape[:-1]
-    flat = reshape(x, (-1, layer.c_in))
-    if flat.data.shape[0] == 0:
+    flat = x.data.reshape((-1, layer.c_in))
+    n = flat.shape[0]
+    if n == 0:
         raise EmptyInputError("lbr over zero rows")
-    h = matmul(flat, layer.weight) + layer.bias
-    if layer.norm_mode == "standardize":
-        mu = tmean(h, axis=0, keepdims=True)
+    parents = (x, w, b, scale, shift)
+
+    def check(*arrays):
+        for a in arrays:
+            if not np.isfinite(a).all():
+                raise _non_finite("lbr", (p.data.shape for p in parents))
+
+    h = flat @ w.data + b.data
+    check(h)
+    standardize = layer.norm_mode == "standardize"
+    if standardize:
+        inv_n = 1.0 / n
+        mu = h.sum(axis=(0,), keepdims=True) * inv_n
         centred = h - mu
-        var = tmean(centred * centred, axis=0, keepdims=True)
-        h = centred / sqrt(var + eps)
-    h = h * layer.norm_scale + layer.norm_shift
-    h = relu(h)
-    return reshape(h, lead + (layer.c_out,))
+        var = (centred * centred).sum(axis=(0,), keepdims=True) * inv_n
+        check(mu, var)
+        sd = np.sqrt(var + eps)
+        normed = centred / sd
+    else:
+        normed = h
+    pre = normed * scale.data + shift.data
+    check(pre)
+    mask = pre > 0.0
+
+    def grads_of(g):
+        g = g.reshape(mask.shape) * mask                 # relu
+        grads = {}
+        if shift.requires_grad:
+            grads[4] = _unbroadcast(g, shift.data.shape)
+        if scale.requires_grad:
+            grads[3] = _unbroadcast(g * normed, scale.data.shape)
+        g = g * scale.data
+        if standardize:
+            # divide -> sqrt -> mean of squares, as (1, C) rows
+            g_sd = _unbroadcast(-g * centred / (sd * sd), sd.shape)
+            g_sq = (g_sd * 0.5 / sd) * inv_n
+            # centred's consumers in tape order: the divide, then both
+            # factors of centred * centred
+            g_centred = g / sd + g_sq * centred
+            g_centred = g_centred + g_sq * centred
+            # h's: the centring, then the mean
+            g = g_centred + _unbroadcast(-g_centred, sd.shape) * inv_n
+        if b.requires_grad:
+            grads[2] = _unbroadcast(g, b.data.shape)
+        if w.requires_grad:
+            grads[1] = _grad_product(flat.T, g, layer.c_in, False)
+        if x.requires_grad:
+            grads[0] = _grad_product(g, w.data.T, layer.c_in, True).reshape(x.data.shape)
+        return grads
+
+    return Tensor._result(np.where(mask, pre, 0.0).reshape(lead + (layer.c_out,)), parents,
+                          _shared_vjps(len(parents), grads_of))
 
 
 class Mlp:

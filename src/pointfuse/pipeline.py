@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import (CLASSES, DEFAULT_ANCHORS, Box3D, DetectionResult, GroundTruth,
+from .boxes import (CLASSES, DEFAULT_ANCHORS, DetectionResult, GroundTruth,
                     average_precision_40, nms)
 from .config import NetworkConfig
 from .frustum import (DepthPrediction, ImageEncoder, ImageFeatureGrid, OffsetGrid,

@@ -9,7 +9,9 @@ adds the gradients of leaves (tensors built with ``requires_grad=True``)
 into their ``grad`` buffers, so repeated backward calls accumulate until
 the buffers are zeroed.  Op results have no buffer (``grad`` is None).
 Inside ``with no_grad():`` ops record no tape at all, which is how
-inference runs.
+inference runs.  Layer-level ops built on these primitives (``nn.linear``,
+``nn.lbr``) record one node for the whole layer; their parents' vjps share
+one backward computation per upstream gradient, each reading its share.
 
 Three hard rules hold everywhere:
   * non-finite values (NaN/Inf) raise immediately instead of propagating,

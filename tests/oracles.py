@@ -3,7 +3,8 @@
 Each is the plain, obviously-correct form of a faster library kernel:
 the full stable argsort kNN, the loop farthest-point sampler, the
 sequential ``np.add.at`` scatter, single-position grid reads, the scalar
-inverse-distance interpolation and the per-proposal assignment rule.
+inverse-distance interpolation, the per-proposal assignment rule and the
+``linear``/``lbr`` layers as chains of single tape ops.
 The library must match them exactly or within a stated tolerance.
 """
 
@@ -15,6 +16,36 @@ import numpy as np
 
 from pointfuse.boxes import Box3D, iou_3d, iou_bev
 from pointfuse.geometry import GeometryError, PointSet
+from pointfuse.nn import LBR_NORM_EPS
+from pointfuse.tensor import as_tensor, matmul, relu, reshape, sqrt, tmean
+
+
+# -- layers as chains of tape ops ---------------------------------------------------
+
+
+def linear_chain(x, layer):
+    """``nn.linear`` as four tape ops: reshape -> matmul -> add -> reshape."""
+    x = as_tensor(x)
+    lead = x.data.shape[:-1]
+    flat = reshape(x, (-1, layer.c_in))
+    out = matmul(flat, layer.weight) + layer.bias
+    return reshape(out, lead + (layer.c_out,))
+
+
+def lbr_chain(x, layer, eps=LBR_NORM_EPS):
+    """``nn.lbr`` as sixteen tape ops (seven in identity mode)."""
+    x = as_tensor(x)
+    lead = x.data.shape[:-1]
+    flat = reshape(x, (-1, layer.c_in))
+    h = matmul(flat, layer.weight) + layer.bias
+    if layer.norm_mode == "standardize":
+        mu = tmean(h, axis=0, keepdims=True)
+        centred = h - mu
+        var = tmean(centred * centred, axis=0, keepdims=True)
+        h = centred / sqrt(var + eps)
+    h = h * layer.norm_scale + layer.norm_shift
+    h = relu(h)
+    return reshape(h, lead + (layer.c_out,))
 
 
 # -- point routing ----------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Configuration parsing, validation and override tests."""
 
-import numpy as np
 import pytest
 
 from pointfuse.config import (

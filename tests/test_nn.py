@@ -1,9 +1,11 @@
 """Layers, optimiser, checkpoint and gradient-checker tests.
 
 The layer tests pin exact closed-form outputs for hand-picked weights
-(identity linear map, single-row standardisation degeneracy); the Adam
-tests pin the first-step magnitude, which Adam fixes at lr regardless
-of gradient scale; the checkpoint tests do byte-level corruption.
+(identity linear map, single-row standardisation degeneracy) and require
+the fused ``linear``/``lbr`` ops to equal their tape-op chains in
+``oracles.py`` bit for bit; the Adam tests pin the first-step magnitude,
+which Adam fixes at lr regardless of gradient scale; the checkpoint
+tests do byte-level corruption.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 import pointfuse.nn as nn
 import pointfuse.tensor as T
+from oracles import lbr_chain, linear_chain
 from pointfuse.nn import (
     Adam,
     CheckpointError,
@@ -20,6 +23,7 @@ from pointfuse.nn import (
     Rng,
     gradcheck,
     lbr,
+    linear,
     load_checkpoint,
     restore_params,
     save_checkpoint,
@@ -124,6 +128,117 @@ def test_lbr_rejects_bad_inputs():
         layer(Tensor(np.zeros((0, 3))))
     with pytest.raises(ValueError):
         LbrLayer(Rng(5), 3, 2, norm_mode="batch")
+
+
+# -- fused layers against their tape-op chains ----------------------------------------
+
+
+def _layer(kind, c_in=4, c_out=3, seed=9):
+    """A layer with non-trivial norm parameters, its fused op and its chain."""
+    if kind == "linear":
+        return LinearLayer(Rng(seed), c_in, c_out), linear, linear_chain
+    layer = LbrLayer(Rng(seed), c_in, c_out, norm_mode=kind.split("-")[1])
+    r = Rng(seed + 1)
+    layer.norm_scale.data[...] = r.uniform(0.5, 1.5, c_out)
+    layer.norm_shift.data[...] = r.uniform(-0.3, 0.3, c_out)
+    return layer, lbr, lbr_chain
+
+
+def _loss_and_grads(op, layer, x, w, second_consumer):
+    """Backward twice through sum(op(x) * w) (plus sum(x * x) when x has a
+    second consumer) from zeroed grads; returns the output, the loss and
+    the leaf grads after each backward."""
+    leaves = [p for _, p in layer.params("l")] + ([x] if x.requires_grad else [])
+    T.zero_grads(leaves)
+    out = op(x, layer)
+    loss = T.tsum(out * w)
+    if second_consumer:
+        loss = loss + T.tsum(x * x)
+    grads = []
+    for _ in range(2):     # the second backward accumulates onto the first
+        loss.backward()
+        grads.append([p.grad.copy() for p in leaves])
+    return out, loss, grads
+
+
+@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "lbr-identity"])
+@pytest.mark.parametrize("shape", [(1, 4), (9, 4), (3, 5, 4)])
+@pytest.mark.parametrize("x_mode", ["constant", "leaf", "leaf-two-consumers"])
+def test_fused_layer_equals_its_chain_bit_for_bit(kind, shape, x_mode):
+    layer, fused, chain = _layer(kind)
+    r = Rng(len(shape) * 10 + shape[0])
+    x = Tensor(r.normal(shape), requires_grad=x_mode != "constant")
+    w = Tensor(r.normal(shape[:-1] + (3,)))
+    second = x_mode == "leaf-two-consumers"
+    got_out, got_loss, got = _loss_and_grads(fused, layer, x, w, second)
+    want_out, want_loss, want = _loss_and_grads(chain, layer, x, w, second)
+    assert got_out.shape == want_out.shape == shape[:-1] + (3,)
+    assert got_out.data.tobytes() == want_out.data.tobytes()
+    assert got_loss.data.tobytes() == want_loss.data.tobytes()
+    for got_pass, want_pass in zip(got, want):
+        for g, h in zip(got_pass, want_pass):
+            assert g.tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "lbr-identity"])
+def test_fused_layer_is_one_op_on_the_input_and_the_layer_parameters(kind):
+    layer, fused, chain = _layer(kind)
+    x = Tensor(Rng(3).normal((6, 4)))
+    out = fused(x, layer)
+    params = tuple(p for _, p in layer.params("l"))
+    assert len(out._parents) == len(out._vjps) == 1 + len(params)
+    assert all(a is b for a, b in zip(out._parents, (x,) + params))
+    with T.no_grad():
+        free = fused(x, layer)
+        want = chain(x, layer)
+    assert not free.requires_grad and free._parents == () and free._vjps == ()
+    assert free.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "lbr-identity"])
+def test_fused_layer_lifts_subnormal_gradients_as_its_chain_does(kind):
+    # K = LIFT_MIN_K and a subnormal upstream gradient: both gradient
+    # products are guarded, and lifted where the plain product would lose bits
+    layer, fused, chain = _layer(kind, c_in=T.LIFT_MIN_K, c_out=5)
+    r = Rng(12)
+    x = Tensor(r.normal((7, T.LIFT_MIN_K)), requires_grad=True)
+    w = Tensor(r.normal((7, 5)) * 1e-310)
+    runs = []
+    for op in (fused, chain):
+        before = (T.grad_products_guarded, T.grad_products_lifted)
+        _, _, grads = _loss_and_grads(op, layer, x, w, False)
+        runs.append(((T.grad_products_guarded - before[0], T.grad_products_lifted - before[1]), grads))
+    (got_counts, got), (want_counts, want) = runs
+    assert got_counts == want_counts and got_counts[0] == 4     # two products, two backwards
+    assert got_counts[1] > 0
+    for g, h in zip(got[1], want[1]):
+        assert g.tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("kind, x, weight, scale, shift", [
+    ("linear", [1e200, 1.0], 1e200, 1.0, 0.0),                    # x @ W overflows
+    ("lbr-identity", [1e200, 1.0], 1e200, 1.0, 0.0),              # pre-norm h overflows
+    ("lbr-standardize", [1.5e308, 1.5e308], 1.0, 1.0, 0.0),       # the mean's sum overflows
+    # the variance overflows: sd = inf makes the normalised output a finite 0
+    ("lbr-standardize", [1e200, -1e200], 1.0, 1.0, 0.5),
+    # the pre-ReLU value is -inf, which relu would turn into 0
+    ("lbr-identity", [-1e200, 1.0], 1.0, 1e200, 0.0),
+    ("lbr-standardize", [-1.0, 1.0], 1.0, 1e308, -1e308),
+])
+def test_fused_layer_raises_where_its_chain_raises(kind, x, weight, scale, shift):
+    layer, fused, chain = _layer(kind, c_in=1, c_out=1)
+    layer.weight.data[...] = weight
+    layer.bias.data[...] = 0.0
+    if kind != "linear":
+        layer.norm_scale.data[...] = scale
+        layer.norm_shift.data[...] = shift
+    x = Tensor(np.array(x).reshape(-1, 1))
+    name = kind.split("-")[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            chain(x, layer)
+        with pytest.raises(NonFiniteError, match=rf"from {name} on operand shapes \[\(2, 1\), \(1, 1\)"):
+            fused(x, layer)
 
 
 def test_lbr_and_mlp_gradients():
