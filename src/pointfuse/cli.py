@@ -265,12 +265,14 @@ def cmd_check(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = _build_config(args)
     manifest = Manifest(args.out, "gradcheck", args.seed, cfg) if args.out else None
-    rows, failed = [], 0
-    for name, tol, fn in _gradcheck_cases(args.seed):
+    rows, failed, report = [], 0, []
+    for name, tol, fn in _gradcheck_cases(args.seed, report):
         err = fn()
         ok = err <= tol
         failed += not ok
-        print(f"{'ok  ' if ok else 'FAIL'} {name:22s} err {err:.3e} (tol {tol:.0e})")
+        max_abs, skipped, probed = report[-1]
+        print(f"{'ok  ' if ok else 'FAIL'} {name:22s} err {err:.3e} (tol {tol:.0e})  "
+              f"max |a-n| {max_abs:.3e}, skipped {skipped}/{probed}")
         rows.append((name, err, tol, "ok" if ok else "fail"))
     if manifest:
         _write_csv(os.path.join(args.out, "gradcheck.csv"),

@@ -23,9 +23,10 @@ import numpy as np
 
 from .boxes import Box3D, normalize_angle
 from .geometry import farthest_point_sampling, knn_group
-from .nn import LbrLayer, LinearLayer, Mlp, Rng, init_weight
-from .tensor import (Tensor, as_tensor, concat, gather_rows, matmul, maxpool_group, narrow,
-                     reshape, sigmoid, softmax, transpose, tsum)
+from .nn import LbrLayer, LinearLayer, Mlp, Rng, _shared_vjps, init_weight
+from .tensor import (Tensor, _non_finite, _row_index, _scatter_rows, _unbroadcast, as_tensor,
+                     concat, gather_rows, matmul, maxpool_group, narrow, reshape, sigmoid,
+                     softmax, transpose, tsum)
 
 
 class FusionError(ValueError):
@@ -75,6 +76,105 @@ def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray,
 
 
 # -- grouped positional attention -------------------------------------------------
+#
+# The attention's glue between its layers runs as three tape ops.  Each
+# runs the numpy expressions of the op chain it stands for in the chain's
+# order, and its backward runs that chain's vjps once per upstream
+# gradient, with the same ``_unbroadcast`` sums and ``_scatter_rows``
+# scatters, so values and gradients equal the chain's bit for bit
+# (``tests/oracles.py`` keeps the chain).  Like the chain, each raises
+# NonFiniteError at the first stage that can turn non-finite.
+
+
+def group_offsets(coords, groups) -> Tensor:
+    """Each group member's offset from its centre, coords[groups] -
+    coords[:, None] -> [m, L, d]: the chain gather_rows -> reshape -> sub.
+
+    The parents list coords twice, so its two gradients enter backward's
+    sums one after the other, as the chain's two nodes put them: first
+    the gather's scatter-add, then the centring's sum over the group.
+    """
+    coords = as_tensor(coords)
+    m, d = coords.data.shape
+    groups = _row_index(groups, m, "group_offsets")
+    parents = (coords, coords)
+
+    def grads_of(g):
+        return {0: _scatter_rows(groups, g, coords.data.shape),
+                1: _unbroadcast(-g, (m, 1, d)).reshape(coords.data.shape)}
+
+    return Tensor._result(coords.data[groups] - coords.data.reshape((m, 1, d)), parents,
+                          _shared_vjps(len(parents), grads_of))
+
+
+def attn_pre(qkv, pos, groups, mode: str) -> Tensor:
+    """Pre-score of grouped attention -> [m, L, c]: q - k[groups] + pos
+    ("subtract") or q * k[groups] + pos ("multiply"), with q and k the
+    first two thirds of qkv [m, 3c] and pos [m, L, c].  The chain: narrow
+    q and k, gather k, reshape q, then subtract or multiply, then add."""
+    qkv, pos = as_tensor(qkv), as_tensor(pos)
+    m, c = qkv.data.shape[0], qkv.data.shape[1] // 3
+    groups = _row_index(groups, m, "attn_pre")
+    parents = (qkv, pos)
+    multiply = mode == "multiply"
+    qe = qkv.data[:, :c].reshape((m, 1, c))
+    kg = qkv.data[:, c:2 * c][groups]
+    s = qe * kg if multiply else qe - kg
+    if not np.isfinite(s).all():
+        raise _non_finite("attn_pre", (p.data.shape for p in parents))
+
+    def grads_of(g):
+        grads = {}
+        if pos.requires_grad:
+            grads[1] = _unbroadcast(g, pos.data.shape)
+        if qkv.requires_grad:
+            if multiply:
+                g_q, g_k = _unbroadcast(g * kg, qe.shape), _unbroadcast(g * qe, kg.shape)
+            else:
+                g_q, g_k = _unbroadcast(g, qe.shape), _unbroadcast(-g, kg.shape)
+            z = np.zeros_like(qkv.data)
+            z[:, :c] = g_q.reshape((m, c))
+            z[:, c:2 * c] = _scatter_rows(groups, g_k, (m, c))
+            grads[0] = z
+        return grads
+
+    return Tensor._result(s + pos.data, parents, _shared_vjps(len(parents), grads_of))
+
+
+def attn_pool(logits, qkv, pos, groups) -> Tensor:
+    """Attention-weighted sum over each group -> [m, c]: a softmax of
+    logits [m, L, c] over the group axis, then sum(attn * (v[groups] +
+    pos), axis=1), with v the last third of qkv [m, 3c].  The chain:
+    softmax, narrow v, gather v, add pos, multiply, sum."""
+    logits, qkv, pos = as_tensor(logits), as_tensor(qkv), as_tensor(pos)
+    m, c = qkv.data.shape[0], qkv.data.shape[1] // 3
+    groups = _row_index(groups, m, "attn_pool")
+    parents = (logits, qkv, pos)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    attn = e / e.sum(axis=1, keepdims=True)
+    vp = qkv.data[:, 2 * c:3 * c][groups] + pos.data
+    if not np.isfinite(vp).all():
+        raise _non_finite("attn_pool", (p.data.shape for p in parents))
+
+    def grads_of(g):
+        g = np.expand_dims(g, 1)                         # the sum's, over the group
+        grads = {}
+        if logits.requires_grad:
+            g_attn = g * vp
+            inner = (g_attn * attn).sum(axis=1, keepdims=True)
+            grads[0] = attn * (g_attn - inner)
+        if qkv.requires_grad or pos.requires_grad:
+            g_vp = g * attn
+            if qkv.requires_grad:
+                z = np.zeros_like(qkv.data)
+                z[:, 2 * c:3 * c] = _scatter_rows(groups, g_vp, (m, c))
+                grads[1] = z
+            if pos.requires_grad:
+                grads[2] = _unbroadcast(g_vp, pos.data.shape)
+        return grads
+
+    return Tensor._result((attn * vp).sum(axis=(1,)), parents, _shared_vjps(len(parents), grads_of))
 
 
 class PointAttention:
@@ -84,7 +184,9 @@ class PointAttention:
     query/key/value; a positional encoding of coordinate differences is
     added to both the score path and the values.  mode picks how query
     and key meet: "subtract" (q - k + pos) or "multiply" (q * k + pos).
-    The block output keeps its input as a residual.
+    The block output keeps its input as a residual.  A call records nine
+    tape nodes: two LBRs, the expansion, two MLPs, the three glue ops
+    above and the residual add.
     """
 
     def __init__(self, rng: Rng, channels: int, mode: str = "subtract",
@@ -113,22 +215,11 @@ class PointAttention:
         if groups.shape[0] != m:
             raise FusionError(f"groups rows {groups.shape[0]} != points {m}")
         groups = np.sort(np.asarray(groups), axis=1)    # canonical reduction order
-        length = groups.shape[1]
 
         qkv = matmul(self.qkv_lbr(feats), self.expand)
-        q = narrow(qkv, 1, 0, c)
-        k = narrow(qkv, 1, c, c)
-        v = narrow(qkv, 1, 2 * c, c)
-
-        rel = gather_rows(coords, groups) - reshape(coords, (m, 1, 3))
-        pos = self.pos_mlp(rel)                          # [m, L, c]
-        kg = gather_rows(k, groups)
-        vg = gather_rows(v, groups)
-        qe = reshape(q, (m, 1, c))
-        pre = qe * kg + pos if self.mode == "multiply" else qe - kg + pos
-        attn = softmax(self.score_mlp(pre), axis=1)
-        pooled = tsum(attn * (vg + pos), axis=1)
-        return self.out_lbr(pooled) + feats
+        pos = self.pos_mlp(group_offsets(coords, groups))          # [m, L, c]
+        logits = self.score_mlp(attn_pre(qkv, pos, groups, self.mode))
+        return self.out_lbr(attn_pool(logits, qkv, pos, groups)) + feats
 
 
 # -- routing --------------------------------------------------------------------------

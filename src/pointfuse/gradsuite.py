@@ -14,21 +14,26 @@ from .nn import Rng
 from .tensor import Tensor
 
 
-def gradcheck_cases(seed: int):
-    """Yield (name, tolerance, fn) for every differentiable stage."""
+def gradcheck_cases(seed: int, report: list | None = None):
+    """Yield (name, tolerance, fn) for every differentiable stage; each
+    fn returns its ``nn.gradcheck`` error and, if ``report`` is a list,
+    appends that check's probe summary to it."""
     rng = Rng(seed)
+
+    def gradcheck(fn, tensors, **kw):
+        return nn.gradcheck(fn, tensors, report=report, **kw)
 
     def case_linear():
         layer = nn.LinearLayer(rng.derive("lin"), 5, 4)
         x = Tensor(rng.normal((7, 5)), requires_grad=True)
         ps = [t for _, t in layer.params("l")] + [x]
-        return nn.gradcheck(lambda: tensor.tsum(layer(x) ** 2.0), ps, rng=rng.derive("c1"))
+        return gradcheck(lambda: tensor.tsum(layer(x) ** 2.0), ps, rng=rng.derive("c1"))
 
     def case_lbr():
         layer = nn.LbrLayer(rng.derive("lbr"), 5, 4)
         x = Tensor(rng.normal((9, 5)), requires_grad=True)
         ps = [t for _, t in layer.params("l")] + [x]
-        return nn.gradcheck(lambda: tensor.tsum(layer(x) ** 2.0), ps, rng=rng.derive("c2"))
+        return gradcheck(lambda: tensor.tsum(layer(x) ** 2.0), ps, rng=rng.derive("c2"))
 
     def case_lbr_identity():
         # this case and the next draw from their own streams, so adding them
@@ -37,7 +42,7 @@ def gradcheck_cases(seed: int):
         layer = nn.LbrLayer(r.derive("layer"), 5, 4, norm_mode="identity")
         x = Tensor(r.normal((9, 5)), requires_grad=True)
         ps = [t for _, t in layer.params("l")] + [x]
-        return nn.gradcheck(lambda: tensor.tsum(layer(x) ** 2.0), ps, rng=r.derive("c"))
+        return gradcheck(lambda: tensor.tsum(layer(x) ** 2.0), ps, rng=r.derive("c"))
 
     def case_lbr_grouped():
         # a [M, L, C] input, as TransitionDown feeds its gathered groups
@@ -46,25 +51,54 @@ def gradcheck_cases(seed: int):
         x = Tensor(r.normal((4, 3, 5)), requires_grad=True)
         w = Tensor(r.normal((4, 3, 4)))
         ps = [t for _, t in layer.params("l")] + [x]
-        return nn.gradcheck(lambda: tensor.tsum(layer(x) * w), ps, rng=r.derive("c"))
+        return gradcheck(lambda: tensor.tsum(layer(x) * w), ps, rng=r.derive("c"))
+
+    def case_mlp():
+        # this case and the two attention ones draw from their own streams,
+        # so adding them left every other case's inputs as they were
+        r = rng.derive("mlp")
+        layer = nn.Mlp(r.derive("layer"), 5, 6, 4)
+        x = Tensor(r.normal((3, 4, 5)), requires_grad=True)
+        w = Tensor(r.normal((3, 4, 4)))
+        ps = [t for _, t in layer.params("m")] + [x]
+        return gradcheck(lambda: tensor.tsum(layer(x) * w), ps, rng=r.derive("c"))
+
+    def case_attn_pre():
+        r = rng.derive("attn-pre")
+        qkv = Tensor(r.normal((6, 12)), requires_grad=True)
+        pos = Tensor(r.normal((6, 3, 4)), requires_grad=True)
+        groups = np.sort(r.integers(0, 6, (6, 3)), axis=1)
+        w = Tensor(r.normal((6, 3, 4)))
+        return gradcheck(lambda: tensor.tsum(fusion.attn_pre(qkv, pos, groups, "multiply") ** 2.0 * w),
+                         [qkv, pos], rng=r.derive("c"))
+
+    def case_attn_pool():
+        r = rng.derive("attn-pool")
+        logits = Tensor(r.normal((6, 3, 4)), requires_grad=True)
+        qkv = Tensor(r.normal((6, 12)), requires_grad=True)
+        pos = Tensor(r.normal((6, 3, 4)), requires_grad=True)
+        groups = np.sort(r.integers(0, 6, (6, 3)), axis=1)
+        w = Tensor(r.normal((6, 4)))
+        return gradcheck(lambda: tensor.tsum(fusion.attn_pool(logits, qkv, pos, groups) * w),
+                         [logits, qkv, pos], rng=r.derive("c"))
 
     def case_softmax():
         x = Tensor(rng.normal((6, 5)), requires_grad=True)
         w = Tensor(rng.normal((6, 5)))
-        return nn.gradcheck(lambda: tensor.tsum(tensor.softmax(x, axis=1) * w), [x], rng=rng.derive("c3"))
+        return gradcheck(lambda: tensor.tsum(tensor.softmax(x, axis=1) * w), [x], rng=rng.derive("c3"))
 
     def case_bilinear():
         grid = Tensor(rng.normal((6, 7, 3)), requires_grad=True)
         uv = Tensor(rng.uniform(0.2, 5.5, (9, 2)), requires_grad=True)
-        return nn.gradcheck(lambda: tensor.tsum(tensor.bilinear_sample(grid, uv) ** 2.0),
-                            [grid, uv], rng=rng.derive("c4"))
+        return gradcheck(lambda: tensor.tsum(tensor.bilinear_sample(grid, uv) ** 2.0),
+                         [grid, uv], rng=rng.derive("c4"))
 
     def case_trilinear():
         vol = Tensor(rng.normal((5, 6, 4, 3)), requires_grad=True)
         uvd = Tensor(np.stack([rng.uniform(0.2, 4.5, 8), rng.uniform(0.2, 4.2, 8),
                                rng.uniform(0.2, 3.5, 8)], axis=1), requires_grad=True)
-        return nn.gradcheck(lambda: tensor.tsum(tensor.trilinear_sample(vol, uvd) ** 2.0),
-                            [vol, uvd], rng=rng.derive("c5"))
+        return gradcheck(lambda: tensor.tsum(tensor.trilinear_sample(vol, uvd) ** 2.0),
+                         [vol, uvd], rng=rng.derive("c5"))
 
     def case_frustum_sample():
         # its own stream, so adding the case left every other case's inputs as they were
@@ -74,8 +108,8 @@ def gradcheck_cases(seed: int):
         feats = Tensor(r.normal((4, 5, 3)), requires_grad=True)
         uvd = Tensor(np.stack([r.uniform(0.2, 3.5, 8), r.uniform(0.2, 2.5, 8),
                                r.uniform(0.2, 4.5, 8)], axis=1), requires_grad=True)
-        return nn.gradcheck(lambda: tensor.tsum(tensor.frustum_sample(weights, feats, uvd) ** 2.0),
-                            [weights, feats, uvd], rng=r.derive("c"))
+        return gradcheck(lambda: tensor.tsum(tensor.frustum_sample(weights, feats, uvd) ** 2.0),
+                         [weights, feats, uvd], rng=r.derive("c"))
 
     def case_attention(mode):
         def run():
@@ -85,8 +119,8 @@ def gradcheck_cases(seed: int):
             groups = geometry.knn_group(coords.data, coords.data, 4)
             ps = [t for _, t in pa.params("pa")] + [feats]
             w = Tensor(rng.normal((10, 6)))
-            return nn.gradcheck(lambda: tensor.tsum(pa(coords, feats, groups) * w),
-                                ps, max_coords=12, rng=rng.derive("c6"))
+            return gradcheck(lambda: tensor.tsum(pa(coords, feats, groups) * w),
+                             ps, max_coords=12, rng=rng.derive("c6"))
         return run
 
     def case_cross_fusion():
@@ -99,7 +133,7 @@ def gradcheck_cases(seed: int):
         def f():
             a, b, _ = cf(fr, fp)
             return tensor.tsum(a * wr) + tensor.tsum(b * wp)
-        return nn.gradcheck(f, ps, max_coords=8, rng=rng.derive("c7"))
+        return gradcheck(f, ps, max_coords=8, rng=rng.derive("c7"))
 
     def case_down_up():
         coords = Tensor(rng.uniform(-2, 2, (18, 3)))
@@ -109,7 +143,7 @@ def gradcheck_cases(seed: int):
         w = Tensor(rng.normal((18, 6)))
         ps = [t for _, t in td.params("td") + tu.params("tu")] + [feats]
         route = fusion.route_stream(coords.data, (8,), 4, attention_up=True)
-        return nn.gradcheck(
+        return gradcheck(
             lambda: tensor.tsum(tu(*td(coords, feats, route.down[0]), coords, feats, route.up[0]) * w),
             ps, max_coords=8, rng=rng.derive("c8"))
 
@@ -119,8 +153,8 @@ def gradcheck_cases(seed: int):
         tc = Tensor(rng.uniform(-2, 2, (6, 3)), requires_grad=True)
         w = Tensor(rng.normal((6, 4)))
         idx = geometry.knn_group(tc.data, sc.data, fusion.IDW_K)
-        return nn.gradcheck(lambda: tensor.tsum(fusion.idw_interpolate(tc, sc, sf, idx) * w),
-                            [sc, sf, tc], rng=rng.derive("c9"))
+        return gradcheck(lambda: tensor.tsum(fusion.idw_interpolate(tc, sc, sf, idx) * w),
+                         [sc, sf, tc], rng=rng.derive("c9"))
 
     def case_head():
         head = fusion.ProposalHead(rng.derive("head"), 5, boxes.CLASSES, boxes.DEFAULT_ANCHORS, 6, 6)
@@ -133,7 +167,7 @@ def gradcheck_cases(seed: int):
             o = head(coords, feats)
             return (tensor.tsum(o.votes * ws[0]) + tensor.tsum(o.cls_prob * ws[1])
                     + tensor.tsum(o.reg * ws[2]))
-        return nn.gradcheck(f, ps, max_coords=8, rng=rng.derive("c10"))
+        return gradcheck(f, ps, max_coords=8, rng=rng.derive("c10"))
 
     def case_losses():
         logits = Tensor(rng.normal((12, 3)), requires_grad=True)
@@ -143,7 +177,7 @@ def gradcheck_cases(seed: int):
         def f():
             return (tensor.tsum(losses.focal_loss(tensor.sigmoid(logits), fg))
                     + tensor.tsum(losses.smooth_l1(x)))
-        return nn.gradcheck(f, [logits, x], rng=rng.derive("c11"))
+        return gradcheck(f, [logits, x], rng=rng.derive("c11"))
 
     def case_encoder_heads():
         enc = frustum.ImageEncoder(rng.derive("enc"), 3, (4, 6), (2, 2), 5, 8)
@@ -156,7 +190,7 @@ def gradcheck_cases(seed: int):
             fi, dp, og = enc(image)
             return (tensor.tsum(fi.feats * ws[0]) + tensor.tsum(dp.bin_logits * ws[1])
                     + tensor.tsum(dp.residuals * ws[2]) + tensor.tsum(og.offsets * ws[3]))
-        return nn.gradcheck(f, ps, max_coords=6, rng=rng.derive("c12"))
+        return gradcheck(f, ps, max_coords=6, rng=rng.derive("c12"))
 
     def _miniature():
         cfg = NetworkConfig()
@@ -185,7 +219,7 @@ def gradcheck_cases(seed: int):
         def f():
             ro, po, _ = net(rc, rf, pc, pf, route)
             return tensor.tsum(ro * wr) + tensor.tsum(po * wp)
-        return nn.gradcheck(f, ps, max_coords=4, rng=rng.derive("c13"))
+        return gradcheck(f, ps, max_coords=4, rng=rng.derive("c13"))
 
     def case_total_loss():
         net, rc, rf, pc, pf = _miniature()
@@ -209,16 +243,19 @@ def gradcheck_cases(seed: int):
             d_total, _, _ = losses.depth_loss(logits, tensor.sigmoid(logits), dtargets, weights)
             r_total, _ = losses.rpn_loss(out.cls_prob, out.reg, out.votes, rtargets, weights)
             return losses.total_loss(d_total, r_total, weights)
-        return nn.gradcheck(f, ps, max_coords=4, rng=rng.derive("c14"))
+        return gradcheck(f, ps, max_coords=4, rng=rng.derive("c14"))
 
     yield "linear", 1e-6, case_linear
     yield "lbr", 1e-6, case_lbr
     yield "lbr-identity", 1e-6, case_lbr_identity
     yield "lbr-grouped", 1e-6, case_lbr_grouped
+    yield "mlp", 1e-6, case_mlp
     yield "softmax", 1e-6, case_softmax
     yield "bilinear-sample", 1e-6, case_bilinear
     yield "trilinear-sample", 1e-6, case_trilinear
     yield "frustum-sample", 1e-6, case_frustum_sample
+    yield "attn-pre", 1e-6, case_attn_pre
+    yield "attn-pool", 1e-6, case_attn_pool
     yield "attention-subtract", 1e-6, case_attention("subtract")
     yield "attention-multiply", 1e-6, case_attention("multiply")
     yield "cross-fusion", 1e-6, case_cross_fusion

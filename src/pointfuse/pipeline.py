@@ -203,6 +203,7 @@ def train(model: DetectionModel, scenes: list[PreparedScene], settings,
         total, parts = compute_losses(prepared, state, weights)
         total.backward()
         opt.step()
+        del state, total     # this step's tape: free it before the next forward builds one
         parts["step"] = step
         parts["scene"] = prepared.scene_id
         history.append(parts)

@@ -10,8 +10,11 @@ into their ``grad`` buffers, so repeated backward calls accumulate until
 the buffers are zeroed.  Op results have no buffer (``grad`` is None).
 Inside ``with no_grad():`` ops record no tape at all, which is how
 inference runs.  Layer-level ops built on these primitives (``nn.linear``,
-``nn.lbr``) record one node for the whole layer; their parents' vjps share
-one backward computation per upstream gradient, each reading its share.
+``nn.lbr``, ``nn.mlp``, and the point-attention glue ops
+``fusion.group_offsets``, ``fusion.attn_pre`` and ``fusion.attn_pool``)
+record one node for what would otherwise be a chain of ops; their
+parents' vjps share one backward computation per upstream gradient, each
+reading its share.
 
 Three hard rules hold everywhere:
   * non-finite values (NaN/Inf) raise immediately instead of propagating,
@@ -359,65 +362,110 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 # -- linear algebra ---------------------------------------------------------
 
 
-# A gradient product whose upstream gradient holds subnormals runs
-# several times slower in BLAS.  From this forward contraction length on,
-# the products test for them and, if any, run on the gradient scaled by
-# an exact power of two.  The test reads g once; the product costs K times
-# that, so the test's share falls as 1/K.  On one BLAS thread it costs
-# 20-40% of the product at K = 48, 15% at K = 96 and 5-7% at K = 192-256,
-# and no product below K = 192 met a subnormal in mid-size training.
+# A product whose operand holds subnormals runs several times slower in
+# BLAS.  From this forward contraction length K on, matmul tests both
+# operands in its forward and each gradient product tests the upstream
+# gradient g; an operand that holds subnormals is scaled by an exact power
+# of two first.  A test reads its operand once; the gradient product costs
+# K times that, so the test's share falls as 1/K.  On one BLAS thread it
+# costs 20-40% of the product at K = 48, 15% at K = 96 and 5-7% at
+# K = 192-256, and no product below K = 192 met a subnormal in mid-size
+# training.
 LIFT_MIN_K = 128
 _TINY = np.finfo(np.float64).tiny
 _LIFT = 2.0 ** 600
 _UNLIFT = 2.0 ** -600
 
-# gradient products tested for subnormals, and those of them lifted
+# gradient products tested for subnormals in g, and those of them lifted
 grad_products_guarded = 0
 grad_products_lifted = 0
+# matmul forwards whose operands were tested for subnormals, and the
+# products (forward or gradient) that ran on a lifted operand, not g
+operands_guarded = 0
+operand_products_lifted = 0
 
 
-def _grad_product(lhs: np.ndarray, rhs: np.ndarray, k: int, g_is_lhs: bool) -> np.ndarray:
+def _holds_subnormals(x: np.ndarray) -> bool:
+    mag = np.abs(x)
+    small = mag < _TINY
+    return bool(small.any() and mag[small].any())
+
+
+def _lifted_product(lhs: np.ndarray, rhs: np.ndarray, lift_lhs: bool):
+    """``lhs @ rhs`` with one operand (``lhs`` iff ``lift_lhs``) scaled by
+    2**600 and the result by 2**-600, or None if the lifted sums could
+    overflow.
+
+    Scaling by a power of two is exact, and ``x * 2**600`` keeps x's
+    memory layout, so BLAS runs the same kernel in the same order, now on
+    normal numbers: the result equals the plain product bit for bit
+    except where the plain product underflowed, and there the lifted one
+    is the more accurate.
+    """
+    if not float(np.abs(lhs).max()) * float(np.abs(rhs).max()) * lhs.shape[1] * _LIFT < np.inf:
+        return None
+    out = (lhs * _LIFT) @ rhs if lift_lhs else lhs @ (rhs * _LIFT)
+    out *= _UNLIFT
+    return out
+
+
+def _grad_product(lhs: np.ndarray, rhs: np.ndarray, k: int, g_is_lhs: bool,
+                  other_subnormal: bool = False) -> np.ndarray:
     """``lhs @ rhs`` for a matmul vjp: one operand is the upstream
     gradient g (``lhs`` iff ``g_is_lhs``), and ``k`` is the forward's
     contraction length.
 
     If ``k >= LIFT_MIN_K`` and g holds subnormals, the product runs as
-    ``((g * 2**600) @ other) * 2**-600``.  Scaling by a power of two is
-    exact and BLAS runs the same kernel in the same order, now on normal
-    numbers, so the result equals the plain product bit for bit except
-    where the plain product underflowed; there the lifted one is the
-    more accurate.  If the lifted sums could overflow, the plain product
-    runs instead.
+    ``((g * 2**600) @ other) * 2**-600`` (see ``_lifted_product``).
+    Otherwise, if ``other_subnormal`` (the forward found subnormals in
+    the other operand, so it is not tested again), that operand is
+    lifted instead.  If the lifted sums could overflow, the plain product
+    runs.
     """
-    global grad_products_guarded, grad_products_lifted
-    if k >= LIFT_MIN_K:
-        grad_products_guarded += 1
-        g, other = (lhs, rhs) if g_is_lhs else (rhs, lhs)
-        mag = np.abs(g)
-        small = mag < _TINY
-        if small.any() and mag[small].any():
-            n = g.shape[1] if g_is_lhs else g.shape[0]     # this product's contraction length
-            if float(mag.max()) * float(np.abs(other).max()) * n * _LIFT < np.inf:
-                grad_products_lifted += 1
-                g = g * _LIFT
-                out = g @ rhs if g_is_lhs else lhs @ g
-                out *= _UNLIFT
-                return out
+    global grad_products_guarded, grad_products_lifted, operand_products_lifted
+    if k < LIFT_MIN_K:
+        return lhs @ rhs
+    grad_products_guarded += 1
+    if _holds_subnormals(lhs if g_is_lhs else rhs):
+        out = _lifted_product(lhs, rhs, g_is_lhs)
+        if out is not None:
+            grad_products_lifted += 1
+            return out
+    elif other_subnormal:
+        out = _lifted_product(lhs, rhs, not g_is_lhs)
+        if out is not None:
+            operand_products_lifted += 1
+            return out
     return lhs @ rhs
 
 
 def matmul(a, b) -> Tensor:
+    """[M, K] @ [K, N].  From ``K >= LIFT_MIN_K`` on, the forward tests
+    both operands for subnormals and, if either holds some, lifts one
+    that does (``a`` first; see ``_lifted_product``).  Each gradient
+    product reuses the forward's finding for the operand it reads."""
+    global operands_guarded, operand_products_lifted
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
     k = a.data.shape[1]
+    sub_a = sub_b = False
+    out = None
+    if k >= LIFT_MIN_K:
+        operands_guarded += 1
+        sub_a, sub_b = _holds_subnormals(a.data), _holds_subnormals(b.data)
+        if sub_a or sub_b:
+            out = _lifted_product(a.data, b.data, sub_a)
+            operand_products_lifted += out is not None
+    if out is None:
+        out = a.data @ b.data
     return Tensor._result(
-        a.data @ b.data,
+        out,
         (a, b),
-        (lambda g: _grad_product(g, b.data.T, k, True),
-         lambda g: _grad_product(a.data.T, g, k, False)),
+        (lambda g: _grad_product(g, b.data.T, k, True, sub_b),
+         lambda g: _grad_product(a.data.T, g, k, False, sub_a)),
     )
 
 
@@ -563,17 +611,23 @@ def _scatter_rows(rows: np.ndarray, vals: np.ndarray, shape: tuple) -> np.ndarra
     return summed.reshape(shape)
 
 
+def _row_index(idx, n: int, op: str) -> np.ndarray:
+    """idx as an integer array of rows in [0, n); ShapeError naming op if not."""
+    idx = np.asarray(idx)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ShapeError(f"{op} needs integer indices")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ShapeError(f"{op} index out of range")
+    return idx
+
+
 def gather_rows(a, idx) -> Tensor:
     """Index axis 0 with an integer array; output shape idx.shape + a.shape[1:].
 
     Backward scatter-adds, so repeated indices accumulate.
     """
     a = as_tensor(a)
-    idx = np.asarray(idx)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ShapeError("gather_rows needs integer indices")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise ShapeError("gather_rows index out of range")
+    idx = _row_index(idx, a.data.shape[0], "gather_rows")
     out = a.data[idx]
 
     return Tensor._result(out, (a,), (lambda g: _scatter_rows(idx, g, a.data.shape),))

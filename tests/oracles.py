@@ -3,8 +3,9 @@
 Each is the plain, obviously-correct form of a faster library kernel:
 the full stable argsort kNN, the loop farthest-point sampler, the
 sequential ``np.add.at`` scatter, single-position grid reads, the scalar
-inverse-distance interpolation, the per-proposal assignment rule and the
-``linear``/``lbr`` layers as chains of single tape ops.
+inverse-distance interpolation, the per-proposal assignment rule, and the
+``linear``/``lbr``/``mlp`` layers and the point-attention glue ops as
+chains of single tape ops.
 The library must match them exactly or within a stated tolerance.
 """
 
@@ -16,8 +17,9 @@ import numpy as np
 
 from pointfuse.boxes import Box3D, iou_3d, iou_bev
 from pointfuse.geometry import GeometryError, PointSet
-from pointfuse.nn import LBR_NORM_EPS
-from pointfuse.tensor import as_tensor, matmul, relu, reshape, sqrt, tmean
+from pointfuse.nn import LBR_NORM_EPS, linear
+from pointfuse.tensor import (as_tensor, gather_rows, matmul, narrow, relu, reshape, softmax, sqrt,
+                              tmean, tsum)
 
 
 # -- layers as chains of tape ops ---------------------------------------------------
@@ -46,6 +48,47 @@ def lbr_chain(x, layer, eps=LBR_NORM_EPS):
     h = h * layer.norm_scale + layer.norm_shift
     h = relu(h)
     return reshape(h, lead + (layer.c_out,))
+
+
+def mlp_chain(x, layer):
+    """``nn.mlp`` as three tape ops: linear -> relu -> linear."""
+    return linear(relu(linear(x, layer.fc1)), layer.fc2)
+
+
+def group_offsets_chain(coords, groups):
+    """``fusion.group_offsets`` as three tape ops: gather -> reshape -> sub."""
+    coords = as_tensor(coords)
+    m, d = coords.data.shape
+    return gather_rows(coords, groups) - reshape(coords, (m, 1, d))
+
+
+def attn_pre_chain(qkv, pos, groups, mode):
+    """``fusion.attn_pre`` as seven tape ops: narrow q and k, gather k,
+    reshape q, subtract or multiply, add pos."""
+    m, c = qkv.data.shape[0], qkv.data.shape[1] // 3
+    q = narrow(qkv, 1, 0, c)
+    k = narrow(qkv, 1, c, c)
+    kg = gather_rows(k, groups)
+    qe = reshape(q, (m, 1, c))
+    return qe * kg + pos if mode == "multiply" else qe - kg + pos
+
+
+def attn_pool_chain(logits, qkv, pos, groups):
+    """``fusion.attn_pool`` as six tape ops: softmax, narrow v, gather v,
+    add pos, multiply, sum over the group."""
+    c = qkv.data.shape[1] // 3
+    vg = gather_rows(narrow(qkv, 1, 2 * c, c), groups)
+    attn = softmax(logits, axis=1)
+    return tsum(attn * (vg + pos), axis=1)
+
+
+def attention_chain(block, coords, feats, groups):
+    """``fusion.PointAttention.__call__`` as its 25-node tape-op chain."""
+    groups = np.sort(np.asarray(groups), axis=1)
+    qkv = matmul(block.qkv_lbr(feats), block.expand)
+    pos = mlp_chain(group_offsets_chain(coords, groups), block.pos_mlp)
+    logits = mlp_chain(attn_pre_chain(qkv, pos, groups, block.mode), block.score_mlp)
+    return block.out_lbr(attn_pool_chain(logits, qkv, pos, groups)) + feats
 
 
 # -- point routing ----------------------------------------------------------------

@@ -4,7 +4,8 @@ Structural invariants, each checked bitwise where the implementation
 promises it:
   differentiable IDW agrees with the plain-number oracle, including
     coincident targets,
-  attention is invariant to the listed order of a neighbour group,
+  attention is invariant to the listed order of a neighbour group, and
+    its fused glue ops equal their tape-op chains in ``oracles.py``,
   cross fusion is symmetric under swapping the streams together with
     their parameters, and its attention rows are stochastic,
   switching attention or combine modes actually changes the output,
@@ -28,15 +29,18 @@ from pointfuse.fusion import (
     TransitionDown,
     TransitionUp,
     TwoStreamNetwork,
+    attn_pool,
+    attn_pre,
     decode_box,
     encode_box,
+    group_offsets,
     idw_interpolate,
     route_down,
     route_stream,
     route_up,
 )
 from pointfuse.nn import Rng, gradcheck
-from pointfuse.tensor import Tensor
+from pointfuse.tensor import NonFiniteError, Tensor
 
 import oracles
 
@@ -165,6 +169,128 @@ def test_attention_keeps_residual_path():
     groups = G.knn_group(coords.data, coords.data, 3)
     out = attn(coords, feats, groups)
     assert np.array_equal(out.data, feats.data)
+
+
+# -- fused attention ops against their tape-op chains ---------------------------------
+
+
+def _attention_run(run, block, coords, feats, w, second_consumer):
+    """Backward twice through sum(run() * w) (after sum(coords * coords)
+    when coords has a second consumer) from zeroed grads; returns the
+    output, the loss and the leaf grads after each backward."""
+    leaves = [p for _, p in block.params("a")] + [t for t in (coords, feats) if t.requires_grad]
+    T.zero_grads(leaves)
+    out = run()
+    loss = T.tsum(out * w)
+    if second_consumer:     # its gradient enters coords' sum before the block's
+        loss = T.tsum(coords * coords) + loss
+    grads = []
+    for _ in range(2):     # the second backward accumulates onto the first
+        loss.backward()
+        grads.append([p.grad.copy() for p in leaves])
+    return out, loss, grads
+
+
+@pytest.mark.parametrize("mode", ["subtract", "multiply"])
+@pytest.mark.parametrize("norm_mode", ["standardize", "identity"])
+@pytest.mark.parametrize("group", [1, 4])
+@pytest.mark.parametrize("leaves", ["params", "params-feats", "params-feats-coords"])
+def test_attention_equals_its_chain_bit_for_bit(mode, norm_mode, group, leaves):
+    rng = np.random.default_rng(80 + group)
+    coords = Tensor(rng.uniform(-4.0, 4.0, (10, 3)), requires_grad="coords" in leaves)
+    feats = Tensor(rng.standard_normal((10, 6)), requires_grad="feats" in leaves)
+    w = Tensor(rng.standard_normal((10, 6)))
+    groups = G.knn_group(coords.data, coords.data, group)
+    block = PointAttention(Rng(8), 6, mode=mode, norm_mode=norm_mode)
+    second = "coords" in leaves
+    got_out, got_loss, got = _attention_run(lambda: block(coords, feats, groups),
+                                            block, coords, feats, w, second)
+    want_out, want_loss, want = _attention_run(
+        lambda: oracles.attention_chain(block, coords, feats, groups), block, coords, feats, w, second)
+    assert got_out.data.tobytes() == want_out.data.tobytes()
+    assert got_loss.data.tobytes() == want_loss.data.tobytes()
+    for got_pass, want_pass in zip(got, want):
+        for g, h in zip(got_pass, want_pass):
+            assert g.tobytes() == h.tobytes()
+    assert not np.array_equal(got[0][0], 0.0)
+
+
+def _nodes_behind(out, inputs, block):
+    """Op nodes between out and the inputs or the block's parameters."""
+    stop = {id(t) for t in inputs} | {id(p) for _, p in block.params("a")}
+    stack, seen, nodes = [out], {id(out)}, 0
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        for p in node._parents:
+            if id(p) not in seen and id(p) not in stop:
+                seen.add(id(p))
+                stack.append(p)
+    return nodes
+
+
+def test_attention_records_at_most_nine_tape_nodes():
+    # fails if the attention's layers or glue ops are split back into chains
+    rng = np.random.default_rng(81)
+    coords, feats = cloud(rng, 10, 6)
+    coords.requires_grad = True
+    groups = G.knn_group(coords.data, coords.data, 4)
+    block = PointAttention(Rng(9), 6)
+    assert _nodes_behind(block(coords, feats, groups), (coords, feats), block) <= 9
+    assert _nodes_behind(oracles.attention_chain(block, coords, feats, groups),
+                         (coords, feats), block) == 25
+
+
+def test_attention_without_a_tape_records_no_parents():
+    rng = np.random.default_rng(82)
+    coords, feats = cloud(rng, 10, 6)
+    groups = G.knn_group(coords.data, coords.data, 4)
+    block = PointAttention(Rng(10), 6)
+    with T.no_grad():
+        qkv = T.matmul(block.qkv_lbr(feats), block.expand)
+        pos = block.pos_mlp(group_offsets(coords, groups))
+        pre = attn_pre(qkv, pos, groups, "subtract")
+        pooled = attn_pool(block.score_mlp(pre), qkv, pos, groups)
+        out = block(coords, feats, groups)
+        want = oracles.attention_chain(block, coords, feats, groups)
+    for t in (pos, pre, pooled, out):
+        assert not t.requires_grad and t._parents == () and t._vjps == ()
+    assert out.data.tobytes() == want.data.tobytes()
+
+
+BIG = 1e308
+PAIRS = np.array([[0, 1], [0, 1]])
+
+
+def _t(values):
+    return Tensor(np.array(values, dtype=np.float64))
+
+
+@pytest.mark.parametrize("op, args", [
+    ("group_offsets", lambda: (_t([[BIG, 0.0, 0.0], [-BIG, 0.0, 0.0]]), PAIRS)),
+    ("attn_pre", lambda: (_t([[BIG, -BIG, 0.0]] * 2), _t(np.zeros((2, 2, 1))), PAIRS, "subtract")),
+    ("attn_pre", lambda: (_t([[1e200, 1e200, 0.0]] * 2), _t(np.zeros((2, 2, 1))), PAIRS, "multiply")),
+    ("attn_pre", lambda: (_t([[BIG, 0.0, 0.0]] * 2), _t(np.full((2, 2, 1), BIG)), PAIRS, "subtract")),
+    ("attn_pool", lambda: (_t(np.zeros((2, 2, 1))), _t([[0.0, 0.0, BIG]] * 2),
+                           _t(np.full((2, 2, 1), BIG)), PAIRS)),
+], ids=["offsets", "q-minus-k", "q-times-k", "plus-pos", "v-plus-pos"])
+def test_attention_ops_raise_where_their_chains_raise(op, args):
+    fused = {"group_offsets": group_offsets, "attn_pre": attn_pre, "attn_pool": attn_pool}[op]
+    chain = getattr(oracles, op + "_chain")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            chain(*args())
+        with pytest.raises(NonFiniteError, match=rf"from {op} on operand shapes"):
+            fused(*args())
+
+
+def test_attention_ops_validate_their_groups():
+    coords = Tensor(np.zeros((3, 3)))
+    with pytest.raises(T.ShapeError):
+        group_offsets(coords, np.array([[0, 3]]))
+    with pytest.raises(T.ShapeError):
+        attn_pre(Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 2, 2))), np.array([[0.0, 1.0]] * 3),
+                 "subtract")
 
 
 # -- transitions ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 import pointfuse.nn as nn
 import pointfuse.tensor as T
-from oracles import lbr_chain, linear_chain
+from oracles import lbr_chain, linear_chain, mlp_chain
 from pointfuse.nn import (
     Adam,
     CheckpointError,
@@ -25,6 +25,7 @@ from pointfuse.nn import (
     lbr,
     linear,
     load_checkpoint,
+    mlp,
     restore_params,
     save_checkpoint,
 )
@@ -137,6 +138,8 @@ def _layer(kind, c_in=4, c_out=3, seed=9):
     """A layer with non-trivial norm parameters, its fused op and its chain."""
     if kind == "linear":
         return LinearLayer(Rng(seed), c_in, c_out), linear, linear_chain
+    if kind == "mlp":
+        return Mlp(Rng(seed), c_in, c_out + 2, c_out), mlp, mlp_chain
     layer = LbrLayer(Rng(seed), c_in, c_out, norm_mode=kind.split("-")[1])
     r = Rng(seed + 1)
     layer.norm_scale.data[...] = r.uniform(0.5, 1.5, c_out)
@@ -161,7 +164,7 @@ def _loss_and_grads(op, layer, x, w, second_consumer):
     return out, loss, grads
 
 
-@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "lbr-identity"])
+@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "lbr-identity", "mlp"])
 @pytest.mark.parametrize("shape", [(1, 4), (9, 4), (3, 5, 4)])
 @pytest.mark.parametrize("x_mode", ["constant", "leaf", "leaf-two-consumers"])
 def test_fused_layer_equals_its_chain_bit_for_bit(kind, shape, x_mode):
@@ -180,7 +183,7 @@ def test_fused_layer_equals_its_chain_bit_for_bit(kind, shape, x_mode):
             assert g.tobytes() == h.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "lbr-identity"])
+@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "lbr-identity", "mlp"])
 def test_fused_layer_is_one_op_on_the_input_and_the_layer_parameters(kind):
     layer, fused, chain = _layer(kind)
     x = Tensor(Rng(3).normal((6, 4)))
@@ -195,7 +198,7 @@ def test_fused_layer_is_one_op_on_the_input_and_the_layer_parameters(kind):
     assert free.data.tobytes() == want.data.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "lbr-identity"])
+@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "lbr-identity", "mlp"])
 def test_fused_layer_lifts_subnormal_gradients_as_its_chain_does(kind):
     # K = LIFT_MIN_K and a subnormal upstream gradient: both gradient
     # products are guarded, and lifted where the plain product would lose bits
@@ -239,6 +242,40 @@ def test_fused_layer_raises_where_its_chain_raises(kind, x, weight, scale, shift
             chain(x, layer)
         with pytest.raises(NonFiniteError, match=rf"from {name} on operand shapes \[\(2, 1\), \(1, 1\)"):
             fused(x, layer)
+
+
+@pytest.mark.parametrize("x, w1, w2, where", [
+    ([1e200, 1.0], 1e200, 1.0, "the hidden layer"),
+    ([1e200, 1.0], 1e100, 1e200, "the output"),
+])
+def test_mlp_raises_where_its_chain_raises(x, w1, w2, where):
+    layer, _, _ = _layer("mlp", c_in=1, c_out=1)
+    for fc, w in ((layer.fc1, w1), (layer.fc2, w2)):
+        fc.weight.data[...] = w
+        fc.bias.data[...] = 0.0
+    x = Tensor(np.array(x).reshape(-1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="from linear"):
+            mlp_chain(x, layer)
+        with pytest.raises(NonFiniteError, match=r"from mlp on operand shapes \[\(2, 1\), \(1, 3\)"):
+            mlp(x, layer)
+
+
+def test_mlp_with_frozen_first_layer_computes_only_the_second_layers_gradients():
+    # no parent below the ReLU needs a gradient: like the chain, the fused
+    # op skips the hidden layer's gradient product (guarded: K = LIFT_MIN_K)
+    layer, _, _ = _layer("mlp", c_in=4, c_out=T.LIFT_MIN_K - 2)
+    layer.fc1.weight.requires_grad = layer.fc1.bias.requires_grad = False
+    x = Tensor(Rng(13).normal((7, 4)))
+    w = Tensor(Rng(14).normal((7, T.LIFT_MIN_K - 2)))
+    runs = []
+    for op in (mlp, mlp_chain):
+        T.zero_grads([layer.fc2.weight, layer.fc2.bias])
+        before = T.grad_products_guarded
+        T.tsum(op(x, layer) * w).backward()
+        runs.append((T.grad_products_guarded - before,
+                     layer.fc2.weight.grad.tobytes(), layer.fc2.bias.grad.tobytes()))
+    assert runs[0] == runs[1] and runs[0][0] == 1
 
 
 def test_lbr_and_mlp_gradients():
@@ -585,3 +622,17 @@ def test_gradcheck_flags_a_wrong_vjp():
 
     err = gradcheck(broken_square, [x], rng=Rng(63))
     assert err > 0.1
+
+
+def test_gradcheck_reports_the_margin_its_error_hides():
+    x = Tensor(np.random.default_rng(4).standard_normal(6), requires_grad=True)
+    report = []
+    err = gradcheck(lambda: T.tsum(T.sigmoid(x) * x), [x], rng=Rng(62), report=report)
+    assert err == gradcheck(lambda: T.tsum(T.sigmoid(x) * x), [x], rng=Rng(62))
+    [(max_abs, skipped, probed)] = report
+    # every coordinate agrees within the 1e-7 skip rule: the error reads 0,
+    # the margin does not
+    assert err == 0.0 and skipped == probed == 6 and 0.0 < max_abs <= 1e-7
+    gradcheck(lambda: T.tsum(Tensor._result(x.data ** 2, (x,), (lambda g: g * 3.0 * x.data,))),
+              [x], rng=Rng(63), report=report)
+    assert report[1][0] > 0.1 and report[1][1] < 6

@@ -5,10 +5,12 @@ test is a short smoke (the full 200-step overfit lives with the
 acceptance criteria); it asserts direction, not convergence.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
-from pointfuse import fusion, tensor as T
+from pointfuse import fusion, pipeline, tensor as T
 from pointfuse.boxes import (CLASSES, DEFAULT_ANCHORS, DetectionResult, format_detection_row,
                              iou_bev, nms)
 from pointfuse.config import NetworkConfig, RunConfig, TrainSettings
@@ -280,6 +282,38 @@ def test_train_short_run_decreases_loss_and_round_robins():
     # same-scene comparison; the landscape is noisy this early, so just
     # require net improvement where both steps saw scene 0
     assert history[6]["total"] < history[0]["total"]
+
+
+def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
+    # weak references to the loss and to a head output of every step; both
+    # arrays live exactly as long as that step's tape
+    cfg, prepared = make_prepared(14)
+    model = DetectionModel(cfg, Rng(140))
+    refs, alive = [], []
+    real_forward, real_losses = model.forward, pipeline.compute_losses
+
+    def forward(p):
+        alive.append([r() is not None for r in refs])
+        return real_forward(p)
+
+    def compute_losses_recorded(p, state, weights):
+        total, parts = real_losses(p, state, weights)
+        refs.extend([weakref.ref(total.data), weakref.ref(state.rpn.cls_prob.data)])
+        return total, parts
+
+    monkeypatch.setattr(model, "forward", forward)
+    monkeypatch.setattr(pipeline, "compute_losses", compute_losses_recorded)
+    train(model, [prepared], TrainSettings(steps=3, lr=0.01))
+    assert alive == [[], [False] * 2, [False] * 4]
+
+
+def test_a_desk_training_step_builds_a_fixed_number_of_tape_nodes():
+    # fails if a fused layer or attention op is split back into its chain
+    # (the unfused chains built 668 op nodes here)
+    cfg, prepared = make_prepared(0)
+    model = DetectionModel(cfg, Rng(0))
+    total, _ = compute_losses(prepared, model.forward(prepared), LossWeights())
+    assert len([node for node in T._topo_order(total) if node._parents]) == 468
 
 
 def test_train_requires_scenes():

@@ -432,6 +432,62 @@ def test_gradient_products_that_could_overflow_when_lifted_run_plain():
     assert ga.tobytes() == (g @ b.T).tobytes() and gb.tobytes() == (a.T @ g).tobytes()
 
 
+def test_matmul_lifts_a_subnormal_operand_in_the_forward_and_the_gradient_that_reads_it(monkeypatch):
+    # a saturated softmax's rows, as CrossFusion's attention read gets them
+    rng = np.random.default_rng(45)
+    attn = plant_subnormals(rng, rng.uniform(0.0, 1e-3, (512, 192)), 4000)
+    v = rng.standard_normal((192, 48))
+    g = rng.standard_normal((512, 48))
+    tested = []
+    real_test = T._holds_subnormals
+    monkeypatch.setattr(T, "_holds_subnormals", lambda x: tested.append(x.shape) or real_test(x))
+    before = (T.operands_guarded, T.operand_products_lifted, T.grad_products_lifted)
+    out = T.matmul(Tensor(attn, requires_grad=True), Tensor(v, requires_grad=True))
+    assert tested == [(512, 192), (192, 48)]
+    ga, gv = (vjp(g) for vjp in out._vjps)
+    # each gradient product tests only g; the forward's finding stands for attn
+    assert tested[2:] == [(512, 48), (512, 48)]
+    assert (T.operands_guarded, T.operand_products_lifted, T.grad_products_lifted) == \
+        (before[0] + 1, before[1] + 2, before[2])
+    for got, plain in ((out.data, attn @ v), (ga, g @ v.T), (gv, attn.T @ g)):
+        assert np.abs(plain).min() >= T._TINY
+        assert got.tobytes() == plain.tobytes()
+
+
+def test_matmul_on_normal_operands_lifts_nothing():
+    rng = np.random.default_rng(46)
+    a, b = rng.standard_normal((16, T.LIFT_MIN_K)), rng.standard_normal((T.LIFT_MIN_K, 8))
+    before = (T.operands_guarded, T.operand_products_lifted)
+    out = T.matmul(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
+    T.tsum(out).backward()
+    assert (T.operands_guarded, T.operand_products_lifted) == (before[0] + 1, before[1])
+    assert out.data.tobytes() == (a @ b).tobytes()
+
+
+def test_matmul_below_the_contraction_gate_tests_no_operand():
+    rng = np.random.default_rng(47)
+    k = T.LIFT_MIN_K - 1
+    a = plant_subnormals(rng, rng.normal(0.0, 1e-3, (32, k)), 40)
+    b = rng.standard_normal((k, 24))
+    before = (T.operands_guarded, T.operand_products_lifted)
+    out = T.matmul(a, b)
+    assert (T.operands_guarded, T.operand_products_lifted) == before
+    assert out.data.tobytes() == (a @ b).tobytes()
+
+
+def test_a_subnormal_operand_that_could_overflow_when_lifted_runs_plain():
+    rng = np.random.default_rng(48)
+    a = plant_subnormals(rng, rng.normal(0.0, 1e-3, (32, T.LIFT_MIN_K)), 40)
+    a[3, 5] = 1e300        # 1e300 * 2**600 overflows
+    b = rng.standard_normal((T.LIFT_MIN_K, 24))
+    g = rng.standard_normal((32, 24))
+    before = (T.operands_guarded, T.operand_products_lifted)
+    out = T.matmul(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
+    gb = out._vjps[1](g)
+    assert (T.operands_guarded, T.operand_products_lifted) == (before[0] + 1, before[1])
+    assert out.data.tobytes() == (a @ b).tobytes() and gb.tobytes() == (a.T @ g).tobytes()
+
+
 # -- grid sampling ------------------------------------------------------------
 
 
