@@ -1,0 +1,183 @@
+"""Pinned replay digests: numbers a refactor must not move.
+
+``tests/digests.json`` holds, for the platform it was written on:
+
+- the loss parts of 8 desk training steps at seeds 7 and 60, as
+  ``float.hex``.  The set-up is the benchmark's train-desk one: 4 scenes
+  seeded as ``pointfuse eval --seed s`` seeds them, the weights that
+  ``pointfuse eval`` starts from at its default seed 0, and the default
+  training settings.
+- the detections of ``pointfuse eval``'s default run (seed 0, the
+  untrained weights, 2 scenes): a sha256 over every row at full
+  precision, plus each detection's score.
+- AP-40 per class on those detections.
+
+The file records a platform fingerprint: the numpy version, the BLAS
+build and the CPU model.  On that fingerprint every value must match bit
+for bit.  On any other, BLAS kernels may round differently.  Floats are
+then compared at relative tolerance ``FOREIGN_RTOL``, the detections by
+count and score, and the loss parts of the first ``FOREIGN_STEPS`` steps
+only: Adam divides by sqrt(v), so a gradient entry near zero that rounds
+the other way moves its weight by up to lr, and the difference between
+two platforms grows about tenfold per step.  Forcing other OpenBLAS
+kernels (``OPENBLAS_CORETYPE`` Sandybridge, Nehalem, Prescott) on the
+recorded machine moved step 3's parts by at most 1.7e-11 relative, step 7's
+by up to 1.2e-2, and each detection score by at most 3.1e-15.
+
+A change that moves a digest on purpose rewrites the file with
+``PYTHONPATH=src python tests/test_digests.py`` and says why in
+CHANGES.md.
+"""
+
+import dataclasses
+import hashlib
+import json
+import math
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from pointfuse import cli, pipeline
+from pointfuse.boxes import DetectionResult
+from pointfuse.config import RunConfig
+from pointfuse.nn import Rng
+
+DIGESTS = Path(__file__).resolve().parent / "digests.json"
+TRAIN_SEEDS = (7, 60)
+TRAIN_SCENES = 4
+TRAIN_STEPS = 8
+MODEL_SEED = 0                 # `pointfuse eval` default --seed
+FOREIGN_RTOL = 1e-8             # off the recorded fingerprint, on every float compared
+FOREIGN_STEPS = 4               # ... and on the loss parts of these first steps only
+LOSS_PARTS = ("total", "depth", "depth_bin", "depth_res", "rpn", "rpn_cls", "rpn_reg", "rpn_vote")
+
+
+def fingerprint() -> dict:
+    """What decides the rounding of a run: numpy, its BLAS build, the CPU."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    build = blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}"
+    core = os.environ.get("OPENBLAS_CORETYPE")      # overrides the kernels the CPU picks
+    return {"numpy": np.__version__, "blas": build + (f" core {core}" if core else ""), "cpu": cpu}
+
+
+def train_losses(seed: int) -> list[dict]:
+    """Loss parts of each step of an 8-step desk run, as float.hex."""
+    cfg = RunConfig()
+    scenes = cli._make_scenes(cfg, Rng(seed), TRAIN_SCENES)
+    model = pipeline.DetectionModel(cfg.net, Rng(MODEL_SEED).derive("model"))
+    history = pipeline.train(model, scenes, dataclasses.replace(cfg.train, steps=TRAIN_STEPS),
+                             cfg.loss)
+    return [{k: float(h[k]).hex() for k in LOSS_PARTS} for h in history]
+
+
+def _row(d: DetectionResult) -> str:
+    return " ".join([str(d.scene), d.klass, float(d.score).hex()]
+                    + [float(v).hex() for v in d.box.as_array()])
+
+
+def eval_results() -> tuple[dict, dict]:
+    """(detections, AP-40) of `pointfuse eval` at its defaults."""
+    cfg = RunConfig()
+    rng = Rng(MODEL_SEED)
+    scenes = cli._make_scenes(cfg, rng, cfg.eval.n_scenes)
+    model = pipeline.DetectionModel(cfg.net, rng.derive("model"))
+    result = pipeline.evaluate(model, scenes, cfg.eval)
+    rows = [_row(d) for d in result["detections"]]
+    dets = {"sha256": hashlib.sha256("\n".join(rows).encode()).hexdigest(),
+            "scores": [float(d.score).hex() for d in result["detections"]]}
+    ap = {k: {"ap": None if r.flagged else float(r.ap).hex(), "flagged": bool(r.flagged),
+              "n_gt": r.n_gt, "n_det": r.n_det}
+          for k, r in result["ap"].items()}
+    return dets, ap
+
+
+def current() -> dict:
+    dets, ap = eval_results()
+    return {"fingerprint": fingerprint(),
+            "train_desk": {str(s): train_losses(s) for s in TRAIN_SEEDS},
+            "detect": dets,
+            "ap40": ap}
+
+
+def _close(a_hex, b_hex) -> bool:
+    return math.isclose(float.fromhex(a_hex), float.fromhex(b_hex), rel_tol=FOREIGN_RTOL)
+
+
+def differences(pinned: dict, run: dict) -> list[str]:
+    """Where run departs from pinned: bytewise on the pinned fingerprint,
+    within FOREIGN_RTOL elsewhere."""
+    exact = pinned["fingerprint"] == run["fingerprint"]
+    same = (lambda a, b: a == b) if exact else _close
+    found = []
+    for seed, steps in pinned["train_desk"].items():
+        got = run["train_desk"].get(seed, [])
+        if len(got) != len(steps):
+            found.append(f"train seed {seed}: {len(got)} steps, pinned {len(steps)}")
+            continue
+        for i, (want, have) in enumerate(zip(steps, got)):
+            if not exact and i >= FOREIGN_STEPS:
+                break
+            found += [f"train seed {seed} step {i} {k}: {have[k]} != {want[k]}"
+                      for k in want if not same(want[k], have[k])]
+    want, have = pinned["detect"], run["detect"]
+    if exact and want["sha256"] != have["sha256"]:
+        found.append(f"detections sha256 {have['sha256']} != {want['sha256']}")
+    if len(want["scores"]) != len(have["scores"]):
+        found.append(f"{len(have['scores'])} detections, pinned {len(want['scores'])}")
+    else:
+        found += [f"detection {i} score {b} != {a}"
+                  for i, (a, b) in enumerate(zip(want["scores"], have["scores"])) if not same(a, b)]
+    for klass, want_ap in pinned["ap40"].items():
+        have_ap = run["ap40"].get(klass)
+        if have_ap is None or {k: have_ap[k] for k in ("flagged", "n_gt", "n_det")} != \
+                {k: want_ap[k] for k in ("flagged", "n_gt", "n_det")}:
+            found.append(f"AP-40[{klass}] {have_ap} != {want_ap}")
+        elif want_ap["ap"] is not None and not same(want_ap["ap"], have_ap["ap"]):
+            found.append(f"AP-40[{klass}] {have_ap['ap']} != {want_ap['ap']}")
+    return found
+
+
+def test_pinned_digests_reproduce():
+    pinned = json.loads(DIGESTS.read_text())
+    run = current()
+    mode = ("bytewise" if pinned["fingerprint"] == run["fingerprint"]
+            else f"rtol {FOREIGN_RTOL:g} on fingerprint {run['fingerprint']}")
+    found = differences(pinned, run)
+    assert not found, f"{len(found)} digest(s) moved ({mode}):\n" + "\n".join(found[:20])
+
+
+def test_a_moved_digest_is_caught_in_both_modes():
+    pinned = json.loads(DIGESTS.read_text())
+    seed = str(TRAIN_SEEDS[0])
+
+    def moved(step, factor, foreign):
+        run = json.loads(json.dumps(pinned))
+        if foreign:
+            run["fingerprint"] = dict(run["fingerprint"], cpu="another CPU")
+        total = float.fromhex(pinned["train_desk"][seed][step]["total"])
+        value = np.nextafter(total, math.inf) if factor is None else total * factor
+        run["train_desk"][seed][step]["total"] = float(value).hex()
+        return differences(pinned, run)
+
+    last, compared = TRAIN_STEPS - 1, FOREIGN_STEPS - 1
+    assert len(moved(last, None, foreign=False)) == 1          # one ulp, bytewise
+    assert moved(compared, None, foreign=True) == []           # one ulp, within tolerance
+    assert len(moved(compared, 1 + 2 * FOREIGN_RTOL, foreign=True)) == 1
+    assert moved(last, 2.0, foreign=True) == []                # past the compared steps
+    run = json.loads(json.dumps(pinned))
+    run["detect"]["scores"] = run["detect"]["scores"][1:]
+    assert len(differences(pinned, run)) == 1
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(current(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}", file=sys.stderr)
