@@ -66,7 +66,6 @@ class NetworkConfig:
     vote_hidden: int = 64
     head_hidden: int = 64
     score_threshold: float = 0.3
-    nms_train: float = 0.8
     nms_test: float = 0.85
 
     @classmethod
@@ -121,10 +120,8 @@ class NetworkConfig:
             raise ConfigError(f"norm_mode must be one of {_NORM_MODES}")
         if not 0.0 <= self.score_threshold <= 1.0:
             raise ConfigError("score_threshold must lie in [0, 1]")
-        for name in ("nms_train", "nms_test"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1]")
+        if not 0.0 < self.nms_test <= 1.0:
+            raise ConfigError("nms_test must lie in (0, 1]")
 
 
 @dataclass

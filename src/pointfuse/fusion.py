@@ -383,11 +383,17 @@ class CrossFusion:
     (subtract / add / concat) before a final LBR.  Both directions run
     the exact same code path with arguments swapped, so mirrored
     parameters give bitwise-mirrored outputs.
+
+    A one-way link runs the raw direction only, for a link whose pseudo
+    output nothing reads: it builds no pseudo-side projection, mixer or
+    output LBR, passes f_pseudo through unchanged and reports only
+    ``attn_raw``.
     """
 
     def __init__(self, rng: Rng, c_raw: int, c_pseudo: int, c_embed: int,
                  n_raw: int, n_pseudo: int, combine: str = "subtract",
-                 mode: str = "multiply", norm_mode: str = "standardize"):
+                 mode: str = "multiply", norm_mode: str = "standardize",
+                 one_way: bool = False):
         if combine not in ("subtract", "add", "concat"):
             raise FusionError(f"unknown combine mode {combine!r}")
         if mode not in ("subtract", "multiply"):
@@ -397,24 +403,30 @@ class CrossFusion:
         self.n_pseudo = n_pseudo
         self.combine = combine
         self.mode = mode
+        self.one_way = one_way
         merged = 2 * c_embed if combine == "concat" else c_embed
         self.w_raw = init_weight(rng.derive("w_raw"), c_raw, 3 * c_embed)
         self.w_pseudo = init_weight(rng.derive("w_pseudo"), c_pseudo, 3 * c_embed)
         self.proj_raw = LinearLayer(rng.derive("proj_raw"), c_raw, c_embed)
-        self.proj_pseudo = LinearLayer(rng.derive("proj_pseudo"), c_pseudo, c_embed)
         self.mix_raw = Mlp(rng.derive("mix_raw"), n_pseudo, n_pseudo, n_pseudo)
-        self.mix_pseudo = Mlp(rng.derive("mix_pseudo"), n_raw, n_raw, n_raw)
         self.out_raw = LbrLayer(rng.derive("out_raw"), merged, c_embed, norm_mode)
-        self.out_pseudo = LbrLayer(rng.derive("out_pseudo"), merged, c_embed, norm_mode)
+        if not one_way:
+            # each layer draws from its own derived stream, so skipping
+            # these leaves every other initial weight as it was
+            self.proj_pseudo = LinearLayer(rng.derive("proj_pseudo"), c_pseudo, c_embed)
+            self.mix_pseudo = Mlp(rng.derive("mix_pseudo"), n_raw, n_raw, n_raw)
+            self.out_pseudo = LbrLayer(rng.derive("out_pseudo"), merged, c_embed, norm_mode)
 
     def params(self, prefix: str):
-        return ([(prefix + ".w_raw", self.w_raw), (prefix + ".w_pseudo", self.w_pseudo)]
-                + self.proj_raw.params(prefix + ".proj_raw")
-                + self.proj_pseudo.params(prefix + ".proj_pseudo")
-                + self.mix_raw.params(prefix + ".mix_raw")
-                + self.mix_pseudo.params(prefix + ".mix_pseudo")
-                + self.out_raw.params(prefix + ".out_raw")
-                + self.out_pseudo.params(prefix + ".out_pseudo"))
+        out = ([(prefix + ".w_raw", self.w_raw), (prefix + ".w_pseudo", self.w_pseudo)]
+               + self.proj_raw.params(prefix + ".proj_raw")
+               + self.mix_raw.params(prefix + ".mix_raw")
+               + self.out_raw.params(prefix + ".out_raw"))
+        if not self.one_way:
+            out += (self.proj_pseudo.params(prefix + ".proj_pseudo")
+                    + self.mix_pseudo.params(prefix + ".mix_pseudo")
+                    + self.out_pseudo.params(prefix + ".out_pseudo"))
+        return out
 
     def _enhance(self, f_self, w_self, proj_self, mix_self, out_self, f_other, w_other):
         c = self.c_embed
@@ -444,6 +456,8 @@ class CrossFusion:
                 f"got {f_raw.data.shape[0]}/{f_pseudo.data.shape[0]}")
         enh_raw, a_raw = self._enhance(f_raw, self.w_raw, self.proj_raw, self.mix_raw,
                                        self.out_raw, f_pseudo, self.w_pseudo)
+        if self.one_way:
+            return enh_raw, f_pseudo, {"attn_raw": a_raw.data}
         enh_pseudo, a_pseudo = self._enhance(f_pseudo, self.w_pseudo, self.proj_pseudo,
                                              self.mix_pseudo, self.out_pseudo, f_raw, self.w_raw)
         return enh_raw, enh_pseudo, {"attn_raw": a_raw.data, "attn_pseudo": a_pseudo.data}
@@ -459,6 +473,9 @@ class TwoStreamNetwork:
     The raw stream decodes through attention transitions, the pseudo
     stream through plain feature propagation.  Output width is the last
     stage width for both streams regardless of which links are enabled.
+    The final fusion is one-way: the head reads only the raw output, so
+    the pseudo output is the pseudo decoder's.  The stage links stay
+    two-way, since both of their outputs feed the next stage.
     """
 
     def __init__(self, cfg, rng: Rng):
@@ -502,7 +519,7 @@ class TwoStreamNetwork:
         if cfg.pft_final:
             self.final_link = CrossFusion(
                 rng.derive("final_link"), width, width, width,
-                cfg.n_raw, cfg.n_pseudo, cfg.combine_mode, cfg.attn_fusion, nm)
+                cfg.n_raw, cfg.n_pseudo, cfg.combine_mode, cfg.attn_fusion, nm, one_way=True)
         self.width = width
 
     def params(self, prefix: str = "net"):

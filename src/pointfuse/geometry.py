@@ -245,11 +245,6 @@ class Calibration:
         """[4,4] rectified camera -> LiDAR."""
         return self._rect_to_velo
 
-    @property
-    def velo_to_rect(self) -> np.ndarray:
-        """[4,4] LiDAR -> rectified camera."""
-        return self._velo_to_rect
-
     # points are [N,3] or [3]; single points come back with their shape
 
     def lidar_to_camera(self, pts: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from .boxes import (CLASSES, DEFAULT_ANCHORS, DetectionResult, GroundTruth,
                     average_precision_40, nms)
 from .config import NetworkConfig
-from .frustum import (DepthPrediction, ImageEncoder, ImageFeatureGrid, OffsetGrid,
+from .frustum import (DepthPrediction, FrustumError, ImageEncoder, ImageFeatureGrid, OffsetGrid,
                       PseudoPointSet, generate_pseudo_points, select_foreground)
 from .fusion import ProposalHead, RpnOutput, StreamRoute, TwoStreamNetwork, encode_boxes
 from .geometry import LidBinning, farthest_point_sampling, lid_encode
@@ -71,20 +71,28 @@ class ForwardState:
 
 
 def prepare_scene(scene: SceneSample, cfg: NetworkConfig, rng: Rng, scene_id: int = 0) -> PreparedScene:
+    """Errors name this stage, the scene and the step that failed, as in
+    ``prepare_scene (scene 3) / select_foreground: ...``."""
+    def fail(step: str, message: str) -> PipelineError:
+        return PipelineError(f"prepare_scene (scene {scene_id}) / {step}: {message}")
+
     if scene.mask.shape != (cfg.image_height, cfg.image_width):
-        raise PipelineError(
-            f"mask {scene.mask.shape} does not match configured raster "
-            f"{cfg.image_height}x{cfg.image_width}")
+        raise fail("raster", f"mask {scene.mask.shape} does not match configured raster "
+                             f"{cfg.image_height}x{cfg.image_width}")
     n_pool = min(cfg.n_foreground, len(scene.points))
     if n_pool < cfg.n_raw:
-        raise PipelineError(f"scene has {len(scene.points)} points, need at least {cfg.n_raw}")
-    sel = select_foreground(scene.points, scene.mask, scene.calib, n_pool, rng.derive("pool"))
+        raise fail("raw_points", f"scene has {len(scene.points)} points, need at least {cfg.n_raw}")
+    try:
+        sel = select_foreground(scene.points, scene.mask, scene.calib, n_pool, rng.derive("pool"))
+    except FrustumError as exc:
+        raise fail("select_foreground", str(exc)) from exc
     pool = sel.indices
     raw_indices = pool[farthest_point_sampling(scene.points.coords[pool], cfg.n_raw)]
 
     fg = sel.indices[:sel.n_foreground]
     if fg.size < cfg.n_pseudo:
-        raise PipelineError(f"only {fg.size} foreground points, need {cfg.n_pseudo} pseudo sources")
+        raise fail("pseudo_sources",
+                   f"only {fg.size} foreground points, need {cfg.n_pseudo} pseudo sources")
     binning = LidBinning(d_min=cfg.depth_min, d_max=cfg.depth_max, n_bins=cfg.depth_bins)
     depth = np.clip(sel.depth[fg], binning.d_min, binning.d_max)
     gt_bin, gt_res = lid_encode(depth, binning)

@@ -205,6 +205,17 @@ def test_eval_writes_ap_table(tmp_path, overfit_run):
     assert os.path.exists(os.path.join(out, "detections_0000.txt"))
 
 
+# Frames eval cannot handle yet must fail naming the stage, the scene and
+# the step; giving them a defined result is separate work.
+@pytest.mark.parametrize("override, step", [
+    ("scene.n_cars=0", "select_foreground: no point projects onto the foreground mask"),
+    ("scene.points_per_box=20", "pseudo_sources: only 37 foreground points, need 48"),
+])
+def test_eval_on_an_empty_or_sparse_frame_names_its_stage(tmp_path, capsys, override, step):
+    assert run("eval", "--out", str(tmp_path / "eval"), "--set", override) == 1
+    assert f"error: prepare_scene (scene 0) / {step}" in capsys.readouterr().err
+
+
 def test_replay_of_eval_with_checkpoint_reproduces_bitwise(tmp_path, overfit_run, capsys):
     ckpt = tmp_path / "weights.bin"
     ckpt.write_bytes(open(os.path.join(overfit_run, "checkpoint.bin"), "rb").read())

@@ -7,7 +7,9 @@ promises it:
   attention is invariant to the listed order of a neighbour group, and
     its fused glue ops equal their tape-op chains in ``oracles.py``,
   cross fusion is symmetric under swapping the streams together with
-    their parameters, and its attention rows are stochastic,
+    their parameters, and its attention rows are stochastic; a one-way
+    link is bitwise the raw half of a two-way one, and only the
+    backbone's final link is one-way,
   switching attention or combine modes actually changes the output,
   the backbone honours its width contract and per-stage links can be
     disabled without changing shapes.
@@ -397,6 +399,39 @@ def test_cross_fusion_swap_symmetry_is_bitwise():
             assert np.array_equal(er_a.data, ep_b.data), (mode, combine)
             assert np.array_equal(ep_a.data, er_b.data), (mode, combine)
             assert np.array_equal(aux_a["attn_raw"], aux_b["attn_pseudo"])
+
+
+def test_one_way_cross_fusion_is_the_raw_half_of_the_two_way_link():
+    rng = np.random.default_rng(85)
+    f_raw = Tensor(rng.standard_normal((7, 6)), requires_grad=True)
+    f_pseudo = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    for combine in ("subtract", "add", "concat"):
+        both = CrossFusion(Rng(14), 6, 6, 6, 7, 4, combine=combine)
+        one = CrossFusion(Rng(14), 6, 6, 6, 7, 4, combine=combine, one_way=True)
+        halves = ("proj_pseudo", "mix_pseudo", "out_pseudo")
+        assert [(n, p.data.tobytes()) for n, p in one.params("l")] == [
+            (n, p.data.tobytes()) for n, p in both.params("l") if n.split(".")[1] not in halves]
+        er_b, _, aux_b = both(f_raw, f_pseudo)
+        er_o, ep_o, aux_o = one(f_raw, f_pseudo)
+        assert ep_o is f_pseudo
+        assert er_o.data.tobytes() == er_b.data.tobytes(), combine
+        assert list(aux_o) == ["attn_raw"]
+        assert aux_o["attn_raw"].tobytes() == aux_b["attn_raw"].tobytes()
+
+
+def test_backbone_final_link_is_one_way():
+    cfg = tiny_config()
+    net = TwoStreamNetwork(cfg, Rng(15))
+    _, pf, aux = net(*backbone_inputs(cfg))
+    assert list(aux["final"]) == ["attn_raw"]
+    assert all("attn_pseudo" in info for info in aux["links"])
+    names = [n for n, _ in net.params()]
+    assert not any(n.startswith("net.final_link.") and "_pseudo." in n for n in names)
+    assert sum(n.startswith(f"net.link{k}.out_pseudo.") for n in names
+               for k in range(len(cfg.stage_channels))) == 4 * len(cfg.stage_channels)
+    net.final_link = None       # without the final link, the decoder's own output
+    _, pf_decoder, _ = net(*backbone_inputs(cfg))
+    assert pf.data.tobytes() == pf_decoder.data.tobytes()
 
 
 def test_cross_fusion_combine_modes_differ_pairwise():

@@ -10,10 +10,10 @@ import weakref
 import numpy as np
 import pytest
 
-from pointfuse import fusion, pipeline, tensor as T
+from pointfuse import cli, fusion, pipeline, tensor as T
 from pointfuse.boxes import (CLASSES, DEFAULT_ANCHORS, DetectionResult, format_detection_row,
                              iou_bev, nms)
-from pointfuse.config import NetworkConfig, RunConfig, TrainSettings
+from pointfuse.config import NetworkConfig, RunConfig, TrainSettings, apply_override
 from pointfuse.fusion import encode_box
 from pointfuse.kitti import SyntheticSceneSpec, generate_scene
 from pointfuse.losses import LossWeights
@@ -124,6 +124,43 @@ def test_model_params_unique_and_trainable():
     params = model.params()
     assert len(params) > 50
     assert all(p.requires_grad for p in params.values())
+
+
+# Ablation rows under which some parameters reach no loss by design: the
+# row's count, which names, and why.  Every other row trains them all.
+LAST_LINK = f"net.link{len(NetworkConfig.desk().stage_channels) - 1}."
+DEAD_BY_DESIGN = {
+    # no link reads the pseudo stream, so neither it nor the image heads that feed it
+    "no-fusion-links": (120, lambda n: n.startswith(("net.pseudo_", "image.feat_head.",
+                                                     "image.offset_head."))),
+    # the pseudo decoder feeds only the final link, the last link's pseudo half only the decoder
+    "stage-links-only": (42, lambda n: n.startswith("net.pseudo_up") or n.startswith(
+        tuple(LAST_LINK + half for half in ("proj_pseudo.", "mix_pseudo.", "out_pseudo.")))),
+    # only keypoint sampling reads the predicted pixel offsets
+    "sampling-fps": (2, lambda n: n.startswith("image.offset_head.")),
+}
+
+
+def test_every_parameter_reaches_the_loss_under_every_ablation_row():
+    # one seeded desk pass over 4 scenes per row, gradients summed without a
+    # step; a parameter that falls off the loss path shows up here
+    scenes = cli._make_scenes(RunConfig(), Rng(0), 4)
+    for label, overrides in cli.ABLATION_ROWS:
+        cfg = RunConfig()
+        for key, value in overrides.items():
+            apply_override(cfg, key, value)
+        cfg.validate()
+        model = DetectionModel(cfg.net, Rng(0).derive("model"))
+        params = model.params()
+        for prepared in scenes:
+            total, _ = compute_losses(prepared, model.forward(prepared), cfg.loss)
+            total.backward()
+        dead = sorted(n for n, p in params.items() if not np.any(p.grad))
+        count, rule = DEAD_BY_DESIGN.get(label, (0, lambda n: False))
+        expected = sorted(filter(rule, params))
+        assert dead == expected, (label, "dead:", sorted(set(dead) - set(expected)),
+                                  "alive:", sorted(set(expected) - set(dead)))
+        assert len(dead) == count, label
 
 
 # -- raw routing, built once per scene ----------------------------------------------
