@@ -11,13 +11,17 @@
   untrained weights, 2 scenes): a sha256 over every row at full
   precision, plus each detection's score.
 - AP-40 per class on those detections.
+- the detections and AP-40 of the same eval run on the weights of a
+  short desk ``overfit`` (seed 0, ``OVERFIT_STEPS`` steps): the fewest
+  steps after which Car AP-40 is above 0, so the pin guards a matched
+  true positive, which the untrained weights never reach.
 
 The file records a platform fingerprint: the numpy version, the BLAS
 build and the CPU model.  On that fingerprint every value must match bit
 for bit.  On any other, BLAS kernels may round differently.  Floats are
 then compared at relative tolerance ``FOREIGN_RTOL``, the detections by
 count and score, and the loss parts of the first ``FOREIGN_STEPS`` steps
-only: Adam divides by sqrt(v), so a gradient entry near zero that rounds
+only, and the overfit eval not at all: Adam divides by sqrt(v), so a gradient entry near zero that rounds
 the other way moves its weight by up to lr, and the difference between
 two platforms grows about tenfold per step.  Forcing other OpenBLAS
 kernels (``OPENBLAS_CORETYPE`` Sandybridge, Nehalem, Prescott) on the
@@ -49,6 +53,7 @@ TRAIN_SEEDS = (7, 60)
 TRAIN_SCENES = 4
 TRAIN_STEPS = 8
 MODEL_SEED = 0                 # `pointfuse eval` default --seed
+OVERFIT_STEPS = 12             # 11 steps still give Car AP-40 0.0
 FOREIGN_RTOL = 1e-8             # off the recorded fingerprint, on every float compared
 FOREIGN_STEPS = 4               # ... and on the loss parts of these first steps only
 LOSS_PARTS = ("total", "depth", "depth_bin", "depth_res", "rpn", "rpn_cls", "rpn_reg", "rpn_vote")
@@ -84,12 +89,19 @@ def _row(d: DetectionResult) -> str:
                     + [float(v).hex() for v in d.box.as_array()])
 
 
-def eval_results() -> tuple[dict, dict]:
-    """(detections, AP-40) of `pointfuse eval` at its defaults."""
+def eval_results(overfit_steps: int = 0) -> tuple[dict, dict]:
+    """(detections, AP-40) of `pointfuse eval` at its defaults: on the
+    untrained weights, or with ``--checkpoint`` of `pointfuse overfit
+    --set train.steps=<overfit_steps>` at the same seed.  overfit trains on
+    its seed's scene 0, which is eval's scene 0, and a checkpoint stores
+    float64 exactly, so training in place gives the same weights."""
     cfg = RunConfig()
     rng = Rng(MODEL_SEED)
     scenes = cli._make_scenes(cfg, rng, cfg.eval.n_scenes)
     model = pipeline.DetectionModel(cfg.net, rng.derive("model"))
+    if overfit_steps:
+        pipeline.train(model, scenes[:1], dataclasses.replace(cfg.train, steps=overfit_steps),
+                       cfg.loss)
     result = pipeline.evaluate(model, scenes, cfg.eval)
     rows = [_row(d) for d in result["detections"]]
     dets = {"sha256": hashlib.sha256("\n".join(rows).encode()).hexdigest(),
@@ -102,14 +114,36 @@ def eval_results() -> tuple[dict, dict]:
 
 def current() -> dict:
     dets, ap = eval_results()
+    fit_dets, fit_ap = eval_results(OVERFIT_STEPS)
     return {"fingerprint": fingerprint(),
             "train_desk": {str(s): train_losses(s) for s in TRAIN_SEEDS},
             "detect": dets,
-            "ap40": ap}
+            "ap40": ap,
+            "overfit_eval": {"steps": OVERFIT_STEPS, "detect": fit_dets, "ap40": fit_ap}}
 
 
 def _close(a_hex, b_hex) -> bool:
     return math.isclose(float.fromhex(a_hex), float.fromhex(b_hex), rel_tol=FOREIGN_RTOL)
+
+
+def _eval_differences(label: str, pinned: dict, run: dict, exact: bool, same) -> list[str]:
+    found = []
+    want, have = pinned["detect"], run["detect"]
+    if exact and want["sha256"] != have["sha256"]:
+        found.append(f"{label}detections sha256 {have['sha256']} != {want['sha256']}")
+    if len(want["scores"]) != len(have["scores"]):
+        found.append(f"{label}{len(have['scores'])} detections, pinned {len(want['scores'])}")
+    else:
+        found += [f"{label}detection {i} score {b} != {a}"
+                  for i, (a, b) in enumerate(zip(want["scores"], have["scores"])) if not same(a, b)]
+    for klass, want_ap in pinned["ap40"].items():
+        have_ap = run["ap40"].get(klass)
+        if have_ap is None or {k: have_ap[k] for k in ("flagged", "n_gt", "n_det")} != \
+                {k: want_ap[k] for k in ("flagged", "n_gt", "n_det")}:
+            found.append(f"{label}AP-40[{klass}] {have_ap} != {want_ap}")
+        elif want_ap["ap"] is not None and not same(want_ap["ap"], have_ap["ap"]):
+            found.append(f"{label}AP-40[{klass}] {have_ap['ap']} != {want_ap['ap']}")
+    return found
 
 
 def differences(pinned: dict, run: dict) -> list[str]:
@@ -128,21 +162,14 @@ def differences(pinned: dict, run: dict) -> list[str]:
                 break
             found += [f"train seed {seed} step {i} {k}: {have[k]} != {want[k]}"
                       for k in want if not same(want[k], have[k])]
-    want, have = pinned["detect"], run["detect"]
-    if exact and want["sha256"] != have["sha256"]:
-        found.append(f"detections sha256 {have['sha256']} != {want['sha256']}")
-    if len(want["scores"]) != len(have["scores"]):
-        found.append(f"{len(have['scores'])} detections, pinned {len(want['scores'])}")
-    else:
-        found += [f"detection {i} score {b} != {a}"
-                  for i, (a, b) in enumerate(zip(want["scores"], have["scores"])) if not same(a, b)]
-    for klass, want_ap in pinned["ap40"].items():
-        have_ap = run["ap40"].get(klass)
-        if have_ap is None or {k: have_ap[k] for k in ("flagged", "n_gt", "n_det")} != \
-                {k: want_ap[k] for k in ("flagged", "n_gt", "n_det")}:
-            found.append(f"AP-40[{klass}] {have_ap} != {want_ap}")
-        elif want_ap["ap"] is not None and not same(want_ap["ap"], have_ap["ap"]):
-            found.append(f"AP-40[{klass}] {have_ap['ap']} != {want_ap['ap']}")
+    found += _eval_differences("", pinned, run, exact, same)
+    want, have = pinned["overfit_eval"], run["overfit_eval"]
+    if want["steps"] != have["steps"]:
+        found.append(f"overfit eval after {have['steps']} steps, pinned {want['steps']}")
+    elif exact:
+        # trained weights drift between platforms as the loss parts of
+        # later steps do, so they are compared on the fingerprint only
+        found += _eval_differences("overfit ", want, have, exact, same)
     return found
 
 
@@ -152,6 +179,7 @@ def test_pinned_digests_reproduce():
     mode = ("bytewise" if pinned["fingerprint"] == run["fingerprint"]
             else f"rtol {FOREIGN_RTOL:g} on fingerprint {run['fingerprint']}")
     found = differences(pinned, run)
+    assert float.fromhex(pinned["overfit_eval"]["ap40"]["Car"]["ap"]) > 0.0
     assert not found, f"{len(found)} digest(s) moved ({mode}):\n" + "\n".join(found[:20])
 
 
@@ -176,6 +204,11 @@ def test_a_moved_digest_is_caught_in_both_modes():
     run = json.loads(json.dumps(pinned))
     run["detect"]["scores"] = run["detect"]["scores"][1:]
     assert len(differences(pinned, run)) == 1
+    run = json.loads(json.dumps(pinned))
+    run["overfit_eval"]["ap40"]["Car"]["ap"] = 0.0.hex()
+    assert len(differences(pinned, run)) == 1                  # bytewise
+    run["fingerprint"] = dict(run["fingerprint"], cpu="another CPU")
+    assert differences(pinned, run) == []                      # not compared elsewhere
 
 
 if __name__ == "__main__":
