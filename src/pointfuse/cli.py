@@ -270,9 +270,10 @@ def cmd_gradcheck(args) -> int:
         err = fn()
         ok = err <= tol
         failed += not ok
-        max_abs, skipped, probed = report[-1]
+        max_abs, skipped, probed, directional = report[-1]
         print(f"{'ok  ' if ok else 'FAIL'} {name:22s} err {err:.3e} (tol {tol:.0e})  "
-              f"max |a-n| {max_abs:.3e}, skipped {skipped}/{probed}")
+              f"max |a-n| {max_abs:.3e}, skipped {skipped}/{probed}, "
+              f"directional {directional:.1e}")
         rows.append((name, err, tol, "ok" if ok else "fail"))
     if manifest:
         _write_csv(os.path.join(args.out, "gradcheck.csv"),

@@ -24,9 +24,9 @@ import numpy as np
 from .boxes import Box3D, normalize_angle
 from .geometry import farthest_point_sampling, knn_group
 from .nn import LbrLayer, LinearLayer, Mlp, Rng, _shared_vjps, init_weight
-from .tensor import (Tensor, _non_finite, _row_index, _scatter_rows, _unbroadcast, as_tensor,
-                     concat, gather_rows, matmul, maxpool_group, narrow, reshape, sigmoid,
-                     softmax, transpose, tsum)
+from .tensor import (ShapeError, Tensor, _grad_product, _non_finite, _row_index, _scatter_rows,
+                     _unbroadcast, as_tensor, concat, gather_rows, matmul, maxpool_group, narrow,
+                     reshape, sigmoid, softmax, transpose, tsum)
 
 
 class FusionError(ValueError):
@@ -77,7 +77,7 @@ def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray,
 
 # -- grouped positional attention -------------------------------------------------
 #
-# The attention's glue between its layers runs as three tape ops.  Each
+# The attention's glue between its layers runs as two tape ops.  Each
 # runs the numpy expressions of the op chain it stands for in the chain's
 # order, and its backward runs that chain's vjps once per upstream
 # gradient, with the same ``_unbroadcast`` sums and ``_scatter_rows``
@@ -107,74 +107,121 @@ def group_offsets(coords, groups) -> Tensor:
                           _shared_vjps(len(parents), grads_of))
 
 
-def attn_pre(qkv, pos, groups, mode: str) -> Tensor:
-    """Pre-score of grouped attention -> [m, L, c]: q - k[groups] + pos
-    ("subtract") or q * k[groups] + pos ("multiply"), with q and k the
-    first two thirds of qkv [m, 3c] and pos [m, L, c].  The chain: narrow
-    q and k, gather k, reshape q, then subtract or multiply, then add."""
+def attend(qkv, pos, groups, mode: str, score_mlp: Mlp) -> Tensor:
+    """Grouped vector attention -> [m, c], with q, k and v the thirds of
+    qkv [m, 3c] and pos [m, L, c]: the pre-score q - k[groups] + pos
+    ("subtract") or q * k[groups] + pos ("multiply"), the score MLP, a
+    softmax over the group axis, then sum(attn * (v[groups] + pos),
+    axis=1).  The chain: narrow q and k, gather k, reshape q, subtract or
+    multiply, add pos; linear -> relu -> linear; softmax, narrow v, gather
+    v, add pos, multiply, sum.
+
+    One tape op with parents (qkv, pos, fc1.weight, fc1.bias, fc2.weight,
+    fc2.bias).  It keeps the score MLP's hidden layer and attn, plus
+    k[groups] in multiply mode; backward recomputes the pre-score and
+    v[groups] + pos from qkv and pos with the forward's expressions.
+    The gradients of qkv and pos are each the sum of the pooling's part
+    and the pre-score's part, the two parts the chain's ``flow`` adds.
+    """
     qkv, pos = as_tensor(qkv), as_tensor(pos)
+    fc1, fc2 = score_mlp.fc1, score_mlp.fc2
+    w1, b1, w2, b2 = fc1.weight, fc1.bias, fc2.weight, fc2.bias
     m, c = qkv.data.shape[0], qkv.data.shape[1] // 3
-    groups = _row_index(groups, m, "attn_pre")
-    parents = (qkv, pos)
+    if not fc1.c_in == fc2.c_out == c:
+        raise ShapeError(f"attend needs a {c} -> {c} score MLP, got {fc1.c_in} -> {fc2.c_out}")
+    groups = _row_index(groups, m, "attend")
+    parents = (qkv, pos, w1, b1, w2, b2)
     multiply = mode == "multiply"
     qe = qkv.data[:, :c].reshape((m, 1, c))
-    kg = qkv.data[:, c:2 * c][groups]
-    s = qe * kg if multiply else qe - kg
-    if not np.isfinite(s).all():
-        raise _non_finite("attn_pre", (p.data.shape for p in parents))
+
+    def check(a):
+        if not np.isfinite(a).all():
+            raise _non_finite("attend", (p.data.shape for p in parents))
+
+    def keys():
+        return qkv.data[:, c:2 * c][groups]
+
+    def scores(kg):                                      # q against k, before pos
+        return qe * kg if multiply else qe - kg
+
+    def values():
+        return qkv.data[:, 2 * c:3 * c][groups] + pos.data
+
+    # in-place steps below run the chain's operations on the same values,
+    # without the chain's temporaries
+    kept_kg = keys() if multiply else None
+    pre = scores(keys() if kept_kg is None else kept_kg)
+    check(pre)
+    pre += pos.data
+    check(pre)
+    h = pre.reshape((-1, c)) @ w1.data
+    del pre
+    h += b1.data
+    check(h)
+    hidden = np.where(h > 0.0, h, 0.0)
+    del h
+    attn = hidden @ w2.data
+    attn += b2.data
+    attn = attn.reshape(groups.shape + (c,))
+    check(attn)
+    attn -= attn.max(axis=1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=1, keepdims=True)
+    vp = values()
+    check(vp)
+    vp *= attn
+    out = vp.sum(axis=(1,))
+    del vp
+    pre_grad = qkv.requires_grad or pos.requires_grad
+    hidden_grad = pre_grad or w1.requires_grad or b1.requires_grad
 
     def grads_of(g):
         grads = {}
+        # the pooling: multiply, sum over the group, softmax
+        g = np.expand_dims(g, 1)
+        vp = values()
+        g_attn = g * vp
+        inner = (g_attn * attn).sum(axis=1, keepdims=True)
+        g_logits = (attn * (g_attn - inner)).reshape((-1, c))
+        g_vp = g * attn if pre_grad else None
+        del vp, g_attn, inner
+        # the score MLP
+        if w2.requires_grad:
+            grads[4] = _grad_product(hidden.T, g_logits, fc2.c_in, False)
+        if b2.requires_grad:
+            grads[5] = _unbroadcast(g_logits, b2.data.shape)
+        if not hidden_grad:
+            return grads
+        g_h = _grad_product(g_logits, w2.data.T, fc2.c_in, True) * (hidden > 0.0)    # relu
+        del g_logits
+        if w1.requires_grad:
+            flat = (scores(keys() if kept_kg is None else kept_kg) + pos.data).reshape((-1, c))
+            grads[2] = _grad_product(flat.T, g_h, fc1.c_in, False)
+            del flat
+        if b1.requires_grad:
+            grads[3] = _unbroadcast(g_h, b1.data.shape)
+        if not pre_grad:
+            return grads
+        g_pre = _grad_product(g_h, w1.data.T, fc1.c_in, True).reshape(attn.shape)
+        del g_h
+        # the pre-score; each input's pooling part comes first, as in flow
         if pos.requires_grad:
-            grads[1] = _unbroadcast(g, pos.data.shape)
+            grads[1] = _unbroadcast(g_vp, pos.data.shape) + _unbroadcast(g_pre, pos.data.shape)
         if qkv.requires_grad:
             if multiply:
-                g_q, g_k = _unbroadcast(g * kg, qe.shape), _unbroadcast(g * qe, kg.shape)
+                g_q = _unbroadcast(g_pre * kept_kg, qe.shape)
+                g_k = _unbroadcast(g_pre * qe, kept_kg.shape)
             else:
-                g_q, g_k = _unbroadcast(g, qe.shape), _unbroadcast(-g, kg.shape)
-            z = np.zeros_like(qkv.data)
-            z[:, :c] = g_q.reshape((m, c))
-            z[:, c:2 * c] = _scatter_rows(groups, g_k, (m, c))
-            grads[0] = z
+                g_q, g_k = _unbroadcast(g_pre, qe.shape), _unbroadcast(-g_pre, groups.shape + (c,))
+            from_pool = np.zeros_like(qkv.data)
+            from_pool[:, 2 * c:3 * c] = _scatter_rows(groups, g_vp, (m, c))
+            from_pre = np.zeros_like(qkv.data)
+            from_pre[:, :c] = g_q.reshape((m, c))
+            from_pre[:, c:2 * c] = _scatter_rows(groups, g_k, (m, c))
+            grads[0] = from_pool + from_pre
         return grads
 
-    return Tensor._result(s + pos.data, parents, _shared_vjps(len(parents), grads_of))
-
-
-def attn_pool(logits, qkv, pos, groups) -> Tensor:
-    """Attention-weighted sum over each group -> [m, c]: a softmax of
-    logits [m, L, c] over the group axis, then sum(attn * (v[groups] +
-    pos), axis=1), with v the last third of qkv [m, 3c].  The chain:
-    softmax, narrow v, gather v, add pos, multiply, sum."""
-    logits, qkv, pos = as_tensor(logits), as_tensor(qkv), as_tensor(pos)
-    m, c = qkv.data.shape[0], qkv.data.shape[1] // 3
-    groups = _row_index(groups, m, "attn_pool")
-    parents = (logits, qkv, pos)
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    attn = e / e.sum(axis=1, keepdims=True)
-    vp = qkv.data[:, 2 * c:3 * c][groups] + pos.data
-    if not np.isfinite(vp).all():
-        raise _non_finite("attn_pool", (p.data.shape for p in parents))
-
-    def grads_of(g):
-        g = np.expand_dims(g, 1)                         # the sum's, over the group
-        grads = {}
-        if logits.requires_grad:
-            g_attn = g * vp
-            inner = (g_attn * attn).sum(axis=1, keepdims=True)
-            grads[0] = attn * (g_attn - inner)
-        if qkv.requires_grad or pos.requires_grad:
-            g_vp = g * attn
-            if qkv.requires_grad:
-                z = np.zeros_like(qkv.data)
-                z[:, 2 * c:3 * c] = _scatter_rows(groups, g_vp, (m, c))
-                grads[1] = z
-            if pos.requires_grad:
-                grads[2] = _unbroadcast(g_vp, pos.data.shape)
-        return grads
-
-    return Tensor._result((attn * vp).sum(axis=(1,)), parents, _shared_vjps(len(parents), grads_of))
+    return Tensor._result(out, parents, _shared_vjps(len(parents), grads_of))
 
 
 class PointAttention:
@@ -184,9 +231,9 @@ class PointAttention:
     query/key/value; a positional encoding of coordinate differences is
     added to both the score path and the values.  mode picks how query
     and key meet: "subtract" (q - k + pos) or "multiply" (q * k + pos).
-    The block output keeps its input as a residual.  A call records nine
-    tape nodes: two LBRs, the expansion, two MLPs, the three glue ops
-    above and the residual add.
+    The block output keeps its input as a residual.  A call records seven
+    tape nodes: two LBRs, the expansion, the positional MLP, the two glue
+    ops above and the residual add.
     """
 
     def __init__(self, rng: Rng, channels: int, mode: str = "subtract",
@@ -218,8 +265,7 @@ class PointAttention:
 
         qkv = matmul(self.qkv_lbr(feats), self.expand)
         pos = self.pos_mlp(group_offsets(coords, groups))          # [m, L, c]
-        logits = self.score_mlp(attn_pre(qkv, pos, groups, self.mode))
-        return self.out_lbr(attn_pool(logits, qkv, pos, groups)) + feats
+        return self.out_lbr(attend(qkv, pos, groups, self.mode, self.score_mlp)) + feats
 
 
 # -- routing --------------------------------------------------------------------------

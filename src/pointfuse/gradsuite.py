@@ -16,12 +16,20 @@ from .tensor import Tensor
 
 def gradcheck_cases(seed: int, report: list | None = None):
     """Yield (name, tolerance, fn) for every differentiable stage; each
-    fn returns its ``nn.gradcheck`` error and, if ``report`` is a list,
-    appends that check's probe summary to it."""
+    fn returns its ``nn.gradcheck`` error.  If ``report`` is a list, each
+    fn also runs ``nn.directional_gradcheck`` on the same closure and
+    appends (max |a - n|, coordinates skipped, coordinates probed,
+    directional error) to it."""
     rng = Rng(seed)
 
-    def gradcheck(fn, tensors, **kw):
-        return nn.gradcheck(fn, tensors, report=report, **kw)
+    def gradcheck(fn, tensors, rng, **kw):
+        if report is None:
+            return nn.gradcheck(fn, tensors, rng=rng, **kw)
+        probe = []
+        err = nn.gradcheck(fn, tensors, rng=rng, report=probe, **kw)
+        directional = nn.directional_gradcheck(fn, tensors, rng=rng.derive("direction"))
+        report.append(probe[0] + (directional,))
+        return err
 
     def case_linear():
         layer = nn.LinearLayer(rng.derive("lin"), 5, 4)
@@ -54,8 +62,8 @@ def gradcheck_cases(seed: int, report: list | None = None):
         return gradcheck(lambda: tensor.tsum(layer(x) * w), ps, rng=r.derive("c"))
 
     def case_mlp():
-        # this case and the two attention ones draw from their own streams,
-        # so adding them left every other case's inputs as they were
+        # this case draws from its own stream, so adding it left every
+        # other case's inputs as they were
         r = rng.derive("mlp")
         layer = nn.Mlp(r.derive("layer"), 5, 6, 4)
         x = Tensor(r.normal((3, 4, 5)), requires_grad=True)
@@ -63,24 +71,18 @@ def gradcheck_cases(seed: int, report: list | None = None):
         ps = [t for _, t in layer.params("m")] + [x]
         return gradcheck(lambda: tensor.tsum(layer(x) * w), ps, rng=r.derive("c"))
 
-    def case_attn_pre():
-        r = rng.derive("attn-pre")
+    def case_attend():
+        # its own stream, so replacing the two glue-op cases left every
+        # other case's inputs as they were
+        r = rng.derive("attend")
         qkv = Tensor(r.normal((6, 12)), requires_grad=True)
         pos = Tensor(r.normal((6, 3, 4)), requires_grad=True)
         groups = np.sort(r.integers(0, 6, (6, 3)), axis=1)
-        w = Tensor(r.normal((6, 3, 4)))
-        return gradcheck(lambda: tensor.tsum(fusion.attn_pre(qkv, pos, groups, "multiply") ** 2.0 * w),
-                         [qkv, pos], rng=r.derive("c"))
-
-    def case_attn_pool():
-        r = rng.derive("attn-pool")
-        logits = Tensor(r.normal((6, 3, 4)), requires_grad=True)
-        qkv = Tensor(r.normal((6, 12)), requires_grad=True)
-        pos = Tensor(r.normal((6, 3, 4)), requires_grad=True)
-        groups = np.sort(r.integers(0, 6, (6, 3)), axis=1)
+        score = nn.Mlp(r.derive("score"), 4, 4, 4)
         w = Tensor(r.normal((6, 4)))
-        return gradcheck(lambda: tensor.tsum(fusion.attn_pool(logits, qkv, pos, groups) * w),
-                         [logits, qkv, pos], rng=r.derive("c"))
+        ps = [qkv, pos] + [t for _, t in score.params("s")]
+        return gradcheck(lambda: tensor.tsum(fusion.attend(qkv, pos, groups, "multiply", score) * w),
+                         ps, rng=r.derive("c"))
 
     def case_softmax():
         x = Tensor(rng.normal((6, 5)), requires_grad=True)
@@ -254,8 +256,7 @@ def gradcheck_cases(seed: int, report: list | None = None):
     yield "bilinear-sample", 1e-6, case_bilinear
     yield "trilinear-sample", 1e-6, case_trilinear
     yield "frustum-sample", 1e-6, case_frustum_sample
-    yield "attn-pre", 1e-6, case_attn_pre
-    yield "attn-pool", 1e-6, case_attn_pool
+    yield "attend", 1e-6, case_attend
     yield "attention-subtract", 1e-6, case_attention("subtract")
     yield "attention-multiply", 1e-6, case_attention("multiply")
     yield "cross-fusion", 1e-6, case_cross_fusion

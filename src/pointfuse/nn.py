@@ -128,7 +128,8 @@ def linear(x, layer: LinearLayer) -> Tensor:
         raise ShapeError(f"linear expects trailing dim {layer.c_in}, got {x.data.shape}")
     lead = x.data.shape[:-1]
     flat = x.data.reshape((-1, layer.c_in))
-    out = flat @ w.data + b.data
+    out = flat @ w.data
+    out += b.data
     parents = (x, w, b)
 
     def grads_of(g):
@@ -186,6 +187,9 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
     chain's bit for bit (``tests/oracles.py`` keeps it).  Like the chain,
     it raises NonFiniteError at the first non-finite stage, checking the
     pre-norm values, the mean, the variance and the pre-ReLU values.
+    Standardize mode keeps only ``centred`` and ``sd``: backward
+    recomputes ``normed = centred / sd`` and reads the ReLU mask off the
+    output as ``out > 0``.
     """
     x = as_tensor(x)
     w, b, scale, shift = layer.weight, layer.bias, layer.norm_scale, layer.norm_shift
@@ -203,29 +207,33 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
             if not np.isfinite(a).all():
                 raise _non_finite("lbr", (p.data.shape for p in parents))
 
-    h = flat @ w.data + b.data
+    # in-place steps below run the chain's operations on the same values,
+    # without the chain's temporaries
+    h = flat @ w.data
+    h += b.data
     check(h)
     standardize = layer.norm_mode == "standardize"
     if standardize:
         inv_n = 1.0 / n
         mu = h.sum(axis=(0,), keepdims=True) * inv_n
-        centred = h - mu
+        centred = h
+        centred -= mu
         var = (centred * centred).sum(axis=(0,), keepdims=True) * inv_n
         check(mu, var)
         sd = np.sqrt(var + eps)
-        normed = centred / sd
-    else:
-        normed = h
-    pre = normed * scale.data + shift.data
+    pre = (centred / sd if standardize else h) * scale.data
+    pre += shift.data
     check(pre)
-    mask = pre > 0.0
+    out = np.where(pre > 0.0, pre, 0.0)
+    unnormed = None if standardize else h
 
     def grads_of(g):
-        g = g.reshape(mask.shape) * mask                 # relu
+        g = g.reshape(out.shape) * (out > 0.0)           # relu
         grads = {}
         if shift.requires_grad:
             grads[4] = _unbroadcast(g, shift.data.shape)
         if scale.requires_grad:
+            normed = centred / sd if standardize else unnormed
             grads[3] = _unbroadcast(g * normed, scale.data.shape)
         g = g * scale.data
         if standardize:
@@ -246,7 +254,7 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
             grads[0] = _grad_product(g, w.data.T, layer.c_in, True).reshape(x.data.shape)
         return grads
 
-    return Tensor._result(np.where(mask, pre, 0.0).reshape(lead + (layer.c_out,)), parents,
+    return Tensor._result(out.reshape(lead + (layer.c_out,)), parents,
                           _shared_vjps(len(parents), grads_of))
 
 
@@ -272,7 +280,8 @@ def mlp(x, layer: Mlp) -> Tensor:
     chain linear -> relu -> linear in its order, so values and gradients
     equal that chain's bit for bit (``tests/oracles.py`` keeps it).  Like
     the chain, it raises NonFiniteError if the hidden layer or the output
-    is non-finite.
+    is non-finite.  Backward reads the ReLU mask off the hidden layer as
+    ``hidden > 0``.
     """
     x = as_tensor(x)
     fc1, fc2 = layer.fc1, layer.fc2
@@ -282,12 +291,14 @@ def mlp(x, layer: Mlp) -> Tensor:
     parents = (x, w1, b1, w2, b2)
     lead = x.data.shape[:-1]
     flat = x.data.reshape((-1, fc1.c_in))
-    h = flat @ w1.data + b1.data
+    h = flat @ w1.data
+    h += b1.data
     if not np.isfinite(h).all():
         raise _non_finite("mlp", (p.data.shape for p in parents))
-    mask = h > 0.0
-    hidden = np.where(mask, h, 0.0)
-    out = hidden @ w2.data + b2.data
+    hidden = np.where(h > 0.0, h, 0.0)
+    del h
+    out = hidden @ w2.data
+    out += b2.data
     hidden_grad = x.requires_grad or w1.requires_grad or b1.requires_grad
 
     def grads_of(g):
@@ -298,7 +309,7 @@ def mlp(x, layer: Mlp) -> Tensor:
         if b2.requires_grad:
             grads[4] = _unbroadcast(g, b2.data.shape)
         if hidden_grad:
-            g = _grad_product(g, w2.data.T, fc2.c_in, True) * mask     # relu
+            g = _grad_product(g, w2.data.T, fc2.c_in, True) * (hidden > 0.0)     # relu
             if x.requires_grad:
                 grads[0] = _grad_product(g, w1.data.T, fc1.c_in, True).reshape(x.data.shape)
             if w1.requires_grad:
@@ -533,3 +544,41 @@ def gradcheck(fn, tensors, h: float = 1e-5, max_coords: int = 48,
     if report is not None:
         report.append((max_abs, skipped, probed))
     return worst
+
+
+def directional_gradcheck(fn, tensors, h: float = 1e-5, rng: Rng | None = None) -> float:
+    """Relative error of the tape's derivative along one random direction.
+
+    Draws one seeded direction v, standard normal in every coordinate of
+    ``tensors``, and compares the tape's <grad f, v> with the
+    Richardson-extrapolated central difference (4 D(h/2) - D(h)) / 3,
+    where D(t) = (f(x + t v) - f(x - t v)) / (2 t).
+    Unlike ``gradcheck``, it reads every coordinate and skips none, at
+    the cost of 4 forwards, so an error in any part of any gradient
+    moves it.  ``fn`` is as for ``gradcheck``.  Returns |a - n| /
+    max(|a|, |n|), or 0 where both are 0.
+    """
+    tensors = list(tensors)
+    rng = rng or Rng(0)
+    zero_grads(tensors)
+    fn().backward()
+    v = [rng.normal(t.data.shape) for t in tensors]
+    analytic = sum(float((t.grad * d).sum()) for t, d in zip(tensors, v))
+    zero_grads(tensors)
+    orig = [t.data.copy() for t in tensors]
+
+    def along(step):
+        for t, x, d in zip(tensors, orig, v):
+            t.data[...] = x + step * d
+        return fn().item()
+
+    def central(step):
+        return (along(step) - along(-step)) / (2.0 * step)
+
+    try:
+        numeric = (4.0 * central(h / 2.0) - central(h)) / 3.0
+    finally:
+        for t, x in zip(tensors, orig):
+            t.data[...] = x
+    scale = max(abs(analytic), abs(numeric))
+    return abs(analytic - numeric) / scale if scale else 0.0

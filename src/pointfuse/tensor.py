@@ -11,10 +11,10 @@ the buffers are zeroed.  Op results have no buffer (``grad`` is None).
 Inside ``with no_grad():`` ops record no tape at all, which is how
 inference runs.  Layer-level ops built on these primitives (``nn.linear``,
 ``nn.lbr``, ``nn.mlp``, and the point-attention glue ops
-``fusion.group_offsets``, ``fusion.attn_pre`` and ``fusion.attn_pool``)
-record one node for what would otherwise be a chain of ops; their
-parents' vjps share one backward computation per upstream gradient, each
-reading its share.
+``fusion.group_offsets`` and ``fusion.attend``) record one node for what
+would otherwise be a chain of ops; their parents' vjps share one backward
+computation per upstream gradient, each reading its share.  They keep
+only the arrays their backward reads and rebuild the rest from them.
 
 Three hard rules hold everywhere:
   * non-finite values (NaN/Inf) raise immediately instead of propagating,

@@ -4,8 +4,8 @@ Each is the plain, obviously-correct form of a faster library kernel:
 the full stable argsort kNN, the loop farthest-point sampler, the
 sequential ``np.add.at`` scatter, single-position grid reads, the scalar
 inverse-distance interpolation, the per-proposal assignment rule, and the
-``linear``/``lbr``/``mlp`` layers and the point-attention glue ops as
-chains of single tape ops.
+``linear``/``lbr``/``mlp`` layers and the point-attention glue ops
+(``group_offsets``, ``attend``) as chains of single tape ops.
 The library must match them exactly or within a stated tolerance.
 """
 
@@ -63,8 +63,8 @@ def group_offsets_chain(coords, groups):
 
 
 def attn_pre_chain(qkv, pos, groups, mode):
-    """``fusion.attn_pre`` as seven tape ops: narrow q and k, gather k,
-    reshape q, subtract or multiply, add pos."""
+    """The pre-score of ``fusion.attend`` as seven tape ops: narrow q and
+    k, gather k, reshape q, subtract or multiply, add pos."""
     m, c = qkv.data.shape[0], qkv.data.shape[1] // 3
     q = narrow(qkv, 1, 0, c)
     k = narrow(qkv, 1, c, c)
@@ -74,12 +74,19 @@ def attn_pre_chain(qkv, pos, groups, mode):
 
 
 def attn_pool_chain(logits, qkv, pos, groups):
-    """``fusion.attn_pool`` as six tape ops: softmax, narrow v, gather v,
-    add pos, multiply, sum over the group."""
+    """The pooling of ``fusion.attend`` as six tape ops: softmax, narrow
+    v, gather v, add pos, multiply, sum over the group."""
     c = qkv.data.shape[1] // 3
     vg = gather_rows(narrow(qkv, 1, 2 * c, c), groups)
     attn = softmax(logits, axis=1)
     return tsum(attn * (vg + pos), axis=1)
+
+
+def attend_chain(qkv, pos, groups, mode, score_mlp):
+    """``fusion.attend`` as its chain: the pre-score, the score MLP's
+    three ops, the pooling."""
+    logits = mlp_chain(attn_pre_chain(qkv, pos, groups, mode), score_mlp)
+    return attn_pool_chain(logits, qkv, pos, groups)
 
 
 def attention_chain(block, coords, feats, groups):
@@ -87,8 +94,7 @@ def attention_chain(block, coords, feats, groups):
     groups = np.sort(np.asarray(groups), axis=1)
     qkv = matmul(block.qkv_lbr(feats), block.expand)
     pos = mlp_chain(group_offsets_chain(coords, groups), block.pos_mlp)
-    logits = mlp_chain(attn_pre_chain(qkv, pos, groups, block.mode), block.score_mlp)
-    return block.out_lbr(attn_pool_chain(logits, qkv, pos, groups)) + feats
+    return block.out_lbr(attend_chain(qkv, pos, groups, block.mode, block.score_mlp)) + feats
 
 
 # -- point routing ----------------------------------------------------------------

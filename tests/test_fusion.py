@@ -31,8 +31,7 @@ from pointfuse.fusion import (
     TransitionDown,
     TransitionUp,
     TwoStreamNetwork,
-    attn_pool,
-    attn_pre,
+    attend,
     decode_box,
     encode_box,
     group_offsets,
@@ -41,7 +40,7 @@ from pointfuse.fusion import (
     route_stream,
     route_up,
 )
-from pointfuse.nn import Rng, gradcheck
+from pointfuse.nn import Mlp, Rng, gradcheck
 from pointfuse.tensor import NonFiniteError, Tensor
 
 import oracles
@@ -231,14 +230,14 @@ def _nodes_behind(out, inputs, block):
     return nodes
 
 
-def test_attention_records_at_most_nine_tape_nodes():
+def test_attention_records_at_most_seven_tape_nodes():
     # fails if the attention's layers or glue ops are split back into chains
     rng = np.random.default_rng(81)
     coords, feats = cloud(rng, 10, 6)
     coords.requires_grad = True
     groups = G.knn_group(coords.data, coords.data, 4)
     block = PointAttention(Rng(9), 6)
-    assert _nodes_behind(block(coords, feats, groups), (coords, feats), block) <= 9
+    assert _nodes_behind(block(coords, feats, groups), (coords, feats), block) <= 7
     assert _nodes_behind(oracles.attention_chain(block, coords, feats, groups),
                          (coords, feats), block) == 25
 
@@ -251,12 +250,13 @@ def test_attention_without_a_tape_records_no_parents():
     with T.no_grad():
         qkv = T.matmul(block.qkv_lbr(feats), block.expand)
         pos = block.pos_mlp(group_offsets(coords, groups))
-        pre = attn_pre(qkv, pos, groups, "subtract")
-        pooled = attn_pool(block.score_mlp(pre), qkv, pos, groups)
+        pooled = attend(qkv, pos, groups, "subtract", block.score_mlp)
+        want_pooled = oracles.attend_chain(qkv, pos, groups, "subtract", block.score_mlp)
         out = block(coords, feats, groups)
         want = oracles.attention_chain(block, coords, feats, groups)
-    for t in (pos, pre, pooled, out):
+    for t in (pos, pooled, out):
         assert not t.requires_grad and t._parents == () and t._vjps == ()
+    assert pooled.data.tobytes() == want_pooled.data.tobytes()
     assert out.data.tobytes() == want.data.tobytes()
 
 
@@ -268,16 +268,33 @@ def _t(values):
     return Tensor(np.array(values, dtype=np.float64))
 
 
+def _score_mlp(w1=0.5, w2=0.5):
+    """A 1 -> 1 -> 1 score MLP with the given weights and zero biases."""
+    score = Mlp(Rng(0), 1, 1, 1)
+    score.fc1.weight.data[:] = w1
+    score.fc2.weight.data[:] = w2
+    score.fc1.bias.data[:] = score.fc2.bias.data[:] = 0.0
+    return score
+
+
 @pytest.mark.parametrize("op, args", [
     ("group_offsets", lambda: (_t([[BIG, 0.0, 0.0], [-BIG, 0.0, 0.0]]), PAIRS)),
-    ("attn_pre", lambda: (_t([[BIG, -BIG, 0.0]] * 2), _t(np.zeros((2, 2, 1))), PAIRS, "subtract")),
-    ("attn_pre", lambda: (_t([[1e200, 1e200, 0.0]] * 2), _t(np.zeros((2, 2, 1))), PAIRS, "multiply")),
-    ("attn_pre", lambda: (_t([[BIG, 0.0, 0.0]] * 2), _t(np.full((2, 2, 1), BIG)), PAIRS, "subtract")),
-    ("attn_pool", lambda: (_t(np.zeros((2, 2, 1))), _t([[0.0, 0.0, BIG]] * 2),
-                           _t(np.full((2, 2, 1), BIG)), PAIRS)),
-], ids=["offsets", "q-minus-k", "q-times-k", "plus-pos", "v-plus-pos"])
+    ("attend", lambda: (_t([[BIG, -BIG, 0.0]] * 2), _t(np.zeros((2, 2, 1))), PAIRS, "subtract",
+                        _score_mlp())),
+    ("attend", lambda: (_t([[1e200, 1e200, 0.0]] * 2), _t(np.zeros((2, 2, 1))), PAIRS, "multiply",
+                        _score_mlp())),
+    ("attend", lambda: (_t([[BIG, 0.0, 0.0]] * 2), _t(np.full((2, 2, 1), BIG)), PAIRS, "subtract",
+                        _score_mlp())),
+    ("attend", lambda: (_t([[BIG, 0.0, 0.0]] * 2), _t(np.zeros((2, 2, 1))), PAIRS, "subtract",
+                        _score_mlp(w1=4.0))),
+    ("attend", lambda: (_t([[BIG, 0.0, 0.0]] * 2), _t(np.zeros((2, 2, 1))), PAIRS, "subtract",
+                        _score_mlp(w1=1.0, w2=4.0))),
+    ("attend", lambda: (_t([[0.0, 0.0, BIG]] * 2), _t(np.full((2, 2, 1), BIG)), PAIRS, "subtract",
+                        _score_mlp())),
+], ids=["offsets", "q-minus-k", "q-times-k", "plus-pos", "score-hidden", "score-logits",
+        "v-plus-pos"])
 def test_attention_ops_raise_where_their_chains_raise(op, args):
-    fused = {"group_offsets": group_offsets, "attn_pre": attn_pre, "attn_pool": attn_pool}[op]
+    fused = {"group_offsets": group_offsets, "attend": attend}[op]
     chain = getattr(oracles, op + "_chain")
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError):
@@ -291,8 +308,8 @@ def test_attention_ops_validate_their_groups():
     with pytest.raises(T.ShapeError):
         group_offsets(coords, np.array([[0, 3]]))
     with pytest.raises(T.ShapeError):
-        attn_pre(Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 2, 2))), np.array([[0.0, 1.0]] * 3),
-                 "subtract")
+        attend(Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 2, 2))), np.array([[0.0, 1.0]] * 3),
+               "subtract", Mlp(Rng(0), 2, 2, 2))
 
 
 # -- transitions ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from pointfuse.nn import (
     LinearLayer,
     Mlp,
     Rng,
+    directional_gradcheck,
     gradcheck,
     lbr,
     linear,
@@ -30,6 +31,7 @@ from pointfuse.nn import (
     save_checkpoint,
 )
 from pointfuse.config import NetworkConfig
+from pointfuse.gradsuite import gradcheck_cases
 from pointfuse.kitti import SyntheticSceneSpec, generate_scene
 from pointfuse.losses import LossWeights
 from pointfuse.pipeline import DetectionModel, compute_losses, prepare_scene
@@ -636,3 +638,38 @@ def test_gradcheck_reports_the_margin_its_error_hides():
     gradcheck(lambda: T.tsum(Tensor._result(x.data ** 2, (x,), (lambda g: g * 3.0 * x.data,))),
               [x], rng=Rng(63), report=report)
     assert report[1][0] > 0.1 and report[1][1] < 6
+
+
+# On clean code every gradsuite case reads at most 3.4e-10 at seed 0
+# (idw-interpolation).  With lbr's input vjp scaled by 1 + 1e-6, the three
+# lbr cases read 4.3e-8 to 9.6e-7 and the three network-level cases, which
+# gradcheck passes at 1e-4, read 9.8e-9 (image-encoder-heads), 7.9e-6 and
+# 1.1e-5.
+DIRECTIONAL_TOL = 3e-9
+
+
+def test_directional_gradcheck_sees_an_error_that_gradcheck_skips():
+    x = Tensor(np.random.default_rng(5).standard_normal(6) * 1e-4, requires_grad=True)
+
+    def square(factor):
+        return lambda: T.tsum(Tensor._result(x.data ** 2, (x,), (lambda g: g * 2.0 * factor * x.data,)))
+
+    assert directional_gradcheck(square(1.0), [x], rng=Rng(64)) < 1e-9
+    wrong = directional_gradcheck(square(1.0 + 1e-6), [x], rng=Rng(64))
+    assert 5e-7 < wrong < 2e-6
+    # every derivative here is below 1e-3, so a 1e-6 relative error stays
+    # inside gradcheck's 1e-7 absolute skip rule
+    assert gradcheck(square(1.0 + 1e-6), [x], rng=Rng(64)) == 0.0
+    assert x.grad.tobytes() == np.zeros(6).tobytes()
+
+
+def test_every_gradsuite_case_passes_the_directional_check():
+    report = []
+    names = []
+    for name, _, fn in gradcheck_cases(0, report):
+        fn()
+        names.append(name)
+    assert len(report) == len(names)
+    errors = {name: entry[3] for name, entry in zip(names, report)}
+    assert {n: e for n, e in errors.items() if not e <= DIRECTIONAL_TOL} == {}
+

@@ -5,6 +5,7 @@ test is a short smoke (the full 200-step overfit lives with the
 acceptance criteria); it asserts direction, not convergence.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -350,7 +351,31 @@ def test_a_desk_training_step_builds_a_fixed_number_of_tape_nodes():
     cfg, prepared = make_prepared(0)
     model = DetectionModel(cfg, Rng(0))
     total, _ = compute_losses(prepared, model.forward(prepared), LossWeights())
-    assert len([node for node in T._topo_order(total) if node._parents]) == 468
+    assert len([node for node in T._topo_order(total) if node._parents]) == 444
+
+
+# bytes a desk forward plus compute_losses keeps alive: 6.56 MB at seed 0
+# (9.48 MB while the attention glue kept every [m, L, c] intermediate and
+# lbr/mlp kept their ReLU masks and lbr its normalised values)
+DESK_GRAPH_BYTES = 7_000_000
+
+
+def test_a_desk_training_graph_keeps_a_bounded_number_of_bytes_alive():
+    # fails if a tape op goes back to keeping arrays its backward can rebuild
+    cfg, prepared = make_prepared(0)
+    model = DetectionModel(cfg, Rng(0))
+    total, _ = compute_losses(prepared, model.forward(prepared), LossWeights())
+    total.backward()          # a warm step: the raw route and other lazy state exist
+    del total
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state = model.forward(prepared)
+        total, _ = compute_losses(prepared, state, LossWeights())
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert total.requires_grad and kept <= DESK_GRAPH_BYTES, kept
 
 
 def test_train_requires_scenes():
