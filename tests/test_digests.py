@@ -20,10 +20,11 @@ The file records a platform fingerprint: the numpy version, the BLAS
 build and the CPU model.  On that fingerprint every value must match bit
 for bit.  On any other, BLAS kernels may round differently.  Floats are
 then compared at relative tolerance ``FOREIGN_RTOL``, the detections by
-count and score, and the loss parts of the first ``FOREIGN_STEPS`` steps
-only, and the overfit eval not at all: Adam divides by sqrt(v), so a gradient entry near zero that rounds
-the other way moves its weight by up to lr, and the difference between
-two platforms grows about tenfold per step.  Forcing other OpenBLAS
+count and score, the loss parts of the first ``FOREIGN_STEPS`` steps
+only, and the overfit eval not at all: Adam divides by sqrt(v), so a
+gradient entry near zero that rounds the other way moves its weight by
+up to lr, and the difference between two platforms grows about tenfold
+per step.  Forcing other OpenBLAS
 kernels (``OPENBLAS_CORETYPE`` Sandybridge, Nehalem, Prescott) on the
 recorded machine moved step 3's parts by at most 1.7e-11 relative, step 7's
 by up to 1.2e-2, and each detection score by at most 3.1e-15.
