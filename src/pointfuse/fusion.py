@@ -77,33 +77,84 @@ def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray,
 
 # -- grouped positional attention -------------------------------------------------
 #
-# The attention's glue between its layers runs as two tape ops.  Each
-# runs the numpy expressions of the op chain it stands for in the chain's
-# order, and its backward runs that chain's vjps once per upstream
-# gradient, with the same ``_unbroadcast`` sums and ``_scatter_rows``
-# scatters, so values and gradients equal the chain's bit for bit
-# (``tests/oracles.py`` keeps the chain).  Like the chain, each raises
-# NonFiniteError at the first stage that can turn non-finite.
+# The attention's positional encoding and its score path run as one tape
+# op each.  Each runs the numpy expressions of the op chain it stands for
+# in the chain's order, and its backward runs that chain's vjps once per
+# upstream gradient, with the same ``_unbroadcast`` sums and
+# ``_scatter_rows`` scatters, so values and gradients equal the chain's
+# bit for bit (``tests/oracles.py`` keeps the chain).  Like the chain,
+# each raises NonFiniteError at the first stage that can turn non-finite.
 
 
-def group_offsets(coords, groups) -> Tensor:
-    """Each group member's offset from its centre, coords[groups] -
-    coords[:, None] -> [m, L, d]: the chain gather_rows -> reshape -> sub.
+def pos_encoding(coords, groups, pos_mlp: Mlp) -> Tensor:
+    """The positional MLP over each group member's offset from its centre,
+    pos_mlp(coords[groups] - coords[:, None]) -> [m, L, c]: the chain
+    gather_rows -> reshape -> sub, then linear -> relu -> linear.
 
-    The parents list coords twice, so its two gradients enter backward's
-    sums one after the other, as the chain's two nodes put them: first
-    the gather's scatter-add, then the centring's sum over the group.
+    One tape op with parents (coords, coords, fc1.weight, fc1.bias,
+    fc2.weight, fc2.bias).  It keeps nothing: backward recomputes the
+    offsets and the hidden layer, whose K = 3 product is cheap, with the
+    forward's expressions.  coords is listed twice, so its two gradients
+    enter backward's sums one after the other, as the chain's two nodes
+    put them: first the gather's scatter-add, then the centring's sum
+    over the group.
     """
     coords = as_tensor(coords)
+    fc1, fc2 = pos_mlp.fc1, pos_mlp.fc2
+    w1, b1, w2, b2 = fc1.weight, fc1.bias, fc2.weight, fc2.bias
     m, d = coords.data.shape
-    groups = _row_index(groups, m, "group_offsets")
-    parents = (coords, coords)
+    if fc1.c_in != d:
+        raise ShapeError(f"pos_encoding needs a {d} -> c MLP, got {fc1.c_in} -> {fc2.c_out}")
+    groups = _row_index(groups, m, "pos_encoding")
+    parents = (coords, coords, w1, b1, w2, b2)
+
+    def check(a):
+        if not np.isfinite(a).all():
+            raise _non_finite("pos_encoding", (p.data.shape for p in parents))
+
+    def offsets():
+        return (coords.data[groups] - coords.data.reshape((m, 1, d))).reshape((-1, d))
+
+    def hidden_of(flat):
+        h = flat @ w1.data
+        h += b1.data
+        return h
+
+    flat = offsets()
+    check(flat)
+    h = hidden_of(flat)
+    check(h)
+    out = np.where(h > 0.0, h, 0.0) @ w2.data
+    del h
+    out += b2.data
+    hidden_grad = coords.requires_grad or w1.requires_grad or b1.requires_grad
 
     def grads_of(g):
-        return {0: _scatter_rows(groups, g, coords.data.shape),
-                1: _unbroadcast(-g, (m, 1, d)).reshape(coords.data.shape)}
+        g = g.reshape((-1, fc2.c_out))
+        grads = {}
+        flat = offsets()
+        h = hidden_of(flat)
+        hidden = np.where(h > 0.0, h, 0.0)
+        del h
+        if w2.requires_grad:
+            grads[4] = _grad_product(hidden.T, g, fc2.c_in, False)
+        if b2.requires_grad:
+            grads[5] = _unbroadcast(g, b2.data.shape)
+        if not hidden_grad:
+            return grads
+        g = _grad_product(g, w2.data.T, fc2.c_in, True) * (hidden > 0.0)     # relu
+        del hidden
+        if coords.requires_grad:
+            g_off = _grad_product(g, w1.data.T, d, True).reshape(groups.shape + (d,))
+            grads[0] = _scatter_rows(groups, g_off, coords.data.shape)
+            grads[1] = _unbroadcast(-g_off, (m, 1, d)).reshape(coords.data.shape)
+        if w1.requires_grad:
+            grads[2] = _grad_product(flat.T, g, d, False)
+        if b1.requires_grad:
+            grads[3] = _unbroadcast(g, b1.data.shape)
+        return grads
 
-    return Tensor._result(coords.data[groups] - coords.data.reshape((m, 1, d)), parents,
+    return Tensor._result(out.reshape(groups.shape + (fc2.c_out,)), parents,
                           _shared_vjps(len(parents), grads_of))
 
 
@@ -231,9 +282,9 @@ class PointAttention:
     query/key/value; a positional encoding of coordinate differences is
     added to both the score path and the values.  mode picks how query
     and key meet: "subtract" (q - k + pos) or "multiply" (q * k + pos).
-    The block output keeps its input as a residual.  A call records seven
-    tape nodes: two LBRs, the expansion, the positional MLP, the two glue
-    ops above and the residual add.
+    The block output keeps its input as a residual.  A call records six
+    tape nodes: two LBRs, the expansion, the two ops above (the positional
+    encoding and the attention itself) and the residual add.
     """
 
     def __init__(self, rng: Rng, channels: int, mode: str = "subtract",
@@ -264,7 +315,7 @@ class PointAttention:
         groups = np.sort(np.asarray(groups), axis=1)    # canonical reduction order
 
         qkv = matmul(self.qkv_lbr(feats), self.expand)
-        pos = self.pos_mlp(group_offsets(coords, groups))          # [m, L, c]
+        pos = pos_encoding(coords, groups, self.pos_mlp)          # [m, L, c]
         return self.out_lbr(attend(qkv, pos, groups, self.mode, self.score_mlp)) + feats
 
 

@@ -84,6 +84,17 @@ def gradcheck_cases(seed: int, report: list | None = None):
         return gradcheck(lambda: tensor.tsum(fusion.attend(qkv, pos, groups, "multiply", score) * w),
                          ps, rng=r.derive("c"))
 
+    def case_pos_encoding():
+        # its own stream, so adding the case left every other case's inputs as they were
+        r = rng.derive("pos-encoding")
+        coords = Tensor(r.uniform(-1, 1, (8, 3)), requires_grad=True)
+        groups = np.sort(geometry.knn_group(coords.data, coords.data, 3), axis=1)
+        pos_mlp = nn.Mlp(r.derive("pos"), 3, 5, 4)
+        w = Tensor(r.normal((8, 3, 4)))
+        ps = [coords] + [t for _, t in pos_mlp.params("p")]
+        return gradcheck(lambda: tensor.tsum(fusion.pos_encoding(coords, groups, pos_mlp) * w),
+                         ps, rng=r.derive("c"))
+
     def case_softmax():
         x = Tensor(rng.normal((6, 5)), requires_grad=True)
         w = Tensor(rng.normal((6, 5)))
@@ -256,6 +267,7 @@ def gradcheck_cases(seed: int, report: list | None = None):
     yield "bilinear-sample", 1e-6, case_bilinear
     yield "trilinear-sample", 1e-6, case_trilinear
     yield "frustum-sample", 1e-6, case_frustum_sample
+    yield "pos-encoding", 1e-6, case_pos_encoding
     yield "attend", 1e-6, case_attend
     yield "attention-subtract", 1e-6, case_attention("subtract")
     yield "attention-multiply", 1e-6, case_attention("multiply")

@@ -97,13 +97,6 @@ def smooth_l1(x) -> Tensor:
     return quad * inner + lin * (1.0 - inner)
 
 
-def _pick_columns(rows: Tensor, col_idx: np.ndarray) -> Tensor:
-    """rows [N, D] -> [N] selecting one column per row."""
-    onehot = np.zeros(rows.data.shape)
-    onehot[np.arange(rows.data.shape[0]), col_idx] = 1.0
-    return T.tsum(rows * onehot, axis=1)
-
-
 def depth_loss(bin_logits: Tensor, residuals: Tensor, targets: DepthTargets,
                weights: LossWeights):
     """Depth objective: mean multiclass focal over the bin softmax plus
@@ -123,11 +116,11 @@ def depth_loss(bin_logits: Tensor, residuals: Tensor, targets: DepthTargets,
     flat_idx = targets.cells[:, 1] * w + targets.cells[:, 0]
     logits_rows = T.gather_rows(T.reshape(bin_logits, (h * w, d)), flat_idx)
     probs = T.softmax(logits_rows, axis=1)
-    p_true = _pick_columns(probs, targets.gt_bin)
+    # each target's true bin, picked by its flat index into the grid it reads
+    p_true = T.gather_rows(T.reshape(probs, (-1,)), np.arange(len(targets)) * d + targets.gt_bin)
     l_bin = T.tmean(focal_loss_true_class(p_true, weights.focal_alpha, weights.focal_gamma))
 
-    res_rows = T.gather_rows(T.reshape(residuals, (h * w, d)), flat_idx)
-    res_pred = _pick_columns(res_rows, targets.gt_bin)
+    res_pred = T.gather_rows(T.reshape(residuals, (-1,)), flat_idx * d + targets.gt_bin)
     l_res = T.tmean(smooth_l1(res_pred - targets.gt_res))
     total = (l_bin + weights.lambda_residual * l_res) * weights.foreground_weight
     return total, l_bin, l_res

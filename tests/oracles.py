@@ -4,8 +4,8 @@ Each is the plain, obviously-correct form of a faster library kernel:
 the full stable argsort kNN, the loop farthest-point sampler, the
 sequential ``np.add.at`` scatter, single-position grid reads, the scalar
 inverse-distance interpolation, the per-proposal assignment rule, and the
-``linear``/``lbr``/``mlp`` layers and the point-attention glue ops
-(``group_offsets``, ``attend``) as chains of single tape ops.
+``linear``/``lbr``/``mlp`` layers and the point-attention ops
+(``pos_encoding``, ``attend``) as chains of single tape ops.
 The library must match them exactly or within a stated tolerance.
 """
 
@@ -56,10 +56,17 @@ def mlp_chain(x, layer):
 
 
 def group_offsets_chain(coords, groups):
-    """``fusion.group_offsets`` as three tape ops: gather -> reshape -> sub."""
+    """Each group member's offset from its centre as three tape ops:
+    gather -> reshape -> sub."""
     coords = as_tensor(coords)
     m, d = coords.data.shape
     return gather_rows(coords, groups) - reshape(coords, (m, 1, d))
+
+
+def pos_encoding_chain(coords, groups, pos_mlp):
+    """``fusion.pos_encoding`` as its chain: the group offsets' three ops,
+    then the positional MLP's three."""
+    return mlp_chain(group_offsets_chain(coords, groups), pos_mlp)
 
 
 def attn_pre_chain(qkv, pos, groups, mode):
@@ -93,7 +100,7 @@ def attention_chain(block, coords, feats, groups):
     """``fusion.PointAttention.__call__`` as its 25-node tape-op chain."""
     groups = np.sort(np.asarray(groups), axis=1)
     qkv = matmul(block.qkv_lbr(feats), block.expand)
-    pos = mlp_chain(group_offsets_chain(coords, groups), block.pos_mlp)
+    pos = pos_encoding_chain(coords, groups, block.pos_mlp)
     return block.out_lbr(attend_chain(qkv, pos, groups, block.mode, block.score_mlp)) + feats
 
 

@@ -34,8 +34,8 @@ from pointfuse.fusion import (
     attend,
     decode_box,
     encode_box,
-    group_offsets,
     idw_interpolate,
+    pos_encoding,
     route_down,
     route_stream,
     route_up,
@@ -175,21 +175,31 @@ def test_attention_keeps_residual_path():
 # -- fused attention ops against their tape-op chains ---------------------------------
 
 
-def _attention_run(run, block, coords, feats, w, second_consumer):
-    """Backward twice through sum(run() * w) (after sum(coords * coords)
-    when coords has a second consumer) from zeroed grads; returns the
-    output, the loss and the leaf grads after each backward."""
-    leaves = [p for _, p in block.params("a")] + [t for t in (coords, feats) if t.requires_grad]
+def _backward_twice(run, leaves, w, second_consumer=None):
+    """Backward twice through sum(run() * w) (after sum(c * c) when c =
+    second_consumer is given) from zeroed grads; returns the output, the
+    loss and the leaf grads after each backward."""
     T.zero_grads(leaves)
     out = run()
     loss = T.tsum(out * w)
-    if second_consumer:     # its gradient enters coords' sum before the block's
-        loss = T.tsum(coords * coords) + loss
+    if second_consumer is not None:     # its gradient enters c's sum before the op's
+        loss = T.tsum(second_consumer * second_consumer) + loss
     grads = []
     for _ in range(2):     # the second backward accumulates onto the first
         loss.backward()
         grads.append([p.grad.copy() for p in leaves])
     return out, loss, grads
+
+
+def _assert_same_bits(got, want):
+    """Outputs, losses and every leaf grad of two _backward_twice runs
+    are equal byte for byte."""
+    (got_out, got_loss, got_grads), (want_out, want_loss, want_grads) = got, want
+    assert got_out.data.tobytes() == want_out.data.tobytes()
+    assert got_loss.data.tobytes() == want_loss.data.tobytes()
+    for got_pass, want_pass in zip(got_grads, want_grads):
+        for g, h in zip(got_pass, want_pass):
+            assert g.tobytes() == h.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["subtract", "multiply"])
@@ -203,17 +213,30 @@ def test_attention_equals_its_chain_bit_for_bit(mode, norm_mode, group, leaves):
     w = Tensor(rng.standard_normal((10, 6)))
     groups = G.knn_group(coords.data, coords.data, group)
     block = PointAttention(Rng(8), 6, mode=mode, norm_mode=norm_mode)
-    second = "coords" in leaves
-    got_out, got_loss, got = _attention_run(lambda: block(coords, feats, groups),
-                                            block, coords, feats, w, second)
-    want_out, want_loss, want = _attention_run(
-        lambda: oracles.attention_chain(block, coords, feats, groups), block, coords, feats, w, second)
-    assert got_out.data.tobytes() == want_out.data.tobytes()
-    assert got_loss.data.tobytes() == want_loss.data.tobytes()
-    for got_pass, want_pass in zip(got, want):
-        for g, h in zip(got_pass, want_pass):
-            assert g.tobytes() == h.tobytes()
-    assert not np.array_equal(got[0][0], 0.0)
+    ps = [p for _, p in block.params("a")] + [t for t in (coords, feats) if t.requires_grad]
+    second = coords if "coords" in leaves else None
+    got = _backward_twice(lambda: block(coords, feats, groups), ps, w, second)
+    _assert_same_bits(got, _backward_twice(
+        lambda: oracles.attention_chain(block, coords, feats, groups), ps, w, second))
+    assert not np.array_equal(got[2][0][0], 0.0)
+
+
+@pytest.mark.parametrize("group", [1, 4])
+@pytest.mark.parametrize("coords_as", ["constant", "leaf", "leaf-second-consumer"])
+def test_pos_encoding_equals_its_chain_bit_for_bit(group, coords_as):
+    # each group lists its centre, whose offset is exactly zero
+    rng = np.random.default_rng(86 + group)
+    coords = Tensor(rng.uniform(-4.0, 4.0, (10, 3)), requires_grad=coords_as != "constant")
+    groups = np.sort(G.knn_group(coords.data, coords.data, group), axis=1)
+    pos_mlp = Mlp(Rng(11), 3, 6, 6)
+    w = Tensor(rng.standard_normal((10, group, 6)))
+    ps = [p for _, p in pos_mlp.params("p")] + ([coords] if coords.requires_grad else [])
+    second = coords if coords_as == "leaf-second-consumer" else None
+    got = _backward_twice(lambda: pos_encoding(coords, groups, pos_mlp), ps, w, second)
+    _assert_same_bits(got, _backward_twice(
+        lambda: oracles.pos_encoding_chain(coords, groups, pos_mlp), ps, w, second))
+    # with groups of one, every offset and so every coordinate gradient is 0
+    assert all(np.any(g != 0.0) for g in got[2][0]) or group == 1
 
 
 def _nodes_behind(out, inputs, block):
@@ -230,14 +253,14 @@ def _nodes_behind(out, inputs, block):
     return nodes
 
 
-def test_attention_records_at_most_seven_tape_nodes():
+def test_attention_records_at_most_six_tape_nodes():
     # fails if the attention's layers or glue ops are split back into chains
     rng = np.random.default_rng(81)
     coords, feats = cloud(rng, 10, 6)
     coords.requires_grad = True
     groups = G.knn_group(coords.data, coords.data, 4)
     block = PointAttention(Rng(9), 6)
-    assert _nodes_behind(block(coords, feats, groups), (coords, feats), block) <= 7
+    assert _nodes_behind(block(coords, feats, groups), (coords, feats), block) <= 6
     assert _nodes_behind(oracles.attention_chain(block, coords, feats, groups),
                          (coords, feats), block) == 25
 
@@ -249,13 +272,15 @@ def test_attention_without_a_tape_records_no_parents():
     block = PointAttention(Rng(10), 6)
     with T.no_grad():
         qkv = T.matmul(block.qkv_lbr(feats), block.expand)
-        pos = block.pos_mlp(group_offsets(coords, groups))
+        pos = pos_encoding(coords, groups, block.pos_mlp)
+        want_pos = oracles.pos_encoding_chain(coords, groups, block.pos_mlp)
         pooled = attend(qkv, pos, groups, "subtract", block.score_mlp)
         want_pooled = oracles.attend_chain(qkv, pos, groups, "subtract", block.score_mlp)
         out = block(coords, feats, groups)
         want = oracles.attention_chain(block, coords, feats, groups)
     for t in (pos, pooled, out):
         assert not t.requires_grad and t._parents == () and t._vjps == ()
+    assert pos.data.tobytes() == want_pos.data.tobytes()
     assert pooled.data.tobytes() == want_pooled.data.tobytes()
     assert out.data.tobytes() == want.data.tobytes()
 
@@ -268,9 +293,9 @@ def _t(values):
     return Tensor(np.array(values, dtype=np.float64))
 
 
-def _score_mlp(w1=0.5, w2=0.5):
-    """A 1 -> 1 -> 1 score MLP with the given weights and zero biases."""
-    score = Mlp(Rng(0), 1, 1, 1)
+def _score_mlp(w1=0.5, w2=0.5, c_in=1):
+    """A c_in -> 1 -> 1 MLP with the given weights and zero biases."""
+    score = Mlp(Rng(0), c_in, 1, 1)
     score.fc1.weight.data[:] = w1
     score.fc2.weight.data[:] = w2
     score.fc1.bias.data[:] = score.fc2.bias.data[:] = 0.0
@@ -278,7 +303,11 @@ def _score_mlp(w1=0.5, w2=0.5):
 
 
 @pytest.mark.parametrize("op, args", [
-    ("group_offsets", lambda: (_t([[BIG, 0.0, 0.0], [-BIG, 0.0, 0.0]]), PAIRS)),
+    ("pos_encoding", lambda: (_t([[BIG, 0.0, 0.0], [-BIG, 0.0, 0.0]]), PAIRS, _score_mlp(c_in=3))),
+    ("pos_encoding", lambda: (_t([[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0]]), PAIRS,
+                              _score_mlp(w1=1e10, c_in=3))),
+    ("pos_encoding", lambda: (_t([[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0]]), PAIRS,
+                              _score_mlp(w1=1.0, w2=1e10, c_in=3))),
     ("attend", lambda: (_t([[BIG, -BIG, 0.0]] * 2), _t(np.zeros((2, 2, 1))), PAIRS, "subtract",
                         _score_mlp())),
     ("attend", lambda: (_t([[1e200, 1e200, 0.0]] * 2), _t(np.zeros((2, 2, 1))), PAIRS, "multiply",
@@ -291,10 +320,10 @@ def _score_mlp(w1=0.5, w2=0.5):
                         _score_mlp(w1=1.0, w2=4.0))),
     ("attend", lambda: (_t([[0.0, 0.0, BIG]] * 2), _t(np.full((2, 2, 1), BIG)), PAIRS, "subtract",
                         _score_mlp())),
-], ids=["offsets", "q-minus-k", "q-times-k", "plus-pos", "score-hidden", "score-logits",
+], ids=["pos-encoding", "pos-hidden", "pos-out", "q-minus-k", "q-times-k", "plus-pos", "score-hidden", "score-logits",
         "v-plus-pos"])
 def test_attention_ops_raise_where_their_chains_raise(op, args):
-    fused = {"group_offsets": group_offsets, "attend": attend}[op]
+    fused = {"pos_encoding": pos_encoding, "attend": attend}[op]
     chain = getattr(oracles, op + "_chain")
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError):
@@ -305,9 +334,9 @@ def test_attention_ops_raise_where_their_chains_raise(op, args):
 
 def test_attention_ops_validate_their_groups():
     coords = Tensor(np.zeros((3, 3)))
-    with pytest.raises(T.ShapeError):
-        group_offsets(coords, np.array([[0, 3]]))
-    with pytest.raises(T.ShapeError):
+    with pytest.raises(T.ShapeError, match="pos_encoding index out of range"):
+        pos_encoding(coords, np.array([[0, 3]] * 3), Mlp(Rng(0), 3, 2, 2))
+    with pytest.raises(T.ShapeError, match="attend"):
         attend(Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 2, 2))), np.array([[0.0, 1.0]] * 3),
                "subtract", Mlp(Rng(0), 2, 2, 2))
 
