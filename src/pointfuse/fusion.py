@@ -13,6 +13,11 @@ while the pseudo stream is routed on every forward.
 
 Group reductions sort member indices ascending first, so outputs are
 bitwise identical under any permutation of a group's members.
+
+The inverse-distance interpolation, the attention's positional encoding
+and its score path are one tape op each.  Each keeps only the arrays its
+backward reads and recomputes the rest, with the forward's expressions,
+from its inputs; ``tests/oracles.py`` keeps the op chains they replace.
 """
 
 from __future__ import annotations
@@ -48,31 +53,88 @@ def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray,
     differentiable in both coordinate sets.  A target sitting exactly on
     a source copies that source's features (first listed wins), with no
     coordinate gradient for that row.
-    """
-    tc = as_tensor(target_coords)
-    sc = as_tensor(source_coords)
-    sf = as_tensor(source_feats)
-    n = tc.data.shape[0]
-    k = idx.shape[1]
 
-    diff = gather_rows(sc, idx) - reshape(tc, (n, 1, 3))
-    d2 = tsum(diff * diff, axis=2)                       # [n, k]
-    exact = d2.data <= _EXACT_D2
+    One tape op with parents (target_coords, source_coords,
+    source_feats).  It runs the numpy expressions of the chain gather
+    the sources -> offsets -> squared distances -> weights -> gather the
+    features -> weighted sum / weight sum in that order, and its backward
+    runs the chain's vjps, so values and gradients equal the chain's
+    (``tests/oracles.py`` keeps it).  It keeps the [n, k, 3] offsets and
+    the [n, k] shifted squared distances and weights, and gathers
+    ``source_feats[idx]`` again in backward instead of keeping it.
+    """
+    tc, sc, sf = as_tensor(target_coords), as_tensor(source_coords), as_tensor(source_feats)
+    n, m = tc.data.shape[0], sc.data.shape[0]
+    idx = _row_index(idx, m, "idw_interpolate")
+    if idx.ndim != 2 or idx.shape[0] != n or sf.data.ndim != 2 or sf.data.shape[0] != m:
+        raise ShapeError(f"idw_interpolate needs idx [{n}, k] and feats [{m}, c], got "
+                         f"{idx.shape} and {sf.data.shape}")
+    k = idx.shape[1]
+    e = float(-p / 2.0)
+    parents = (tc, sc, sf)
+
+    def check(a):
+        if not np.isfinite(a).all():
+            raise _non_finite("idw_interpolate", (t.data.shape for t in parents))
+
+    def features():                                      # [n, k, c]
+        return sf.data[idx]
+
+    diff = sc.data[idx] - tc.data.reshape((n, 1, 3))
+    check(diff)
+    sq = diff * diff
+    check(sq)
+    d2 = sq.sum(axis=(2,))                               # [n, k]
+    del sq
+    check(d2)
+    exact = d2 <= _EXACT_D2
     row_exact = exact.any(axis=1)
 
     # shift coincident entries off zero, then mask their weights away;
     # rows with a coincident source get a constant one-hot instead
-    d2_safe = d2 + Tensor(exact.astype(np.float64))
-    w = d2_safe ** (-p / 2.0)
-    keep = np.broadcast_to(~row_exact[:, None], exact.shape).astype(np.float64)
+    d2_safe = d2 + exact.astype(np.float64)
+    del d2
+    keep = (~row_exact[:, None]).astype(np.float64)
     onehot = np.zeros(exact.shape)
     rows = np.flatnonzero(row_exact)
     onehot[rows, np.argmax(exact[rows], axis=1)] = 1.0
-    w = w * Tensor(keep) + Tensor(onehot)
+    w = d2_safe ** e
+    check(w)
+    w = w * keep + onehot
+    num = w.reshape((n, k, 1)) * features()
+    check(num)
+    num = num.sum(axis=(1,))
+    check(num)
+    den = w.sum(axis=(1,), keepdims=True)
+    out = num / den
+    coords_grad = tc.requires_grad or sc.requires_grad
+    if not coords_grad:
+        d2_safe = keep = diff = None
 
-    num = tsum(reshape(w, (n, k, 1)) * gather_rows(sf, idx), axis=1)
-    den = tsum(w, axis=1, keepdims=True)
-    return num / den
+    def grads_of(g):
+        grads = {}
+        g_num = g / den
+        feats = features()
+        if sf.requires_grad:
+            grads[2] = _scatter_rows(idx, np.expand_dims(g_num, 1) * w.reshape((n, k, 1)),
+                                     sf.data.shape)
+        if not coords_grad:
+            return grads
+        # the weights' two consumers: the weighted sum, then the weight sum
+        num = (w.reshape((n, k, 1)) * feats).sum(axis=(1,))
+        g_den = (-g * num / (den * den)).sum(axis=(1,), keepdims=True)
+        g_w = (np.expand_dims(g_num, 1) * feats).sum(axis=(2,)) + np.broadcast_to(g_den, (n, k))
+        del feats, num
+        g_d2 = g_w * keep * e * d2_safe ** (e - 1.0)
+        g_sq = np.expand_dims(g_d2, 2) * diff
+        g_diff = g_sq + g_sq                             # both factors of diff * diff
+        if tc.requires_grad:
+            grads[0] = (-g_diff).sum(axis=(1,)).reshape(tc.data.shape)
+        if sc.requires_grad:
+            grads[1] = _scatter_rows(idx, g_diff, sc.data.shape)
+        return grads
+
+    return Tensor._result(out, parents, _shared_vjps(len(parents), grads_of))
 
 
 # -- grouped positional attention -------------------------------------------------

@@ -4,8 +4,9 @@ Each is the plain, obviously-correct form of a faster library kernel:
 the full stable argsort kNN, the loop farthest-point sampler, the
 sequential ``np.add.at`` scatter, single-position grid reads, the scalar
 inverse-distance interpolation, the per-proposal assignment rule, and the
-``linear``/``lbr``/``mlp`` layers and the point-attention ops
-(``pos_encoding``, ``attend``) as chains of single tape ops.
+``linear``/``lbr``/``mlp`` layers, the point-attention ops
+(``pos_encoding``, ``attend``) and the differentiable inverse-distance
+interpolation (``idw_chain``) as chains of single tape ops.
 The library must match them exactly or within a stated tolerance.
 """
 
@@ -16,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from pointfuse.boxes import Box3D, iou_3d, iou_bev
+from pointfuse.fusion import _EXACT_D2
 from pointfuse.geometry import GeometryError, PointSet
 from pointfuse.nn import LBR_NORM_EPS, linear
-from pointfuse.tensor import (as_tensor, gather_rows, matmul, narrow, relu, reshape, softmax, sqrt,
-                              tmean, tsum)
+from pointfuse.tensor import (Tensor, as_tensor, gather_rows, matmul, narrow, relu, reshape,
+                              softmax, sqrt, tmean, tsum)
 
 
 # -- layers as chains of tape ops ---------------------------------------------------
@@ -94,6 +96,34 @@ def attend_chain(qkv, pos, groups, mode, score_mlp):
     three ops, the pooling."""
     logits = mlp_chain(attn_pre_chain(qkv, pos, groups, mode), score_mlp)
     return attn_pool_chain(logits, qkv, pos, groups)
+
+
+def idw_chain(target_coords, source_coords, source_feats, idx, p=2.0):
+    """``fusion.idw_interpolate`` as its chain of single tape ops."""
+    tc = as_tensor(target_coords)
+    sc = as_tensor(source_coords)
+    sf = as_tensor(source_feats)
+    n = tc.data.shape[0]
+    k = idx.shape[1]
+
+    diff = gather_rows(sc, idx) - reshape(tc, (n, 1, 3))
+    d2 = tsum(diff * diff, axis=2)                       # [n, k]
+    exact = d2.data <= _EXACT_D2
+    row_exact = exact.any(axis=1)
+
+    # shift coincident entries off zero, then mask their weights away;
+    # rows with a coincident source get a constant one-hot instead
+    d2_safe = d2 + Tensor(exact.astype(np.float64))
+    w = d2_safe ** (-p / 2.0)
+    keep = np.broadcast_to(~row_exact[:, None], exact.shape).astype(np.float64)
+    onehot = np.zeros(exact.shape)
+    rows = np.flatnonzero(row_exact)
+    onehot[rows, np.argmax(exact[rows], axis=1)] = 1.0
+    w = w * Tensor(keep) + Tensor(onehot)
+
+    num = tsum(reshape(w, (n, k, 1)) * gather_rows(sf, idx), axis=1)
+    den = tsum(w, axis=1, keepdims=True)
+    return num / den
 
 
 def attention_chain(block, coords, feats, groups):

@@ -15,6 +15,8 @@ promises it:
     disabled without changing shapes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -339,6 +341,92 @@ def test_attention_ops_validate_their_groups():
     with pytest.raises(T.ShapeError, match="attend"):
         attend(Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 2, 2))), np.array([[0.0, 1.0]] * 3),
                "subtract", Mlp(Rng(0), 2, 2, 2))
+
+
+# -- the one-op IDW against its chain --------------------------------------------------
+
+
+def _idw_inputs(coords_as, coincident, c=4):
+    rng = np.random.default_rng(90 + coincident)
+    leaf = coords_as != "constant"
+    sc = Tensor(rng.uniform(-2, 2, (9, 3)), requires_grad=leaf)
+    targets = rng.uniform(-2, 2, (6, 3))
+    if coincident:          # two rows sit on a source, one on a duplicated pair
+        targets[1], targets[4] = sc.data[3], sc.data[7]
+        sc.data[5] = sc.data[7]
+    tc = Tensor(targets, requires_grad=leaf)
+    sf = Tensor(rng.standard_normal((9, c)), requires_grad=True)
+    return tc, sc, sf, G.knn_group(tc.data, sc.data, 3), Tensor(rng.standard_normal((6, c)))
+
+
+@pytest.mark.parametrize("coincident", [False, True])
+@pytest.mark.parametrize("coords_as", ["constant", "leaf", "leaf-second-consumer"])
+def test_idw_equals_its_chain_bit_for_bit(coords_as, coincident):
+    tc, sc, sf, idx, w = _idw_inputs(coords_as, coincident)
+    ps = [t for t in (tc, sc, sf) if t.requires_grad]
+    second = sc if coords_as == "leaf-second-consumer" else None
+    got = _backward_twice(lambda: idw_interpolate(tc, sc, sf, idx), ps, w, second)
+    _assert_same_bits(got, _backward_twice(lambda: oracles.idw_chain(tc, sc, sf, idx), ps, w, second))
+    assert all(np.any(g != 0.0) for g in got[2][0])
+    if coincident:
+        assert got[0].data[1].tobytes() == sf.data[3].tobytes()
+    if coincident and tc.requires_grad:
+        assert np.all(got[2][0][0][1] == 0.0)       # the copied row: no coordinate gradient
+
+
+def test_idw_without_a_tape_records_no_parents():
+    tc, sc, sf, idx, _ = _idw_inputs("leaf", True)
+    with T.no_grad():
+        out = idw_interpolate(tc, sc, sf, idx)
+        want = oracles.idw_chain(tc, sc, sf, idx)
+    assert not out.requires_grad and out._parents == () and out._vjps == ()
+    assert out.data.tobytes() == want.data.tobytes()
+
+
+def test_idw_validates_its_neighbour_index():
+    tc, sc, sf, idx, _ = _idw_inputs("leaf", False)
+    bad = idx.copy()
+    bad[2, 1] = 9
+    with pytest.raises(T.ShapeError, match="idw_interpolate index out of range"):
+        idw_interpolate(tc, sc, sf, bad)
+    with pytest.raises(T.ShapeError, match="idw_interpolate"):
+        idw_interpolate(tc, sc, sf, idx[:4])
+
+
+@pytest.mark.parametrize("target, feats", [
+    ([[BIG, 0.0, 0.0]], [[1.0]]),           # the offsets overflow
+    ([[1e200, 0.0, 0.0]], [[1.0]]),         # their squares do
+    ([[1e-9, 0.0, 0.0]], [[1e300]]),        # the weighted features do
+], ids=["offsets", "squares", "weighted"])
+def test_idw_raises_where_its_chain_raises(target, feats):
+    args = (_t(target), _t([[-1e-9, 0.0, 0.0]]), _t(feats), np.zeros((1, 1), dtype=np.int64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            oracles.idw_chain(*args)
+        with pytest.raises(NonFiniteError, match="from idw_interpolate on operand shapes"):
+            idw_interpolate(*args)
+
+
+# n = 512 targets, k = 3 neighbours and c = 48 channels, as a train-mid
+# TransitionUp reads them: one [n, k, c] float64 array is 590 KB.  The
+# chain kept two (the gathered features and their weighted product).
+IDW_NKC_BYTES = 512 * 3 * 48 * 8
+
+
+def test_idw_keeps_less_than_one_gathered_feature_array_alive():
+    rng = np.random.default_rng(95)
+    tc = Tensor(rng.uniform(-2, 2, (512, 3)), requires_grad=True)
+    sc = Tensor(rng.uniform(-2, 2, (128, 3)), requires_grad=True)
+    sf = Tensor(rng.standard_normal((128, 48)), requires_grad=True)
+    idx = G.knn_group(tc.data, sc.data, 3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = idw_interpolate(tc, sc, sf, idx)
+        kept = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad and kept < IDW_NKC_BYTES, kept
 
 
 # -- transitions ----------------------------------------------------------------------

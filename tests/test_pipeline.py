@@ -351,13 +351,29 @@ def test_a_desk_training_step_builds_a_fixed_number_of_tape_nodes():
     cfg, prepared = make_prepared(0)
     model = DetectionModel(cfg, Rng(0))
     total, _ = compute_losses(prepared, model.forward(prepared), LossWeights())
-    assert len([node for node in T._topo_order(total) if node._parents]) == 438
+    assert len([node for node in T._topo_order(total) if node._parents]) == 370
 
 
-# bytes a desk forward plus compute_losses keeps alive: 6.56 MB at seed 0
-# (9.48 MB while the attention glue kept every [m, L, c] intermediate and
-# lbr/mlp kept their ReLU masks and lbr its normalised values)
-DESK_GRAPH_BYTES = 7_000_000
+# bytes a desk forward plus compute_losses keeps alive: 5.18 MB at seed 0
+# (6.56 MB while idw_interpolate and the positional encoding ran as chains
+# and the depth loss picked its bins with one-hot products; 9.48 MB while
+# the attention glue kept every [m, L, c] intermediate)
+DESK_GRAPH_BYTES = 5_400_000
+GRAPH_SITE_FRAMES = 32     # deep enough to reach the pointfuse frame of a numpy allocation
+
+
+def _largest_sites(before, after, count=5):
+    """The pointfuse source lines that gained the most traced bytes from
+    snapshot before to after, each allocation charged to its innermost
+    pointfuse frame."""
+    sizes = {}
+    for stat in after.compare_to(before, "traceback"):
+        frame = next((f for f in reversed(stat.traceback) if "pointfuse" in f.filename), None)
+        if frame is not None:
+            site = f"{frame.filename.rsplit('pointfuse', 1)[1].lstrip('/')}:{frame.lineno}"
+            sizes[site] = sizes.get(site, 0) + stat.size_diff
+    top = sorted(sizes.items(), key=lambda kv: -kv[1])[:count]
+    return ", ".join(f"{site} {size / 1e6:.2f} MB" for site, size in top)
 
 
 def test_a_desk_training_graph_keeps_a_bounded_number_of_bytes_alive():
@@ -367,15 +383,19 @@ def test_a_desk_training_graph_keeps_a_bounded_number_of_bytes_alive():
     total, _ = compute_losses(prepared, model.forward(prepared), LossWeights())
     total.backward()          # a warm step: the raw route and other lazy state exist
     del total
-    tracemalloc.start()
+    tracemalloc.start(GRAPH_SITE_FRAMES)
     try:
+        before = tracemalloc.take_snapshot()
         base = tracemalloc.get_traced_memory()[0]
         state = model.forward(prepared)
         total, _ = compute_losses(prepared, state, LossWeights())
         kept = tracemalloc.get_traced_memory()[0] - base
+        after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    assert total.requires_grad and kept <= DESK_GRAPH_BYTES, kept
+    assert total.requires_grad
+    assert kept <= DESK_GRAPH_BYTES, (f"{kept / 1e6:.2f} MB kept; largest sites: "
+                                      f"{_largest_sites(before, after)}")
 
 
 def test_train_requires_scenes():
