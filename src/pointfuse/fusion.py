@@ -77,9 +77,6 @@ def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray,
         if not np.isfinite(a).all():
             raise _non_finite("idw_interpolate", (t.data.shape for t in parents))
 
-    def features():                                      # [n, k, c]
-        return sf.data[idx]
-
     diff = sc.data[idx] - tc.data.reshape((n, 1, 3))
     check(diff)
     sq = diff * diff
@@ -101,7 +98,7 @@ def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray,
     w = d2_safe ** e
     check(w)
     w = w * keep + onehot
-    num = w.reshape((n, k, 1)) * features()
+    num = w.reshape((n, k, 1)) * sf.data[idx]
     check(num)
     num = num.sum(axis=(1,))
     check(num)
@@ -113,17 +110,16 @@ def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray,
 
     def grads_of(g):
         grads = {}
-        g_num = g / den
-        feats = features()
+        g_num = np.expand_dims(g / den, 1)               # [n, 1, c]
         if sf.requires_grad:
-            grads[2] = _scatter_rows(idx, np.expand_dims(g_num, 1) * w.reshape((n, k, 1)),
-                                     sf.data.shape)
+            grads[2] = _scatter_rows(idx, g_num * w.reshape((n, k, 1)), sf.data.shape)
         if not coords_grad:
             return grads
         # the weights' two consumers: the weighted sum, then the weight sum
+        feats = sf.data[idx]
         num = (w.reshape((n, k, 1)) * feats).sum(axis=(1,))
         g_den = (-g * num / (den * den)).sum(axis=(1,), keepdims=True)
-        g_w = (np.expand_dims(g_num, 1) * feats).sum(axis=(2,)) + np.broadcast_to(g_den, (n, k))
+        g_w = (g_num * feats).sum(axis=(2,)) + g_den
         del feats, num
         g_d2 = g_w * keep * e * d2_safe ** (e - 1.0)
         g_sq = np.expand_dims(g_d2, 2) * diff

@@ -10,11 +10,12 @@ into their ``grad`` buffers, so repeated backward calls accumulate until
 the buffers are zeroed.  Op results have no buffer (``grad`` is None).
 Inside ``with no_grad():`` ops record no tape at all, which is how
 inference runs.  Layer-level ops built on these primitives (``nn.linear``,
-``nn.lbr``, ``nn.mlp``, and the point-attention ops
-``fusion.pos_encoding`` and ``fusion.attend``) record one node for what
-would otherwise be a chain of ops; their parents' vjps share one backward
-computation per upstream gradient, each reading its share.  They keep
-only the arrays their backward reads and rebuild the rest from them.
+``nn.lbr``, ``nn.mlp``, the point-attention ops ``fusion.pos_encoding``
+and ``fusion.attend``, and ``fusion.idw_interpolate``) record one node
+for what would otherwise be a chain of ops; their parents' vjps share
+one backward computation per upstream gradient, each reading its share.
+They keep only the arrays their backward reads and rebuild the rest
+from them.
 
 Three hard rules hold everywhere:
   * non-finite values (NaN/Inf) raise immediately instead of propagating,
