@@ -322,8 +322,8 @@ def _score_mlp(w1=0.5, w2=0.5, c_in=1):
                         _score_mlp(w1=1.0, w2=4.0))),
     ("attend", lambda: (_t([[0.0, 0.0, BIG]] * 2), _t(np.full((2, 2, 1), BIG)), PAIRS, "subtract",
                         _score_mlp())),
-], ids=["pos-encoding", "pos-hidden", "pos-out", "q-minus-k", "q-times-k", "plus-pos", "score-hidden", "score-logits",
-        "v-plus-pos"])
+], ids=["pos-encoding", "pos-hidden", "pos-out", "q-minus-k", "q-times-k", "plus-pos",
+        "score-hidden", "score-logits", "v-plus-pos"])
 def test_attention_ops_raise_where_their_chains_raise(op, args):
     fused = {"pos_encoding": pos_encoding, "attend": attend}[op]
     chain = getattr(oracles, op + "_chain")
@@ -346,7 +346,7 @@ def test_attention_ops_validate_their_groups():
 # -- the one-op IDW against its chain --------------------------------------------------
 
 
-def _idw_inputs(coords_as, coincident, c=4):
+def _idw_inputs(coords_as, coincident):
     rng = np.random.default_rng(90 + coincident)
     leaf = coords_as != "constant"
     sc = Tensor(rng.uniform(-2, 2, (9, 3)), requires_grad=leaf)
@@ -355,8 +355,8 @@ def _idw_inputs(coords_as, coincident, c=4):
         targets[1], targets[4] = sc.data[3], sc.data[7]
         sc.data[5] = sc.data[7]
     tc = Tensor(targets, requires_grad=leaf)
-    sf = Tensor(rng.standard_normal((9, c)), requires_grad=True)
-    return tc, sc, sf, G.knn_group(tc.data, sc.data, 3), Tensor(rng.standard_normal((6, c)))
+    sf = Tensor(rng.standard_normal((9, 4)), requires_grad=True)
+    return tc, sc, sf, G.knn_group(tc.data, sc.data, 3), Tensor(rng.standard_normal((6, 4)))
 
 
 @pytest.mark.parametrize("coincident", [False, True])
@@ -366,7 +366,8 @@ def test_idw_equals_its_chain_bit_for_bit(coords_as, coincident):
     ps = [t for t in (tc, sc, sf) if t.requires_grad]
     second = sc if coords_as == "leaf-second-consumer" else None
     got = _backward_twice(lambda: idw_interpolate(tc, sc, sf, idx), ps, w, second)
-    _assert_same_bits(got, _backward_twice(lambda: oracles.idw_chain(tc, sc, sf, idx), ps, w, second))
+    _assert_same_bits(got, _backward_twice(
+        lambda: oracles.idw_chain(tc, sc, sf, idx), ps, w, second))
     assert all(np.any(g != 0.0) for g in got[2][0])
     if coincident:
         assert got[0].data[1].tobytes() == sf.data[3].tobytes()
