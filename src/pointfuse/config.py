@@ -10,7 +10,6 @@ kind of bug that costs an afternoon.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field, fields
 
@@ -25,7 +24,6 @@ class ConfigError(ValueError):
 _ATTENTION_MODES = ("subtract", "multiply")
 _COMBINE_MODES = ("subtract", "add", "concat")
 _SAMPLING_MODES = ("KPS", "FPS")
-_NORM_MODES = ("standardize", "identity")
 
 
 @dataclass
@@ -52,7 +50,6 @@ class NetworkConfig:
     pseudo_stages: tuple = (240, 120, 60, 30)
     stage_channels: tuple = (16, 32, 48, 64)
     l_group: int = 16             # neighbourhood size for grouping/attention
-    raw_in_channels: int = 1      # intensity
 
     pft_enabled: bool = True      # per-stage cross-modal links
     pft_final: bool = True        # fusion of the two decoder outputs
@@ -61,7 +58,6 @@ class NetworkConfig:
     attn_fusion: str = "multiply"
     combine_mode: str = "subtract"
     sampling_mode: str = "KPS"
-    norm_mode: str = "standardize"
 
     vote_hidden: int = 64
     head_hidden: int = 64
@@ -116,8 +112,6 @@ class NetworkConfig:
             raise ConfigError(f"combine_mode must be one of {_COMBINE_MODES}")
         if self.sampling_mode not in _SAMPLING_MODES:
             raise ConfigError(f"sampling_mode must be one of {_SAMPLING_MODES}")
-        if self.norm_mode not in _NORM_MODES:
-            raise ConfigError(f"norm_mode must be one of {_NORM_MODES}")
         if not 0.0 <= self.score_threshold <= 1.0:
             raise ConfigError("score_threshold must lie in [0, 1]")
         if not 0.0 < self.nms_test <= 1.0:
@@ -172,8 +166,6 @@ class RunConfig:
         self.net.validate()
         self.train.validate()
         self.eval.validate()
-        # re-run the dataclass checks; overrides assign fields directly
-        LossWeights(**dataclasses.asdict(self.loss))
         if (self.scene.image_height, self.scene.image_width) != (self.net.image_height, self.net.image_width):
             raise ConfigError(
                 f"scene raster {self.scene.image_height}x{self.scene.image_width} must match "

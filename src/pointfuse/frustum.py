@@ -94,7 +94,7 @@ class ImageEncoder:
     def __init__(self, rng: Rng, in_channels: int = 3,
                  block_channels=(8, 16, 32), strides=(2, 2, 1),
                  feature_channels: int = 16, depth_bins: int = 80,
-                 binning: LidBinning | None = None, norm_mode: str = "standardize"):
+                 binning: LidBinning | None = None):
         if len(block_channels) != len(strides):
             raise FrustumError("block_channels and strides must align")
         self.strides = tuple(int(s) for s in strides)
@@ -107,7 +107,7 @@ class ImageEncoder:
         self.blocks = []
         c_prev = in_channels
         for i, (c, s) in enumerate(zip(block_channels, self.strides)):
-            self.blocks.append(LbrLayer(rng.derive(f"block{i}"), c_prev * s * s, c, norm_mode))
+            self.blocks.append(LbrLayer(rng.derive(f"block{i}"), c_prev * s * s, c))
             c_prev = c
         self.feat_head = LinearLayer(rng.derive("feat_head"), c_prev, feature_channels)
         self.depth_head = LinearLayer(rng.derive("depth_head"), c_prev, 2 * depth_bins)

@@ -28,8 +28,9 @@ import numpy as np
 
 from .boxes import Box3D, normalize_angle
 from .geometry import farthest_point_sampling, knn_group
-from .nn import LbrLayer, LinearLayer, Mlp, Rng, _shared_vjps, init_weight
-from .tensor import (ShapeError, Tensor, _grad_product, _non_finite, _row_index, _scatter_rows,
+from .nn import (LbrLayer, LinearLayer, Mlp, Rng, _mlp_backward, _mlp_forward, _mlp_hidden,
+                 init_weight)
+from .tensor import (ShapeError, Tensor, _finite_check, _row_index, _scatter_rows, _shared_vjps,
                      _unbroadcast, as_tensor, concat, gather_rows, matmul, maxpool_group, narrow,
                      reshape, sigmoid, softmax, transpose, tsum)
 
@@ -72,10 +73,7 @@ def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray,
     k = idx.shape[1]
     e = float(-p / 2.0)
     parents = (tc, sc, sf)
-
-    def check(a):
-        if not np.isfinite(a).all():
-            raise _non_finite("idw_interpolate", (t.data.shape for t in parents))
+    check = _finite_check("idw_interpolate", parents)
 
     diff = sc.data[idx] - tc.data.reshape((n, 1, 3))
     check(diff)
@@ -142,6 +140,7 @@ def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray,
 # ``_scatter_rows`` scatters, so values and gradients equal the chain's
 # bit for bit (``tests/oracles.py`` keeps the chain).  Like the chain,
 # each raises NonFiniteError at the first stage that can turn non-finite.
+# Their MLPs run the MLP kernel in ``nn`` that ``nn.mlp`` runs.
 
 
 def pos_encoding(coords, groups, pos_mlp: Mlp) -> Tensor:
@@ -159,57 +158,30 @@ def pos_encoding(coords, groups, pos_mlp: Mlp) -> Tensor:
     """
     coords = as_tensor(coords)
     fc1, fc2 = pos_mlp.fc1, pos_mlp.fc2
-    w1, b1, w2, b2 = fc1.weight, fc1.bias, fc2.weight, fc2.bias
     m, d = coords.data.shape
     if fc1.c_in != d:
         raise ShapeError(f"pos_encoding needs a {d} -> c MLP, got {fc1.c_in} -> {fc2.c_out}")
     groups = _row_index(groups, m, "pos_encoding")
-    parents = (coords, coords, w1, b1, w2, b2)
-
-    def check(a):
-        if not np.isfinite(a).all():
-            raise _non_finite("pos_encoding", (p.data.shape for p in parents))
+    parents = (coords, coords, fc1.weight, fc1.bias, fc2.weight, fc2.bias)
+    check = _finite_check("pos_encoding", parents)
 
     def offsets():
         return (coords.data[groups] - coords.data.reshape((m, 1, d))).reshape((-1, d))
 
-    def hidden_of(flat):
-        h = flat @ w1.data
-        h += b1.data
-        return h
-
     flat = offsets()
     check(flat)
-    h = hidden_of(flat)
-    check(h)
-    out = np.where(h > 0.0, h, 0.0) @ w2.data
-    del h
-    out += b2.data
-    hidden_grad = coords.requires_grad or w1.requires_grad or b1.requires_grad
+    out = _mlp_forward(flat, pos_mlp, check)[1]
 
     def grads_of(g):
-        g = g.reshape((-1, fc2.c_out))
         grads = {}
         flat = offsets()
-        h = hidden_of(flat)
-        hidden = np.where(h > 0.0, h, 0.0)
-        del h
-        if w2.requires_grad:
-            grads[4] = _grad_product(hidden.T, g, fc2.c_in, False)
-        if b2.requires_grad:
-            grads[5] = _unbroadcast(g, b2.data.shape)
-        if not hidden_grad:
-            return grads
-        g = _grad_product(g, w2.data.T, fc2.c_in, True) * (hidden > 0.0)     # relu
-        del hidden
-        if coords.requires_grad:
-            g_off = _grad_product(g, w1.data.T, d, True).reshape(groups.shape + (d,))
+        hidden = _mlp_hidden(flat, fc1, check)
+        g_off = _mlp_backward(g.reshape((-1, fc2.c_out)), hidden, lambda: flat, pos_mlp,
+                              coords.requires_grad, grads, 2)
+        if g_off is not None:
+            g_off = g_off.reshape(groups.shape + (d,))
             grads[0] = _scatter_rows(groups, g_off, coords.data.shape)
             grads[1] = _unbroadcast(-g_off, (m, 1, d)).reshape(coords.data.shape)
-        if w1.requires_grad:
-            grads[2] = _grad_product(flat.T, g, d, False)
-        if b1.requires_grad:
-            grads[3] = _unbroadcast(g, b1.data.shape)
         return grads
 
     return Tensor._result(out.reshape(groups.shape + (fc2.c_out,)), parents,
@@ -234,18 +206,14 @@ def attend(qkv, pos, groups, mode: str, score_mlp: Mlp) -> Tensor:
     """
     qkv, pos = as_tensor(qkv), as_tensor(pos)
     fc1, fc2 = score_mlp.fc1, score_mlp.fc2
-    w1, b1, w2, b2 = fc1.weight, fc1.bias, fc2.weight, fc2.bias
     m, c = qkv.data.shape[0], qkv.data.shape[1] // 3
     if not fc1.c_in == fc2.c_out == c:
         raise ShapeError(f"attend needs a {c} -> {c} score MLP, got {fc1.c_in} -> {fc2.c_out}")
     groups = _row_index(groups, m, "attend")
-    parents = (qkv, pos, w1, b1, w2, b2)
+    parents = (qkv, pos, fc1.weight, fc1.bias, fc2.weight, fc2.bias)
+    check = _finite_check("attend", parents)
     multiply = mode == "multiply"
     qe = qkv.data[:, :c].reshape((m, 1, c))
-
-    def check(a):
-        if not np.isfinite(a).all():
-            raise _non_finite("attend", (p.data.shape for p in parents))
 
     def keys():
         return qkv.data[:, c:2 * c][groups]
@@ -256,6 +224,9 @@ def attend(qkv, pos, groups, mode: str, score_mlp: Mlp) -> Tensor:
     def values():
         return qkv.data[:, 2 * c:3 * c][groups] + pos.data
 
+    def pre_rows():                                      # the score MLP's input rows
+        return (scores(keys() if kept_kg is None else kept_kg) + pos.data).reshape((-1, c))
+
     # in-place steps below run the chain's operations on the same values,
     # without the chain's temporaries
     kept_kg = keys() if multiply else None
@@ -263,14 +234,8 @@ def attend(qkv, pos, groups, mode: str, score_mlp: Mlp) -> Tensor:
     check(pre)
     pre += pos.data
     check(pre)
-    h = pre.reshape((-1, c)) @ w1.data
+    hidden, attn = _mlp_forward(pre.reshape((-1, c)), score_mlp, check)
     del pre
-    h += b1.data
-    check(h)
-    hidden = np.where(h > 0.0, h, 0.0)
-    del h
-    attn = hidden @ w2.data
-    attn += b2.data
     attn = attn.reshape(groups.shape + (c,))
     check(attn)
     attn -= attn.max(axis=1, keepdims=True)
@@ -282,7 +247,6 @@ def attend(qkv, pos, groups, mode: str, score_mlp: Mlp) -> Tensor:
     out = vp.sum(axis=(1,))
     del vp
     pre_grad = qkv.requires_grad or pos.requires_grad
-    hidden_grad = pre_grad or w1.requires_grad or b1.requires_grad
 
     def grads_of(g):
         grads = {}
@@ -294,26 +258,12 @@ def attend(qkv, pos, groups, mode: str, score_mlp: Mlp) -> Tensor:
         g_logits = (attn * (g_attn - inner)).reshape((-1, c))
         g_vp = g * attn if pre_grad else None
         del vp, g_attn, inner
-        # the score MLP
-        if w2.requires_grad:
-            grads[4] = _grad_product(hidden.T, g_logits, fc2.c_in, False)
-        if b2.requires_grad:
-            grads[5] = _unbroadcast(g_logits, b2.data.shape)
-        if not hidden_grad:
+        # the score MLP, then the pre-score; each input's pooling part
+        # comes first, as in flow
+        g_pre = _mlp_backward(g_logits, hidden, pre_rows, score_mlp, pre_grad, grads, 2)
+        if g_pre is None:
             return grads
-        g_h = _grad_product(g_logits, w2.data.T, fc2.c_in, True) * (hidden > 0.0)    # relu
-        del g_logits
-        if w1.requires_grad:
-            flat = (scores(keys() if kept_kg is None else kept_kg) + pos.data).reshape((-1, c))
-            grads[2] = _grad_product(flat.T, g_h, fc1.c_in, False)
-            del flat
-        if b1.requires_grad:
-            grads[3] = _unbroadcast(g_h, b1.data.shape)
-        if not pre_grad:
-            return grads
-        g_pre = _grad_product(g_h, w1.data.T, fc1.c_in, True).reshape(attn.shape)
-        del g_h
-        # the pre-score; each input's pooling part comes first, as in flow
+        g_pre = g_pre.reshape(attn.shape)
         if pos.requires_grad:
             grads[1] = _unbroadcast(g_vp, pos.data.shape) + _unbroadcast(g_pre, pos.data.shape)
         if qkv.requires_grad:
@@ -345,17 +295,16 @@ class PointAttention:
     encoding and the attention itself) and the residual add.
     """
 
-    def __init__(self, rng: Rng, channels: int, mode: str = "subtract",
-                 norm_mode: str = "standardize"):
+    def __init__(self, rng: Rng, channels: int, mode: str = "subtract"):
         if mode not in ("subtract", "multiply"):
             raise FusionError(f"unknown attention mode {mode!r}")
         self.channels = channels
         self.mode = mode
-        self.qkv_lbr = LbrLayer(rng.derive("qkv_lbr"), channels, channels, norm_mode)
+        self.qkv_lbr = LbrLayer(rng.derive("qkv_lbr"), channels, channels)
         self.expand = init_weight(rng.derive("expand"), channels, 3 * channels)
         self.pos_mlp = Mlp(rng.derive("pos"), 3, channels, channels)
         self.score_mlp = Mlp(rng.derive("score"), channels, channels, channels)
-        self.out_lbr = LbrLayer(rng.derive("out_lbr"), channels, channels, norm_mode)
+        self.out_lbr = LbrLayer(rng.derive("out_lbr"), channels, channels)
 
     def params(self, prefix: str):
         return (self.qkv_lbr.params(prefix + ".qkv_lbr")
@@ -452,12 +401,12 @@ class TransitionDown:
     """
 
     def __init__(self, rng: Rng, c_in: int, c_out: int, m_out: int, l_group: int,
-                 mode: str = "subtract", norm_mode: str = "standardize"):
+                 mode: str = "subtract"):
         self.c_in = c_in
         self.m_out = m_out
         self.l_group = l_group
-        self.local_lbr = LbrLayer(rng.derive("local"), c_in, c_out, norm_mode)
-        self.attention = PointAttention(rng.derive("attn"), c_out, mode, norm_mode)
+        self.local_lbr = LbrLayer(rng.derive("local"), c_in, c_out)
+        self.attention = PointAttention(rng.derive("attn"), c_out, mode)
 
     def params(self, prefix: str):
         return self.local_lbr.params(prefix + ".local") + self.attention.params(prefix + ".attn")
@@ -483,12 +432,12 @@ class TransitionUp:
     """
 
     def __init__(self, rng: Rng, c_coarse: int, c_skip: int, l_group: int,
-                 mode: str = "subtract", norm_mode: str = "standardize"):
+                 mode: str = "subtract"):
         self.c_coarse = c_coarse
         self.c_skip = c_skip
         self.l_group = l_group
-        self.skip_lbr = LbrLayer(rng.derive("skip"), c_skip, c_coarse, norm_mode)
-        self.attention = PointAttention(rng.derive("attn"), c_coarse, mode, norm_mode)
+        self.skip_lbr = LbrLayer(rng.derive("skip"), c_skip, c_coarse)
+        self.attention = PointAttention(rng.derive("attn"), c_coarse, mode)
 
     def params(self, prefix: str):
         return self.skip_lbr.params(prefix + ".skip") + self.attention.params(prefix + ".attn")
@@ -508,12 +457,11 @@ class TransitionUp:
 class FeatureProp:
     """Plain interpolation decoder step: upsample, concat skip, LBR stack."""
 
-    def __init__(self, rng: Rng, c_coarse: int, c_skip: int, c_out: int,
-                 norm_mode: str = "standardize"):
+    def __init__(self, rng: Rng, c_coarse: int, c_skip: int, c_out: int):
         self.c_coarse = c_coarse
         self.c_skip = c_skip
-        self.lbr1 = LbrLayer(rng.derive("lbr1"), c_coarse + c_skip, c_out, norm_mode)
-        self.lbr2 = LbrLayer(rng.derive("lbr2"), c_out, c_out, norm_mode)
+        self.lbr1 = LbrLayer(rng.derive("lbr1"), c_coarse + c_skip, c_out)
+        self.lbr2 = LbrLayer(rng.derive("lbr2"), c_out, c_out)
 
     def params(self, prefix: str):
         return self.lbr1.params(prefix + ".lbr1") + self.lbr2.params(prefix + ".lbr2")
@@ -547,8 +495,7 @@ class CrossFusion:
 
     def __init__(self, rng: Rng, c_raw: int, c_pseudo: int, c_embed: int,
                  n_raw: int, n_pseudo: int, combine: str = "subtract",
-                 mode: str = "multiply", norm_mode: str = "standardize",
-                 one_way: bool = False):
+                 mode: str = "multiply", one_way: bool = False):
         if combine not in ("subtract", "add", "concat"):
             raise FusionError(f"unknown combine mode {combine!r}")
         if mode not in ("subtract", "multiply"):
@@ -564,13 +511,13 @@ class CrossFusion:
         self.w_pseudo = init_weight(rng.derive("w_pseudo"), c_pseudo, 3 * c_embed)
         self.proj_raw = LinearLayer(rng.derive("proj_raw"), c_raw, c_embed)
         self.mix_raw = Mlp(rng.derive("mix_raw"), n_pseudo, n_pseudo, n_pseudo)
-        self.out_raw = LbrLayer(rng.derive("out_raw"), merged, c_embed, norm_mode)
+        self.out_raw = LbrLayer(rng.derive("out_raw"), merged, c_embed)
         if not one_way:
             # each layer draws from its own derived stream, so skipping
             # these leaves every other initial weight as it was
             self.proj_pseudo = LinearLayer(rng.derive("proj_pseudo"), c_pseudo, c_embed)
             self.mix_pseudo = Mlp(rng.derive("mix_pseudo"), n_raw, n_raw, n_raw)
-            self.out_pseudo = LbrLayer(rng.derive("out_pseudo"), merged, c_embed, norm_mode)
+            self.out_pseudo = LbrLayer(rng.derive("out_pseudo"), merged, c_embed)
 
     def params(self, prefix: str):
         out = ([(prefix + ".w_raw", self.w_raw), (prefix + ".w_pseudo", self.w_pseudo)]
@@ -620,6 +567,8 @@ class CrossFusion:
 
 # -- the full two-stream backbone ---------------------------------------------------
 
+RAW_IN_CHANNELS = 1    # the raw stream's input features: the LiDAR intensity
+
 
 class TwoStreamNetwork:
     """Lockstep encoders over both point sets, optional per-stage fusion
@@ -637,29 +586,28 @@ class TwoStreamNetwork:
         cfg.validate()
         self.cfg = cfg
         sc = cfg.stage_channels
-        nm = cfg.norm_mode
         self.raw_down = []
         self.pseudo_down = []
         self.links = []
-        c_raw, c_pseudo = cfg.raw_in_channels, cfg.feature_channels
+        c_raw, c_pseudo = RAW_IN_CHANNELS, cfg.feature_channels
         for k in range(len(sc)):
             self.raw_down.append(TransitionDown(
                 rng.derive(f"raw_down{k}"), c_raw, sc[k], cfg.raw_stages[k],
-                cfg.l_group, cfg.attn_down, nm))
+                cfg.l_group, cfg.attn_down))
             self.pseudo_down.append(TransitionDown(
                 rng.derive(f"pseudo_down{k}"), c_pseudo, sc[k], cfg.pseudo_stages[k],
-                cfg.l_group, cfg.attn_down, nm))
+                cfg.l_group, cfg.attn_down))
             if cfg.pft_enabled:
                 self.links.append(CrossFusion(
                     rng.derive(f"link{k}"), sc[k], sc[k], sc[k],
                     cfg.raw_stages[k], cfg.pseudo_stages[k],
-                    cfg.combine_mode, cfg.attn_fusion, nm))
+                    cfg.combine_mode, cfg.attn_fusion))
             else:
                 self.links.append(None)
             c_raw = c_pseudo = sc[k]
 
         width = sc[-1]
-        raw_skips = [cfg.raw_in_channels] + list(sc[:-1])
+        raw_skips = [RAW_IN_CHANNELS] + list(sc[:-1])
         pseudo_skips = [cfg.feature_channels] + list(sc[:-1])
         self.raw_up = []
         self.pseudo_up = []
@@ -667,14 +615,14 @@ class TwoStreamNetwork:
             c_coarse = sc[-1] if i == 0 else width
             self.raw_up.append(TransitionUp(
                 rng.derive(f"raw_up{i}"), c_coarse, raw_skips[-1 - i],
-                cfg.l_group, cfg.attn_up, nm))
+                cfg.l_group, cfg.attn_up))
             self.pseudo_up.append(FeatureProp(
-                rng.derive(f"pseudo_up{i}"), c_coarse, pseudo_skips[-1 - i], width, nm))
+                rng.derive(f"pseudo_up{i}"), c_coarse, pseudo_skips[-1 - i], width))
         self.final_link = None
         if cfg.pft_final:
             self.final_link = CrossFusion(
                 rng.derive("final_link"), width, width, width,
-                cfg.n_raw, cfg.n_pseudo, cfg.combine_mode, cfg.attn_fusion, nm, one_way=True)
+                cfg.n_raw, cfg.n_pseudo, cfg.combine_mode, cfg.attn_fusion, one_way=True)
         self.width = width
 
     def params(self, prefix: str = "net"):
@@ -699,8 +647,8 @@ class TwoStreamNetwork:
         cfg = self.cfg
         rc, rf = as_tensor(raw_coords), as_tensor(raw_feats)
         pc, pf = as_tensor(pseudo_coords), as_tensor(pseudo_feats)
-        if rf.data.shape != (cfg.n_raw, cfg.raw_in_channels):
-            raise FusionError(f"raw stream expects [{cfg.n_raw}, {cfg.raw_in_channels}], got {rf.data.shape}")
+        if rf.data.shape != (cfg.n_raw, RAW_IN_CHANNELS):
+            raise FusionError(f"raw stream expects [{cfg.n_raw}, {RAW_IN_CHANNELS}], got {rf.data.shape}")
         if pf.data.shape != (cfg.n_pseudo, cfg.feature_channels):
             raise FusionError(f"pseudo stream expects [{cfg.n_pseudo}, {cfg.feature_channels}], got {pf.data.shape}")
         pseudo_route = route_stream(pc.data, cfg.pseudo_stages, cfg.l_group, attention_up=False)

@@ -43,17 +43,10 @@ def gradcheck_cases(seed: int, report: list | None = None):
         ps = [t for _, t in layer.params("l")] + [x]
         return gradcheck(lambda: tensor.tsum(layer(x) ** 2.0), ps, rng=rng.derive("c2"))
 
-    def case_lbr_identity():
-        # this case and the next draw from their own streams, so adding them
-        # left every other case's inputs as they were
-        r = rng.derive("lbr-identity")
-        layer = nn.LbrLayer(r.derive("layer"), 5, 4, norm_mode="identity")
-        x = Tensor(r.normal((9, 5)), requires_grad=True)
-        ps = [t for _, t in layer.params("l")] + [x]
-        return gradcheck(lambda: tensor.tsum(layer(x) ** 2.0), ps, rng=r.derive("c"))
-
     def case_lbr_grouped():
-        # a [M, L, C] input, as TransitionDown feeds its gathered groups
+        # a [M, L, C] input, as TransitionDown feeds its gathered groups;
+        # it draws from its own stream, so adding it left every other
+        # case's inputs as they were
         r = rng.derive("lbr-grouped")
         layer = nn.LbrLayer(r.derive("layer"), 5, 4)
         x = Tensor(r.normal((4, 3, 5)), requires_grad=True)
@@ -260,7 +253,6 @@ def gradcheck_cases(seed: int, report: list | None = None):
 
     yield "linear", 1e-6, case_linear
     yield "lbr", 1e-6, case_lbr
-    yield "lbr-identity", 1e-6, case_lbr_identity
     yield "lbr-grouped", 1e-6, case_lbr_grouped
     yield "mlp", 1e-6, case_mlp
     yield "softmax", 1e-6, case_softmax

@@ -23,17 +23,11 @@ PROB_CLAMP = 1e-7
 class LossWeights:
     lambda_depth: float = 1.0
     lambda_rpn: float = 1.0
-    lambda_rcnn: float = 0.0   # second-stage refinement is out of scope; must stay 0
     lambda_residual: float = 10.0
     lambda_reg: float = 1.0
     lambda_vote: float = 1.0
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
-    foreground_weight: float = 1.0
-
-    def __post_init__(self):
-        if self.lambda_rcnn != 0.0:
-            raise ValueError("lambda_rcnn must be 0; the refinement stage is not implemented")
 
 
 @dataclass
@@ -122,7 +116,7 @@ def depth_loss(bin_logits: Tensor, residuals: Tensor, targets: DepthTargets,
 
     res_pred = T.gather_rows(T.reshape(residuals, (-1,)), flat_idx * d + targets.gt_bin)
     l_res = T.tmean(smooth_l1(res_pred - targets.gt_res))
-    total = (l_bin + weights.lambda_residual * l_res) * weights.foreground_weight
+    total = l_bin + weights.lambda_residual * l_res
     return total, l_bin, l_res
 
 
@@ -185,6 +179,6 @@ def rpn_loss(cls_prob: Tensor, reg_pred: Tensor, votes: Tensor,
 
 
 def total_loss(depth_term: Tensor, rpn_term: Tensor, weights: LossWeights) -> Tensor:
-    """lambda_depth * depth + lambda_rpn * rpn (the refinement branch is
-    pinned to zero by LossWeights)."""
+    """lambda_depth * depth + lambda_rpn * rpn (there is no second-stage
+    refinement term)."""
     return weights.lambda_depth * depth_term + weights.lambda_rpn * rpn_term

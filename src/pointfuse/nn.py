@@ -17,8 +17,9 @@ from .tensor import (
     NonFiniteError,
     ShapeError,
     Tensor,
+    _finite_check,
     _grad_product,
-    _non_finite,
+    _shared_vjps,
     _unbroadcast,
     as_tensor,
     zero_grads,
@@ -90,30 +91,6 @@ class LinearLayer:
         return linear(x, self)
 
 
-def _shared_vjps(n_parents, grads_of):
-    """One vjp per parent, all reading one backward computation.
-
-    ``grads_of(g)`` returns a dict from parent index to that parent's
-    gradient, for the parents that require grad.  The first vjp called
-    with a given g runs it; each vjp then takes its own entry, and the
-    last one taken releases them all.
-    """
-    state = [None, None]     # the upstream gradient, the entries not yet taken
-
-    def vjp_of(i):
-        def vjp(g):
-            if state[0] is not g:
-                state[0], state[1] = g, grads_of(g)
-            grads = state[1]
-            out = grads.pop(i)
-            if not grads:
-                state[0] = state[1] = None
-            return out
-        return vjp
-
-    return tuple(vjp_of(i) for i in range(n_parents))
-
-
 def linear(x, layer: LinearLayer) -> Tensor:
     """Row-wise affine map; accepts [..., c_in] and keeps leading axes.
 
@@ -150,18 +127,14 @@ def linear(x, layer: LinearLayer) -> Tensor:
 class LbrLayer:
     """Linear -> per-feature standardisation over the point rows -> ReLU.
 
-    norm_mode "standardize" centres/scales each output feature over the
+    The standardisation centres and scales each output feature over the
     row axis (the batch-norm analogue for a single point set) before the
-    learned affine; "identity" skips the statistics and applies the
-    learned affine alone, which keeps the layer usable on single rows.
+    learned affine.
     """
 
-    def __init__(self, rng: Rng, c_in: int, c_out: int, norm_mode: str = "standardize"):
-        if norm_mode not in ("standardize", "identity"):
-            raise ValueError(f"unknown norm_mode {norm_mode!r}")
+    def __init__(self, rng: Rng, c_in: int, c_out: int):
         self.c_in = c_in
         self.c_out = c_out
-        self.norm_mode = norm_mode
         self.weight = init_weight(rng, c_in, c_out)
         self.bias = init_bias(rng, c_in, c_out)
         self.norm_scale = Tensor(np.ones(c_out), requires_grad=True)
@@ -187,9 +160,9 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
     chain's bit for bit (``tests/oracles.py`` keeps it).  Like the chain,
     it raises NonFiniteError at the first non-finite stage, checking the
     pre-norm values, the mean, the variance and the pre-ReLU values.
-    Standardize mode keeps only ``centred`` and ``sd``: backward
-    recomputes ``normed = centred / sd`` and reads the ReLU mask off the
-    output as ``out > 0``.
+    It keeps only ``centred`` and ``sd``: backward recomputes
+    ``normed = centred / sd`` and reads the ReLU mask off the output as
+    ``out > 0``.
     """
     x = as_tensor(x)
     w, b, scale, shift = layer.weight, layer.bias, layer.norm_scale, layer.norm_shift
@@ -201,31 +174,24 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
     if n == 0:
         raise EmptyInputError("lbr over zero rows")
     parents = (x, w, b, scale, shift)
-
-    def check(*arrays):
-        for a in arrays:
-            if not np.isfinite(a).all():
-                raise _non_finite("lbr", (p.data.shape for p in parents))
+    check = _finite_check("lbr", parents)
 
     # in-place steps below run the chain's operations on the same values,
     # without the chain's temporaries
     h = flat @ w.data
     h += b.data
     check(h)
-    standardize = layer.norm_mode == "standardize"
-    if standardize:
-        inv_n = 1.0 / n
-        mu = h.sum(axis=(0,), keepdims=True) * inv_n
-        centred = h
-        centred -= mu
-        var = (centred * centred).sum(axis=(0,), keepdims=True) * inv_n
-        check(mu, var)
-        sd = np.sqrt(var + eps)
-    pre = (centred / sd if standardize else h) * scale.data
+    inv_n = 1.0 / n
+    mu = h.sum(axis=(0,), keepdims=True) * inv_n
+    centred = h
+    centred -= mu
+    var = (centred * centred).sum(axis=(0,), keepdims=True) * inv_n
+    check(mu, var)
+    sd = np.sqrt(var + eps)
+    pre = centred / sd * scale.data
     pre += shift.data
     check(pre)
     out = np.where(pre > 0.0, pre, 0.0)
-    unnormed = None if standardize else h
 
     def grads_of(g):
         g = g.reshape(out.shape) * (out > 0.0)           # relu
@@ -233,19 +199,17 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
         if shift.requires_grad:
             grads[4] = _unbroadcast(g, shift.data.shape)
         if scale.requires_grad:
-            normed = centred / sd if standardize else unnormed
-            grads[3] = _unbroadcast(g * normed, scale.data.shape)
+            grads[3] = _unbroadcast(g * (centred / sd), scale.data.shape)
         g = g * scale.data
-        if standardize:
-            # divide -> sqrt -> mean of squares, as (1, C) rows
-            g_sd = _unbroadcast(-g * centred / (sd * sd), sd.shape)
-            g_sq = (g_sd * 0.5 / sd) * inv_n
-            # centred's consumers in tape order: the divide, then both
-            # factors of centred * centred
-            g_centred = g / sd + g_sq * centred
-            g_centred = g_centred + g_sq * centred
-            # h's: the centring, then the mean
-            g = g_centred + _unbroadcast(-g_centred, sd.shape) * inv_n
+        # divide -> sqrt -> mean of squares, as (1, C) rows
+        g_sd = _unbroadcast(-g * centred / (sd * sd), sd.shape)
+        g_sq = (g_sd * 0.5 / sd) * inv_n
+        # centred's consumers in tape order: the divide, then both
+        # factors of centred * centred
+        g_centred = g / sd + g_sq * centred
+        g_centred = g_centred + g_sq * centred
+        # h's: the centring, then the mean
+        g = g_centred + _unbroadcast(-g_centred, sd.shape) * inv_n
         if b.requires_grad:
             grads[2] = _unbroadcast(g, b.data.shape)
         if w.requires_grad:
@@ -272,50 +236,80 @@ class Mlp:
         return mlp(x, self)
 
 
+# The MLP kernel of the fused ops that run an Mlp (``mlp`` below and the
+# point-attention ops ``fusion.pos_encoding`` and ``fusion.attend``): the
+# numpy expressions of the chain linear -> relu -> linear over rows and
+# of that chain's vjps, in its order (``tests/oracles.py`` keeps it).
+
+
+def _mlp_hidden(rows: np.ndarray, fc1: LinearLayer, check) -> np.ndarray:
+    """linear -> relu over rows [n, c_in]: the hidden layer.  ``check``
+    sees the pre-ReLU values, the one stage before the output that can
+    turn non-finite; ``Tensor._result`` checks the output."""
+    h = rows @ fc1.weight.data
+    h += fc1.bias.data
+    check(h)
+    return np.where(h > 0.0, h, 0.0)
+
+
+def _mlp_forward(rows: np.ndarray, layer: Mlp, check):
+    """linear -> relu -> linear over rows [n, c_in] -> (hidden, out)."""
+    hidden = _mlp_hidden(rows, layer.fc1, check)
+    out = hidden @ layer.fc2.weight.data
+    out += layer.fc2.bias.data
+    return hidden, out
+
+
+def _mlp_backward(g: np.ndarray, hidden: np.ndarray, rows, layer: Mlp, rows_grad: bool,
+                  grads: dict, first: int):
+    """Backward of ``_mlp_forward`` for the output gradient g [n, c_out].
+
+    Puts the required gradients of fc1.weight, fc1.bias, fc2.weight and
+    fc2.bias into ``grads`` under the parent indices first .. first + 3
+    and returns the rows' gradient [n, c_in] if ``rows_grad``, else None.
+    ``rows`` is a no-argument function building the input rows; it runs
+    only when fc1.weight needs its gradient.  The ReLU mask is read off
+    ``hidden`` as ``hidden > 0``.
+    """
+    fc1, fc2 = layer.fc1, layer.fc2
+    if fc2.weight.requires_grad:
+        grads[first + 2] = _grad_product(hidden.T, g, fc2.c_in, False)
+    if fc2.bias.requires_grad:
+        grads[first + 3] = _unbroadcast(g, fc2.bias.data.shape)
+    if not (rows_grad or fc1.weight.requires_grad or fc1.bias.requires_grad):
+        return None
+    g = _grad_product(g, fc2.weight.data.T, fc2.c_in, True) * (hidden > 0.0)     # relu
+    if fc1.weight.requires_grad:
+        grads[first] = _grad_product(rows().T, g, fc1.c_in, False)
+    if fc1.bias.requires_grad:
+        grads[first + 1] = _unbroadcast(g, fc1.bias.data.shape)
+    return _grad_product(g, fc1.weight.data.T, fc1.c_in, True) if rows_grad else None
+
+
 def mlp(x, layer: Mlp) -> Tensor:
     """Apply an Mlp to [..., c_in], keeping the leading axes.
 
     One tape op with parents (x, fc1.weight, fc1.bias, fc2.weight,
-    fc2.bias).  Forward and backward run the numpy expressions of the
-    chain linear -> relu -> linear in its order, so values and gradients
-    equal that chain's bit for bit (``tests/oracles.py`` keeps it).  Like
-    the chain, it raises NonFiniteError if the hidden layer or the output
-    is non-finite.  Backward reads the ReLU mask off the hidden layer as
-    ``hidden > 0``.
+    fc2.bias), running the MLP kernel above, so values and gradients
+    equal the chain linear -> relu -> linear bit for bit.  Like the
+    chain, it raises NonFiniteError if the hidden layer or the output is
+    non-finite.  It keeps the hidden layer.
     """
     x = as_tensor(x)
     fc1, fc2 = layer.fc1, layer.fc2
     if x.data.shape[-1] != fc1.c_in:
         raise ShapeError(f"mlp expects trailing dim {fc1.c_in}, got {x.data.shape}")
-    w1, b1, w2, b2 = fc1.weight, fc1.bias, fc2.weight, fc2.bias
-    parents = (x, w1, b1, w2, b2)
+    parents = (x, fc1.weight, fc1.bias, fc2.weight, fc2.bias)
     lead = x.data.shape[:-1]
     flat = x.data.reshape((-1, fc1.c_in))
-    h = flat @ w1.data
-    h += b1.data
-    if not np.isfinite(h).all():
-        raise _non_finite("mlp", (p.data.shape for p in parents))
-    hidden = np.where(h > 0.0, h, 0.0)
-    del h
-    out = hidden @ w2.data
-    out += b2.data
-    hidden_grad = x.requires_grad or w1.requires_grad or b1.requires_grad
+    hidden, out = _mlp_forward(flat, layer, _finite_check("mlp", parents))
 
     def grads_of(g):
-        g = g.reshape(out.shape)
         grads = {}
-        if w2.requires_grad:
-            grads[3] = _grad_product(hidden.T, g, fc2.c_in, False)
-        if b2.requires_grad:
-            grads[4] = _unbroadcast(g, b2.data.shape)
-        if hidden_grad:
-            g = _grad_product(g, w2.data.T, fc2.c_in, True) * (hidden > 0.0)     # relu
-            if x.requires_grad:
-                grads[0] = _grad_product(g, w1.data.T, fc1.c_in, True).reshape(x.data.shape)
-            if w1.requires_grad:
-                grads[1] = _grad_product(flat.T, g, fc1.c_in, False)
-            if b1.requires_grad:
-                grads[2] = _unbroadcast(g, b1.data.shape)
+        g_x = _mlp_backward(g.reshape(out.shape), hidden, lambda: flat, layer,
+                            x.requires_grad, grads, 1)
+        if g_x is not None:
+            grads[0] = g_x.reshape(x.data.shape)
         return grads
 
     return Tensor._result(out.reshape(lead + (fc2.c_out,)), parents,

@@ -18,7 +18,8 @@ from .boxes import (CLASSES, DEFAULT_ANCHORS, DetectionResult, GroundTruth,
 from .config import NetworkConfig
 from .frustum import (DepthPrediction, FrustumError, ImageEncoder, ImageFeatureGrid, OffsetGrid,
                       PseudoPointSet, generate_pseudo_points, select_foreground)
-from .fusion import ProposalHead, RpnOutput, StreamRoute, TwoStreamNetwork, encode_boxes
+from .fusion import (RAW_IN_CHANNELS, ProposalHead, RpnOutput, StreamRoute, TwoStreamNetwork,
+                     encode_boxes)
 from .geometry import LidBinning, farthest_point_sampling, lid_encode
 from .kitti import SceneSample
 from .losses import DepthTargets, LossWeights, RpnTargets, depth_loss, rpn_loss, total_loss
@@ -115,7 +116,7 @@ class DetectionModel:
         self.binning = LidBinning(d_min=cfg.depth_min, d_max=cfg.depth_max, n_bins=cfg.depth_bins)
         self.encoder = ImageEncoder(
             rng.derive("image"), 3, cfg.encoder_channels, cfg.encoder_strides,
-            cfg.feature_channels, cfg.depth_bins, self.binning, cfg.norm_mode)
+            cfg.feature_channels, cfg.depth_bins, self.binning)
         self.backbone = TwoStreamNetwork(cfg, rng.derive("fusion"))
         self.head = ProposalHead(rng.derive("head"), self.backbone.width, CLASSES,
                                  DEFAULT_ANCHORS, cfg.vote_hidden, cfg.head_hidden)
@@ -136,7 +137,7 @@ class DetectionModel:
             scene.points, scene.mask, scene.calib, fi, dp, og,
             cfg.n_pseudo, self.binning, cfg.sampling_mode, Rng(prepared.rng_seed))
         raw_coords = Tensor(scene.points.coords[prepared.raw_indices])
-        raw_feats = Tensor(scene.points.feats[prepared.raw_indices, :cfg.raw_in_channels])
+        raw_feats = Tensor(scene.points.feats[prepared.raw_indices, :RAW_IN_CHANNELS])
         raw_out, pseudo_out, aux = self.backbone(raw_coords, raw_feats, pseudo.coords,
                                                  pseudo.feats, prepared.raw_route(self.backbone))
         rpn = self.head(raw_coords, raw_out)

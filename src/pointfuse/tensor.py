@@ -12,10 +12,14 @@ Inside ``with no_grad():`` ops record no tape at all, which is how
 inference runs.  Layer-level ops built on these primitives (``nn.linear``,
 ``nn.lbr``, ``nn.mlp``, the point-attention ops ``fusion.pos_encoding``
 and ``fusion.attend``, and ``fusion.idw_interpolate``) record one node
-for what would otherwise be a chain of ops; their parents' vjps share
-one backward computation per upstream gradient, each reading its share.
-They keep only the arrays their backward reads and rebuild the rest
-from them.
+for what would otherwise be a chain of ops.  Their parents' vjps, like
+``frustum_sample``'s, share one backward computation per upstream
+gradient through ``_shared_vjps``, each reading its share, and those
+that check stages before their output raise NonFiniteError through
+``_finite_check``.  The three that run an MLP (``nn.mlp``,
+``pos_encoding``, ``attend``) share its kernel, ``nn._mlp_forward`` and
+``nn._mlp_backward``.  They keep only the arrays their backward reads
+and rebuild the rest from them.
 
 Three hard rules hold everywhere:
   * non-finite values (NaN/Inf) raise immediately instead of propagating,
@@ -65,6 +69,17 @@ def no_grad():
 def _non_finite(op: str, shapes) -> NonFiniteError:
     listed = ", ".join(str(tuple(s)) for s in shapes)
     return NonFiniteError(f"non-finite value (NaN or Inf) from {op} on operand shapes [{listed}]")
+
+
+def _finite_check(op: str, parents):
+    """``check(*arrays)``: raises NonFiniteError naming ``op`` and the
+    parents' shapes at the first array holding NaN or Inf.  The fused
+    ops call it after each stage of their chain that can turn non-finite."""
+    def check(*arrays):
+        for a in arrays:
+            if not np.isfinite(a).all():
+                raise _non_finite(op, (p.data.shape for p in parents))
+    return check
 
 
 class Tensor:
@@ -234,6 +249,30 @@ def backward(loss: Tensor) -> None:
             pg = vjp(g)
             acc = flow.get(id(parent))
             flow[id(parent)] = pg if acc is None else acc + pg
+
+
+def _shared_vjps(n_parents, grads_of):
+    """One vjp per parent, all reading one backward computation.
+
+    ``grads_of(g)`` returns a dict from parent index to that parent's
+    gradient, for the parents that require grad.  The first vjp called
+    with a given g runs it; each vjp then takes its own entry, and the
+    last one taken releases them all.
+    """
+    state = [None, None]     # the upstream gradient, the entries not yet taken
+
+    def vjp_of(i):
+        def vjp(g):
+            if state[0] is not g:
+                state[0], state[1] = g, grads_of(g)
+            grads = state[1]
+            out = grads.pop(i)
+            if not grads:
+                state[0] = state[1] = None
+            return out
+        return vjp
+
+    return tuple(vjp_of(i) for i in range(n_parents))
 
 
 def zero_grads(tensors) -> None:
@@ -758,7 +797,8 @@ def frustum_sample(weights, feats, uvd) -> Tensor:
     corner value is the same w * f product the volume holds, added in the
     same corner order.  Backward forms the volume gradient only at the
     touched cells (one scatter in corner order, as ``trilinear_sample``
-    does), then reduces it over channels for the weights and over depth,
+    does, run once per upstream gradient for both parents that read it),
+    then reduces it over channels for the weights and over depth,
     ascending, for the features.  With C >= 2 that equals the volume
     path's reductions bit for bit; with C == 1 numpy sums the volume's
     depth axis pairwise instead, so the feature gradient may differ in
@@ -780,19 +820,22 @@ def frustum_sample(weights, feats, uvd) -> Tensor:
     touched, slot = np.unique(flat, return_inverse=True)     # ascending: by pixel, then depth
     pixel = touched // d
 
-    def cell_grad(g):
-        # the volume path's gradient, restricted to the touched cells [K, C]
-        return _scatter_rows(slot, np.concatenate([wt * g for wt in corner_w]), (touched.size, c))
+    parents = (weights, feats, uvd)
 
-    def vjp_weights(g):
-        gw = np.zeros(h * w * d)
-        gw[touched] = (cell_grad(g) * feats.data.reshape(h * w, c)[pixel]).sum(axis=1)
-        return gw.reshape(h, w, d)
+    def grads_of(g):
+        grads = {}
+        if weights.requires_grad or feats.requires_grad:
+            # the volume path's gradient, restricted to the touched cells [K, C]
+            cell = _scatter_rows(slot, np.concatenate([wt * g for wt in corner_w]), (touched.size, c))
+        if weights.requires_grad:
+            gw = np.zeros(h * w * d)
+            gw[touched] = (cell * feats.data.reshape(h * w, c)[pixel]).sum(axis=1)
+            grads[0] = gw.reshape(h, w, d)
+        if feats.requires_grad:
+            rows = cell * weights.data.reshape(-1)[touched][:, None]
+            grads[1] = _scatter_rows(pixel, rows, (h * w, c)).reshape(h, w, c)
+        if uvd.requires_grad:
+            grads[2] = _trilinear_position_grad(vals, frac, inside, g)
+        return grads
 
-    def vjp_feats(g):
-        rows = cell_grad(g) * weights.data.reshape(-1)[touched][:, None]
-        return _scatter_rows(pixel, rows, (h * w, c)).reshape(h, w, c)
-
-    return Tensor._result(out, (weights, feats, uvd),
-                          (vjp_weights, vjp_feats,
-                           lambda g: _trilinear_position_grad(vals, frac, inside, g)))
+    return Tensor._result(out, parents, _shared_vjps(len(parents), grads_of))

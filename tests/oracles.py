@@ -37,16 +37,15 @@ def linear_chain(x, layer):
 
 
 def lbr_chain(x, layer, eps=LBR_NORM_EPS):
-    """``nn.lbr`` as sixteen tape ops (seven in identity mode)."""
+    """``nn.lbr`` as sixteen tape ops."""
     x = as_tensor(x)
     lead = x.data.shape[:-1]
     flat = reshape(x, (-1, layer.c_in))
     h = matmul(flat, layer.weight) + layer.bias
-    if layer.norm_mode == "standardize":
-        mu = tmean(h, axis=0, keepdims=True)
-        centred = h - mu
-        var = tmean(centred * centred, axis=0, keepdims=True)
-        h = centred / sqrt(var + eps)
+    mu = tmean(h, axis=0, keepdims=True)
+    centred = h - mu
+    var = tmean(centred * centred, axis=0, keepdims=True)
+    h = centred / sqrt(var + eps)
     h = h * layer.norm_scale + layer.norm_shift
     h = relu(h)
     return reshape(h, lead + (layer.c_out,))

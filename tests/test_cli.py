@@ -159,6 +159,17 @@ def test_replay_detects_tampering(overfit_run, tmp_path, capsys):
     assert "differ from the manifest" in captured.err
 
 
+def test_replay_rejects_a_manifest_with_a_removed_key(overfit_run, tmp_path, capsys):
+    # the config once carried net.norm_mode; replay must refuse it, not drop it
+    lines = read_manifest(overfit_run)
+    lines[0]["config"]["net.norm_mode"] = "standardize"
+    doctored = tmp_path / "manifest.jsonl"
+    doctored.write_text("".join(json.dumps(l, sort_keys=True) + "\n" for l in lines))
+    rc = run("replay", "--manifest", str(doctored), "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert "net.norm_mode" in capsys.readouterr().err
+
+
 def test_replay_rejects_headerless_manifest(tmp_path):
     bad = tmp_path / "manifest.jsonl"
     bad.write_text(json.dumps({"kind": "artifact", "name": "x", "sha256": "0"}) + "\n")

@@ -108,13 +108,6 @@ def test_overrides_reject_bad_keys_and_types():
             apply_override(cfg, key, value)
 
 
-def test_lambda_rcnn_stays_pinned_through_overrides():
-    cfg = RunConfig()
-    apply_override(cfg, "loss.lambda_rcnn", "0.5")  # assignment succeeds...
-    with pytest.raises(ValueError):
-        cfg.validate()                              # ...validation re-runs the pin
-
-
 def test_config_file_round_trip(tmp_path):
     cfg = RunConfig()
     apply_override(cfg, "train.lr", "0.002")

@@ -4,12 +4,22 @@ Every name a module under ``src/`` or ``tests/`` imports must be
 referenced in that module.  Package ``__init__.py`` files re-export what
 they import, names listed in ``__all__`` are exports, and
 ``from __future__`` imports are compiler directives, so those are exempt.
+
+Every field of a config dataclass (a section of ``RunConfig``) must be
+read somewhere in ``src/`` outside the ``validate`` and ``__post_init__``
+checks: a setting that only its own check reads changes nothing a run
+does.  Reads are matched by attribute name, so a field shares its reads
+with any other attribute of the same name.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
+from pointfuse.config import RunConfig
+
 ROOT = Path(__file__).resolve().parent.parent
+CHECK_METHODS = ("validate", "__post_init__")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,3 +59,44 @@ def test_no_module_imports_a_name_it_never_uses():
         for line, name in unused_imports(path.read_text()):
             found.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert not found, "imported but never used:\n" + "\n".join(found)
+
+
+def attribute_reads(source: str) -> tuple[set, set]:
+    """Attribute names ``source`` reads (``x.name`` in load context): those
+    read inside a ``validate`` or ``__post_init__`` function, and those
+    read anywhere else."""
+    inside, outside = set(), set()
+
+    def visit(node, in_check):
+        for child in ast.iter_child_nodes(node):
+            check = in_check or (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                                 and child.name in CHECK_METHODS)
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                (inside if check else outside).add(child.attr)
+            visit(child, check)
+
+    visit(ast.parse(source), False)
+    return inside, outside
+
+
+def test_attribute_reads_split_at_the_checks():
+    src = ("class C:\n"
+           "    def validate(self):\n"
+           "        if self.a or self.b:\n"
+           "            self.c = 1\n"
+           "def use(cfg):\n"
+           "    return cfg.b\n")
+    assert attribute_reads(src) == ({"a", "b"}, {"b"})
+
+
+def test_every_config_field_is_read_outside_its_checks():
+    outside = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        outside |= attribute_reads(path.read_text())[1]
+    found = []
+    for section in fields(RunConfig):
+        cls = type(section.default_factory())
+        found += [f"{section.name}.{f.name} ({cls.__name__})"
+                  for f in fields(cls) if f.name not in outside]
+    assert not found, ("config fields that src/ reads only in validate/__post_init__, "
+                       "or not at all:\n" + "\n".join(found))

@@ -27,17 +27,6 @@ from pointfuse.nn import Rng, gradcheck
 from pointfuse.tensor import Tensor
 
 
-# -- weights -------------------------------------------------------------------
-
-
-def test_loss_weights_defaults_and_rcnn_pin():
-    w = LossWeights()
-    assert w.lambda_residual == 10.0
-    assert w.lambda_rcnn == 0.0
-    with pytest.raises(ValueError):
-        LossWeights(lambda_rcnn=0.5)
-
-
 # -- focal ---------------------------------------------------------------------
 
 

@@ -115,22 +115,12 @@ def test_lbr_single_row_degenerates_to_shifted_relu():
     assert np.array_equal(out1.data, out2.data)
 
 
-def test_lbr_identity_mode_skips_statistics():
-    layer = LbrLayer(Rng(4), 2, 2, norm_mode="identity")
-    layer.weight.data = np.eye(2)
-    layer.bias.data = np.zeros(2)
-    out = layer(Tensor([[3.0, -1.0]]))
-    assert np.array_equal(out.data, [[3.0, 0.0]])
-
-
 def test_lbr_rejects_bad_inputs():
     layer = LbrLayer(Rng(5), 3, 2)
     with pytest.raises(ShapeError):
         layer(Tensor(np.zeros((4, 2))))
     with pytest.raises(EmptyInputError):
         layer(Tensor(np.zeros((0, 3))))
-    with pytest.raises(ValueError):
-        LbrLayer(Rng(5), 3, 2, norm_mode="batch")
 
 
 # -- fused layers against their tape-op chains ----------------------------------------
@@ -142,7 +132,7 @@ def _layer(kind, c_in=4, c_out=3, seed=9):
         return LinearLayer(Rng(seed), c_in, c_out), linear, linear_chain
     if kind == "mlp":
         return Mlp(Rng(seed), c_in, c_out + 2, c_out), mlp, mlp_chain
-    layer = LbrLayer(Rng(seed), c_in, c_out, norm_mode=kind.split("-")[1])
+    layer = LbrLayer(Rng(seed), c_in, c_out)
     r = Rng(seed + 1)
     layer.norm_scale.data[...] = r.uniform(0.5, 1.5, c_out)
     layer.norm_shift.data[...] = r.uniform(-0.3, 0.3, c_out)
@@ -166,7 +156,7 @@ def _loss_and_grads(op, layer, x, w, second_consumer):
     return out, loss, grads
 
 
-@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "lbr-identity", "mlp"])
+@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "mlp"])
 @pytest.mark.parametrize("shape", [(1, 4), (9, 4), (3, 5, 4)])
 @pytest.mark.parametrize("x_mode", ["constant", "leaf", "leaf-two-consumers"])
 def test_fused_layer_equals_its_chain_bit_for_bit(kind, shape, x_mode):
@@ -185,7 +175,7 @@ def test_fused_layer_equals_its_chain_bit_for_bit(kind, shape, x_mode):
             assert g.tobytes() == h.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "lbr-identity", "mlp"])
+@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "mlp"])
 def test_fused_layer_is_one_op_on_the_input_and_the_layer_parameters(kind):
     layer, fused, chain = _layer(kind)
     x = Tensor(Rng(3).normal((6, 4)))
@@ -200,7 +190,7 @@ def test_fused_layer_is_one_op_on_the_input_and_the_layer_parameters(kind):
     assert free.data.tobytes() == want.data.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "lbr-identity", "mlp"])
+@pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "mlp"])
 def test_fused_layer_lifts_subnormal_gradients_as_its_chain_does(kind):
     # K = LIFT_MIN_K and a subnormal upstream gradient: both gradient
     # products are guarded, and lifted where the plain product would lose bits
@@ -222,12 +212,12 @@ def test_fused_layer_lifts_subnormal_gradients_as_its_chain_does(kind):
 
 @pytest.mark.parametrize("kind, x, weight, scale, shift", [
     ("linear", [1e200, 1.0], 1e200, 1.0, 0.0),                    # x @ W overflows
-    ("lbr-identity", [1e200, 1.0], 1e200, 1.0, 0.0),              # pre-norm h overflows
+    ("lbr-standardize", [1e200, 1.0], 1e200, 1.0, 0.0),           # pre-norm h overflows
     ("lbr-standardize", [1.5e308, 1.5e308], 1.0, 1.0, 0.0),       # the mean's sum overflows
     # the variance overflows: sd = inf makes the normalised output a finite 0
     ("lbr-standardize", [1e200, -1e200], 1.0, 1.0, 0.5),
     # the pre-ReLU value is -inf, which relu would turn into 0
-    ("lbr-identity", [-1e200, 1.0], 1.0, 1e200, 0.0),
+    ("lbr-standardize", [-1.0, 1.0], 1.0, 1.5e308, -1e308),
     ("lbr-standardize", [-1.0, 1.0], 1.0, 1e308, -1e308),
 ])
 def test_fused_layer_raises_where_its_chain_raises(kind, x, weight, scale, shift):

@@ -351,7 +351,7 @@ def test_a_desk_training_step_builds_a_fixed_number_of_tape_nodes():
     cfg, prepared = make_prepared(0)
     model = DetectionModel(cfg, Rng(0))
     total, _ = compute_losses(prepared, model.forward(prepared), LossWeights())
-    assert len([node for node in T._topo_order(total) if node._parents]) == 370
+    assert len([node for node in T._topo_order(total) if node._parents]) == 369
 
 
 # bytes a desk forward plus compute_losses keeps alive: 5.18 MB at seed 0
