@@ -205,7 +205,9 @@ def _assert_same_bits(got, want):
             assert g.tobytes() == h.tobytes()
 
 
-@pytest.mark.parametrize("mode", ["subtract", "multiply"])
+# The case ids name the LBR normalisation the block runs ("standardize",
+# its only one) ahead of the mode, as they did when a second one existed.
+@pytest.mark.parametrize("mode", ["subtract", "multiply"], ids=lambda m: f"standardize-{m}")
 @pytest.mark.parametrize("group", [1, 4])
 @pytest.mark.parametrize("leaves", ["params", "params-feats", "params-feats-coords"])
 def test_attention_equals_its_chain_bit_for_bit(mode, group, leaves):
