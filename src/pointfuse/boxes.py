@@ -196,6 +196,14 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
 # pairs with the same float operations, in the same order, as clip_convex;
 # only the shoelace sum differs (np.dot may fuse multiply-adds), so it agrees
 # with the scalar iou_bev / iou_3d, kept as its oracle, to about 1e-13.
+#
+# Most pairs cannot reach the threshold they are tested against, and the
+# clip is the expensive part.  Two rotated boxes intersect only inside the
+# intersection of their axis-aligned bounds (AABBs), which gives iou_bound,
+# an upper bound on pair_iou that costs a few array ops per pair (the
+# broad phase of collision detection).  NMS and AP-40 clip only the pairs
+# whose bound reaches their threshold; the rest read 0, as pairs too far
+# apart to touch always have.
 
 # Pairs per clip call.  Bounds the kernel's transient arrays to about 2 MB
 # while keeping numpy's fixed per-call cost small next to the work.
@@ -213,6 +221,8 @@ class BoxArrays:
     z_lo: np.ndarray     # [n]
     z_hi: np.ndarray     # [n]
     volume: np.ndarray   # [n]
+    lo: np.ndarray       # [n, 2] BEV AABB of the corners
+    hi: np.ndarray       # [n, 2]
 
     @classmethod
     def of(cls, boxes: list[Box3D]) -> "BoxArrays":
@@ -226,7 +236,7 @@ class BoxArrays:
                           np.stack([w / 2, w / 2, -w / 2, -w / 2], axis=-1)], axis=-1)
         corners = local @ np.swapaxes(rot, -1, -2) + a[:, None, :2]
         return cls(corners, a[:, :2], 0.5 * np.hypot(l, w), l * w,
-                   z - h / 2, z + h / 2, l * w * h)
+                   z - h / 2, z + h / 2, l * w * h, corners.min(axis=1), corners.max(axis=1))
 
 
 def _clip_area(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
@@ -320,6 +330,38 @@ def pair_iou(subject: BoxArrays, clip: BoxArrays, rows: np.ndarray, cols: np.nda
     return out
 
 
+def iou_bound(subject: BoxArrays, clip: BoxArrays, rows: np.ndarray, cols: np.ndarray,
+              overlap: str = "bev") -> np.ndarray:
+    """An upper bound on pair_iou(subject, clip, rows, cols, overlap).
+
+    The pair's intersection lies inside the overlap of the two AABBs, so
+    its area is at most I = min(AABB overlap, A, B) with A, B the box
+    areas, and the IoU at most I / (A + B - I).  For 3-D overlap the AABB
+    overlap is multiplied by the height overlap and A, B are the volumes.
+    pair_iou rounds at the scale of the coordinates, not of the boxes: a
+    touching pair can clip to a sliver of about 1e-15 where I is exactly
+    0.  So the bound adds 1e-9 * s**2 to I (times the height overlap for
+    3-D), s the largest corner coordinate magnitude of the pair, in the
+    numerator only.  In BEV that is at least 1e-10 of A + B, and orders of
+    magnitude above what the clip and its shoelace sum can round by.
+    """
+    ext = np.maximum(0.0, np.minimum(subject.hi[rows], clip.hi[cols])
+                     - np.maximum(subject.lo[rows], clip.lo[cols]))
+    inter = ext[:, 0] * ext[:, 1]
+    scale = np.maximum(np.maximum(-subject.lo, subject.hi).max(axis=1)[rows],
+                       np.maximum(-clip.lo, clip.hi).max(axis=1)[cols])
+    slack = 1e-9 * scale * scale
+    if overlap == "bev":
+        a, b = subject.area[rows], clip.area[cols]
+    else:
+        height = np.maximum(0.0, np.minimum(subject.z_hi[rows], clip.z_hi[cols])
+                            - np.maximum(subject.z_lo[rows], clip.z_lo[cols]))
+        inter, slack = inter * height, slack * height
+        a, b = subject.volume[rows], clip.volume[cols]
+    inter = np.minimum(inter, np.minimum(a, b))
+    return (inter + slack) / (a + b - inter)
+
+
 # -- NMS -------------------------------------------------------------------------
 
 
@@ -331,12 +373,16 @@ def nms(dets: list[DetectionResult], iou_threshold: float, overlap: str = "bev")
     already-kept box exceeds the threshold (strict >).  Overlaps come from
     pair_iou with the candidate as subject and the earlier box as clip
     polygon, as in iou_bev(candidate, kept) / iou_3d(candidate, kept).
+    Only pairs whose iou_bound exceeds the threshold are clipped: the
+    bound is never below pair_iou, so no other pair can suppress.
     """
     scores = np.array([d.score for d in dets])
     order = np.argsort(-scores, kind="stable")
     table = BoxArrays.of([dets[i].box for i in order])
     n = len(order)
     later, earlier = np.tril_indices(n, -1)
+    ask = iou_bound(table, table, later, earlier, overlap) > iou_threshold
+    later, earlier = later[ask], earlier[ask]
     # over[s, r]: keeping s suppresses the later candidate r
     over = np.zeros((n, n), dtype=bool)
     over[earlier, later] = pair_iou(table, table, later, earlier, overlap) > iou_threshold
@@ -371,6 +417,8 @@ def average_precision_40(dets: list[DetectionResult], gts: list[GroundTruth],
     highest overlap at or above the threshold.  Ground truths above
     ``max_difficulty`` are ignore regions: they are not counted as
     positives and detections matching them are discarded outright.
+    Only same-scene pairs whose iou_bound reaches the threshold are
+    clipped; the others keep overlap 0, which never matches.
     """
     gts = [g for g in gts if g.klass == klass]
     counted = np.array([max_difficulty is None or g.difficulty <= max_difficulty for g in gts],
@@ -380,13 +428,16 @@ def average_precision_40(dets: list[DetectionResult], gts: list[GroundTruth],
     if n_pos == 0:
         return ApResult(float("nan"), True, 0, len(dets))
 
-    # one (det x gt) overlap matrix; pairs from different scenes stay 0
+    # one (det x gt) overlap matrix; pairs from different scenes, or whose
+    # bound is below the threshold, stay 0
     same_scene = (np.array([d.scene for d in dets], dtype=np.int64)[:, None]
                   == np.array([g.scene for g in gts], dtype=np.int64)[None, :])
     rows, cols = np.nonzero(same_scene)
+    det_table, gt_table = BoxArrays.of([d.box for d in dets]), BoxArrays.of([g.box for g in gts])
+    ask = iou_bound(det_table, gt_table, rows, cols, overlap) >= iou_threshold
+    rows, cols = rows[ask], cols[ask]
     ious = np.zeros(same_scene.shape)
-    ious[rows, cols] = pair_iou(BoxArrays.of([d.box for d in dets]),
-                                BoxArrays.of([g.box for g in gts]), rows, cols, overlap)
+    ious[rows, cols] = pair_iou(det_table, gt_table, rows, cols, overlap)
     candidate = (ious >= iou_threshold) & (ious > 0.0)
     has_candidate = candidate.any(axis=1)
 

@@ -166,6 +166,15 @@ class RunConfig:
         self.net.validate()
         self.train.validate()
         self.eval.validate()
+        # every loss term is non-negative by construction only while its
+        # weight is; `not v >= 0` also rejects NaN
+        for f in fields(self.loss):
+            v = getattr(self.loss, f.name)
+            if f.name == "focal_alpha":
+                if not 0.0 <= v <= 1.0:
+                    raise ConfigError(f"loss.focal_alpha must lie in [0, 1], got {v}")
+            elif not v >= 0.0:
+                raise ConfigError(f"loss.{f.name} must be >= 0, got {v}")
         if (self.scene.image_height, self.scene.image_width) != (self.net.image_height, self.net.image_width):
             raise ConfigError(
                 f"scene raster {self.scene.image_height}x{self.scene.image_width} must match "

@@ -699,32 +699,12 @@ class ProposalSet:
     indices: np.ndarray # [P] row in the head input each proposal came from
 
 
-def encode_box(gt: Box3D, vote: np.ndarray, anchor) -> np.ndarray:
-    """Residual target for a box against a vote position and class anchor.
+def encode_boxes(gt: Box3D, votes: np.ndarray, anchor) -> np.ndarray:
+    """Residual targets [N, 8] for one box against many votes [N, 3].
 
     Offsets are scaled by the anchor's ground diagonal (height for z),
-    sizes are log ratios and yaw is its (sin, cos) pair.
-    """
-    al, aw, ah = anchor
-    diag = float(np.hypot(al, aw))
-    t = np.empty(8)
-    t[0] = (gt.x - vote[0]) / diag
-    t[1] = (gt.y - vote[1]) / diag
-    t[2] = (gt.z - vote[2]) / ah
-    t[3] = np.log(gt.l / al)
-    t[4] = np.log(gt.w / aw)
-    t[5] = np.log(gt.h / ah)
-    t[6] = np.sin(gt.yaw)
-    t[7] = np.cos(gt.yaw)
-    return t
-
-
-def encode_boxes(gt: Box3D, votes: np.ndarray, anchor) -> np.ndarray:
-    """``encode_box`` for many votes [N, 3] against one box -> [N, 8].
-
-    The per-box terms come from the same scalar calls and the offsets
-    are the same elementwise float ops, so each row equals
-    ``encode_box(gt, votes[i], anchor)`` bit for bit.
+    sizes are log ratios and yaw is its (sin, cos) pair.  Each row equals
+    the per-vote oracle ``encode_box`` (``tests/oracles.py``) bit for bit.
     """
     al, aw, ah = anchor
     diag = float(np.hypot(al, aw))
@@ -735,18 +715,6 @@ def encode_boxes(gt: Box3D, votes: np.ndarray, anchor) -> np.ndarray:
     t[:, 3:] = (np.log(gt.l / al), np.log(gt.w / aw), np.log(gt.h / ah),
                 np.sin(gt.yaw), np.cos(gt.yaw))
     return t
-
-
-def decode_box(res: np.ndarray, vote: np.ndarray, anchor) -> Box3D:
-    al, aw, ah = anchor
-    diag = float(np.hypot(al, aw))
-    x = vote[0] + res[0] * diag
-    y = vote[1] + res[1] * diag
-    z = vote[2] + res[2] * ah
-    yaw = normalize_angle(float(np.arctan2(res[6], res[7])))
-    return Box3D(float(x), float(y), float(z),
-                 float(al * np.exp(res[3])), float(aw * np.exp(res[4])),
-                 float(ah * np.exp(res[5])), yaw)
 
 
 class ProposalHead:
@@ -782,16 +750,24 @@ class ProposalHead:
         return RpnOutput(votes, cls_prob, reg)
 
     def decode_proposals(self, out: RpnOutput, score_threshold: float) -> ProposalSet:
-        """Threshold by best class score and decode boxes (no gradients)."""
+        """Threshold by best class score and decode boxes (no gradients).
+
+        Decoding inverts encode_boxes over all kept rows at once; each box
+        equals the per-row oracle ``decode_box`` (``tests/oracles.py``) bit
+        for bit.
+        """
         probs = out.cls_prob.data
-        votes = out.votes.data
-        reg = out.reg.data
         best = np.argmax(probs, axis=1)
         score = probs[np.arange(len(probs)), best]
         keep = np.flatnonzero(score >= score_threshold)
-        boxes, names = [], []
-        for i in keep:
-            klass = self.classes[best[i]]
-            boxes.append(decode_box(reg[i], votes[i], self.anchors[klass]))
-            names.append(klass)
-        return ProposalSet(boxes, score[keep], names, keep)
+        # per class: anchor l, w, h and the ground diagonal
+        anchor = np.array([(*self.anchors[k], float(np.hypot(*self.anchors[k][:2])))
+                           for k in self.classes])[best[keep]]
+        al, aw, ah, diag = anchor.T
+        reg, votes = out.reg.data[keep], out.votes.data[keep]
+        cols = (votes[:, 0] + reg[:, 0] * diag, votes[:, 1] + reg[:, 1] * diag,
+                votes[:, 2] + reg[:, 2] * ah, al * np.exp(reg[:, 3]), aw * np.exp(reg[:, 4]),
+                ah * np.exp(reg[:, 5]), np.arctan2(reg[:, 6], reg[:, 7]))
+        boxes = [Box3D(x, y, z, l, w, h, normalize_angle(yaw))
+                 for x, y, z, l, w, h, yaw in zip(*(c.tolist() for c in cols))]
+        return ProposalSet(boxes, score[keep], [self.classes[b] for b in best[keep]], keep)

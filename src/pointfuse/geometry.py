@@ -294,7 +294,7 @@ class Calibration:
 
     def image_to_camera(self, uv: np.ndarray, depth) -> np.ndarray:
         """(u, v, projective depth) -> rectified-camera point; inverse of
-        project_to_image."""
+        the project_to_image method."""
         uv = np.asarray(uv, dtype=np.float64)
         single = uv.ndim == 1
         uvm = np.atleast_2d(uv)
@@ -313,10 +313,6 @@ def lidar_to_camera(p: np.ndarray, calib: Calibration) -> np.ndarray:
 
 def camera_to_lidar(p: np.ndarray, calib: Calibration) -> np.ndarray:
     return calib.camera_to_lidar(p)
-
-
-def project_to_image(p_cam: np.ndarray, calib: Calibration):
-    return calib.project_to_image(p_cam)
 
 
 # -- scene cropping ------------------------------------------------------------

@@ -60,9 +60,6 @@ class Rng:
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
 
-    def shuffle(self, a: np.ndarray) -> None:
-        self._gen.shuffle(a)
-
 
 def init_weight(rng: Rng, c_in: int, c_out: int) -> Tensor:
     """Uniform in +-sqrt(1/c_in)."""

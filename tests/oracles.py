@@ -3,7 +3,8 @@
 Each is the plain, obviously-correct form of a faster library kernel:
 the full stable argsort kNN, the loop farthest-point sampler, the
 sequential ``np.add.at`` scatter, single-position grid reads, the scalar
-inverse-distance interpolation, the per-proposal assignment rule, and the
+inverse-distance interpolation, the per-proposal assignment rule, the
+per-vote box residual encode and per-row decode, and the
 ``linear``/``lbr``/``mlp`` layers, the point-attention ops
 (``pos_encoding``, ``attend``) and the differentiable inverse-distance
 interpolation (``idw_chain``) as chains of single tape ops.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pointfuse.boxes import Box3D, iou_3d, iou_bev
+from pointfuse.boxes import Box3D, iou_3d, iou_bev, normalize_angle
 from pointfuse.fusion import _EXACT_D2
 from pointfuse.geometry import GeometryError, PointSet
 from pointfuse.nn import LBR_NORM_EPS, linear
@@ -272,6 +273,37 @@ def idw_interpolate(target, neighbors: PointSet, k=3, p=2.0):
 def box_from_array(a) -> Box3D:
     a = np.asarray(a, dtype=np.float64).reshape(7)
     return Box3D(*a.tolist())
+
+
+def encode_box(gt: Box3D, vote: np.ndarray, anchor) -> np.ndarray:
+    """Residual target for a box against a vote position and class anchor:
+    the per-vote form of ``fusion.encode_boxes``."""
+    al, aw, ah = anchor
+    diag = float(np.hypot(al, aw))
+    t = np.empty(8)
+    t[0] = (gt.x - vote[0]) / diag
+    t[1] = (gt.y - vote[1]) / diag
+    t[2] = (gt.z - vote[2]) / ah
+    t[3] = np.log(gt.l / al)
+    t[4] = np.log(gt.w / aw)
+    t[5] = np.log(gt.h / ah)
+    t[6] = np.sin(gt.yaw)
+    t[7] = np.cos(gt.yaw)
+    return t
+
+
+def decode_box(res: np.ndarray, vote: np.ndarray, anchor) -> Box3D:
+    """One residual row back to a box: the per-row form of
+    ``ProposalHead.decode_proposals``."""
+    al, aw, ah = anchor
+    diag = float(np.hypot(al, aw))
+    x = vote[0] + res[0] * diag
+    y = vote[1] + res[1] * diag
+    z = vote[2] + res[2] * ah
+    yaw = normalize_angle(float(np.arctan2(res[6], res[7])))
+    return Box3D(float(x), float(y), float(z),
+                 float(al * np.exp(res[3])), float(aw * np.exp(res[4])),
+                 float(ah * np.exp(res[5])), yaw)
 
 
 CLS_POSITIVE_IOU = 0.6   # strictly above: classification positive

@@ -25,6 +25,7 @@ from pointfuse.boxes import (
     format_detection_row,
     iou_3d,
     iou_bev,
+    iou_bound,
     nms,
     normalize_angle,
     pair_iou,
@@ -181,7 +182,8 @@ def random_box(rng):
 
 
 def assert_pair_iou_matches_scalar(subjects, clips):
-    """pair_iou over all (subject, clip) pairs equals the scalar calls."""
+    """pair_iou over all (subject, clip) pairs equals the scalar calls,
+    and iou_bound is never below it."""
     rows, cols = (g.ravel() for g in np.meshgrid(np.arange(len(subjects)),
                                                   np.arange(len(clips)), indexing="ij"))
     sub, clip = BoxArrays.of(subjects), BoxArrays.of(clips)
@@ -189,6 +191,7 @@ def assert_pair_iou_matches_scalar(subjects, clips):
         got = pair_iou(sub, clip, rows, cols, overlap)
         want = np.array([iou_fn(subjects[r], clips[c]) for r, c in zip(rows, cols)])
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12, overlap
+        assert np.all(got <= iou_bound(sub, clip, rows, cols, overlap)), overlap
 
 
 def test_box_arrays_corners_match_bev_corners():
@@ -300,9 +303,83 @@ def test_nms_matches_oracle_on_desk_proposals():
         got = pair_iou(table, table, later, earlier, overlap)
         want = np.array([iou_fn(props.boxes[r], props.boxes[c]) for r, c in zip(later, earlier)])
         assert np.max(np.abs(got - want)) <= 1e-12, overlap
+        assert np.all(got <= iou_bound(table, table, later, earlier, overlap)), overlap
     dets = [DetectionResult(b, float(s), c) for b, s, c in zip(props.boxes, props.scores, props.classes)]
     for overlap, thr in (("bev", cfg.nms_test), ("3d", 0.3)):
         assert nms(dets, thr, overlap) == nms_oracle(dets, thr, overlap), overlap
+
+
+NEAR_THRESHOLD_STEPS = (-1e-6, -1e-9, 0.0, 1e-9, 1e-6)
+
+
+def near_threshold_copies(base, thr):
+    """Copies of ``base`` slid along its heading so that their overlap
+    with it is thr + each of NEAR_THRESHOLD_STEPS, as exactly as the
+    rounding of the slide allows: two boxes of length l a distance d
+    apart along it overlap at (l - d) / (l + d).  For an axis-aligned
+    base the AABB bound is nearly exact, so only its slack separates the
+    pairs it may skip from those it must not."""
+    c, s = np.cos(base.yaw), np.sin(base.yaw)
+    out = []
+    for step in NEAR_THRESHOLD_STEPS:
+        iou = thr + step
+        d = base.l * (1.0 - iou) / (1.0 + iou)
+        out.append(Box3D(base.x + d * c, base.y + d * s, base.z, base.l, base.w, base.h, base.yaw))
+    return out
+
+
+def near_threshold_scene(rng, thr):
+    """Bases at yaws where the bound is tight (0, pi/2) and loose (random),
+    up to 60 m from the origin, each with its near-threshold copies."""
+    bases = [Box3D(float(rng.uniform(0, 60)), float(rng.uniform(-20, 20)), 0.0,
+                   float(rng.uniform(1, 5)), float(rng.uniform(0.5, 2)), 1.5, yaw)
+             for yaw in (0.0, np.pi / 2, float(rng.uniform(-np.pi, np.pi)))]
+    return bases, [near_threshold_copies(b, thr) for b in bases]
+
+
+@pytest.mark.parametrize("thr", [0.85, 0.7, 0.5, 0.25])
+def test_nms_and_ap40_keep_their_results_at_the_threshold(thr, monkeypatch):
+    # the bound may only skip pairs that cannot reach the threshold: with
+    # overlaps a rounding step to 1e-6 from it, NMS and AP-40 equal the
+    # kernel that clips every pair, and, where the overlap is not on the
+    # threshold itself (there the kernel and the scalar calls may round to
+    # different sides), the scalar oracles
+    rng = np.random.default_rng(38)
+    bases, copies = near_threshold_scene(rng, thr)
+    n = len(bases)
+    table = BoxArrays.of([b for b, cs in zip(bases, copies) for b in [b] * len(cs)])
+    moved = BoxArrays.of([c for cs in copies for c in cs])
+    k = np.arange(len(moved.area))
+    steps = np.tile(NEAR_THRESHOLD_STEPS, n)
+    assert np.max(np.abs(pair_iou(moved, table, k, k) - (thr + steps))) <= 1e-12
+    off = [True] * n + [bool(step) for step in steps]
+
+    def unbounded(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(boxes, "iou_bound",
+                      lambda sub, clip, rows, cols, overlap: np.full(len(rows), np.inf))
+            return fn(*args)
+
+    every = bases + [c for cs in copies for c in cs]
+    for trial in range(10):
+        rank = rng.permutation(len(every)).astype(float)
+        rank[:n] += len(every)  # bases rank first and meet each copy at its step
+        dets = [DetectionResult(b, r / (2 * len(every)), "Car") for b, r in zip(every, rank)]
+        apart = [d for d, o in zip(dets, off) if o]
+        gts = [GroundTruth(b, "Car", int(rng.integers(0, 4))) for b in bases]
+        for overlap in ("bev", "3d"):
+            assert nms(dets, thr, overlap) == unbounded(nms, dets, thr, overlap), (trial, overlap)
+            assert nms(apart, thr, overlap) == nms_oracle(apart, thr, overlap), (trial, overlap)
+            for max_difficulty in (None, 1):
+                args = ("Car", overlap, max_difficulty)
+                res = average_precision_40(dets[n:], gts, thr, *args)
+                # flagged (no counted ground truth) reads NaN, which equals nothing
+                assert res.flagged or res == unbounded(average_precision_40, dets[n:], gts, thr,
+                                                       *args)
+                res = average_precision_40(apart[n:], gts, thr, *args)
+                want = ap40_oracle(apart[n:], gts, thr, *args)
+                assert res.flagged == want[0], (trial, overlap)
+                assert res.flagged or (res.ap, res.n_gt, res.n_det) == want[1:], (trial, overlap)
 
 
 def test_nms_keeps_identical_boxes_only_once():

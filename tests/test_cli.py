@@ -74,6 +74,14 @@ def test_invalid_config_rejected_before_work():
     assert run("overfit", "--set", "net.raw_stages=[8, 8]") == 2
 
 
+def test_negative_loss_weight_rejected_before_work(tmp_path, capsys):
+    out = str(tmp_path / "neg")
+    assert run("overfit", "--out", out, "--set", "loss.lambda_depth=-1",
+               "--set", "train.steps=3") == 2
+    assert "loss.lambda_depth" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "losses.csv"))
+
+
 def test_overfit_requires_out(capsys):
     assert run("overfit", "--set", "train.steps=1") == 2
     assert "requires --out" in capsys.readouterr().err

@@ -70,6 +70,27 @@ def test_train_and_eval_validation():
         EvalSettings(max_difficulty=5).validate()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("lambda_depth", -1.0), ("lambda_rpn", -0.5), ("lambda_residual", -1e-9),
+    ("lambda_reg", float("nan")), ("lambda_vote", -2.0), ("focal_gamma", -3.0),
+    ("focal_alpha", -0.1), ("focal_alpha", 1.5)])
+def test_loss_weight_validation_names_the_key(key, value):
+    cfg = RunConfig()
+    setattr(cfg.loss, key, value)
+    with pytest.raises(ConfigError, match=f"loss.{key}"):
+        cfg.validate()
+
+
+def test_loss_weights_accept_their_boundaries():
+    cfg = RunConfig()
+    for key in ("lambda_depth", "lambda_rpn", "lambda_residual", "lambda_reg", "lambda_vote",
+                "focal_gamma", "focal_alpha"):
+        setattr(cfg.loss, key, 0.0)
+    cfg.validate()
+    cfg.loss.focal_alpha = 1.0
+    cfg.validate()
+
+
 def test_scene_and_net_rasters_must_match():
     cfg = RunConfig()
     cfg.scene.image_width = 128

@@ -31,12 +31,11 @@ from pointfuse.fusion import (
     FusionError,
     PointAttention,
     ProposalHead,
+    RpnOutput,
     TransitionDown,
     TransitionUp,
     TwoStreamNetwork,
     attend,
-    decode_box,
-    encode_box,
     idw_interpolate,
     pos_encoding,
     route_down,
@@ -667,8 +666,8 @@ def test_encode_decode_box_round_trip():
         gt = Box3D(*rng.uniform(-10, 10, size=3), *rng.uniform(1.0, 5.0, size=3),
                    rng.uniform(-np.pi, np.pi))
         vote = rng.uniform(-10, 10, size=3)
-        res = encode_box(gt, vote, anchor)
-        back = decode_box(res, vote, anchor)
+        res = oracles.encode_box(gt, vote, anchor)
+        back = oracles.decode_box(res, vote, anchor)
         assert np.max(np.abs(back.as_array() - gt.as_array())) < 1e-9
 
 
@@ -676,7 +675,7 @@ def test_zero_residuals_decode_to_the_anchor_at_the_vote():
     anchor = DEFAULT_ANCHORS["Pedestrian"]
     res = np.zeros(8)
     res[7] = 1.0  # (sin, cos) = (0, 1) -> yaw 0
-    box = decode_box(res, np.array([1.0, 2.0, 3.0]), anchor)
+    box = oracles.decode_box(res, np.array([1.0, 2.0, 3.0]), anchor)
     assert (box.x, box.y, box.z) == (1.0, 2.0, 3.0)
     assert (box.l, box.w, box.h) == anchor
     assert box.yaw == 0.0
@@ -687,7 +686,7 @@ def test_yaw_decodes_through_atan2():
     for yaw in (-3.0, -1.2, 0.0, 0.7, 2.9):
         res = np.zeros(8)
         res[6], res[7] = np.sin(yaw), np.cos(yaw)
-        assert decode_box(res, np.zeros(3), anchor).yaw == pytest.approx(yaw, abs=1e-12)
+        assert oracles.decode_box(res, np.zeros(3), anchor).yaw == pytest.approx(yaw, abs=1e-12)
 
 
 def test_proposal_head_outputs_and_threshold():
@@ -713,3 +712,31 @@ def test_proposal_head_outputs_and_threshold():
     assert len(none.boxes) == 0
     with pytest.raises(FusionError):
         head(coords, Tensor(np.zeros((10, 6))))
+
+
+def assert_decoded_rows_equal_the_oracle(head, out, props):
+    assert len(props.boxes) == len(props.indices) > 0
+    for box, klass, i in zip(props.boxes, props.classes, props.indices):
+        want = oracles.decode_box(out.reg.data[i], out.votes.data[i], head.anchors[klass])
+        assert box.as_array().tobytes() == want.as_array().tobytes(), i
+
+
+def test_decoded_proposals_equal_the_per_row_oracle_bytewise():
+    from pointfuse.kitti import SyntheticSceneSpec, generate_scene
+    from pointfuse.pipeline import DetectionModel, prepare_scene
+
+    cfg = NetworkConfig.desk()
+    prepared = prepare_scene(generate_scene(SyntheticSceneSpec(), Rng(4)), cfg, Rng(1004))
+    model = DetectionModel(cfg, Rng(40))
+    out = model.forward(prepared).rpn
+    props = model.head.decode_proposals(out, 0.0)
+    assert len(props.boxes) == cfg.n_raw
+    assert_decoded_rows_equal_the_oracle(model.head, out, props)
+    # wide residuals on rows of every class, and a threshold that drops some
+    rng = np.random.default_rng(87)
+    n = 3000
+    out = RpnOutput(Tensor(rng.uniform(-50, 50, (n, 3))), Tensor(rng.uniform(0.0, 1.0, (n, 3))),
+                    Tensor(rng.normal(0.0, 3.0, (n, 8))))
+    props = model.head.decode_proposals(out, 0.3)
+    assert set(props.classes) == set(model.head.classes) and len(props.boxes) < n
+    assert_decoded_rows_equal_the_oracle(model.head, out, props)

@@ -15,7 +15,6 @@ from pointfuse import cli, fusion, pipeline, tensor as T
 from pointfuse.boxes import (CLASSES, DEFAULT_ANCHORS, DetectionResult, format_detection_row,
                              iou_bev, nms)
 from pointfuse.config import NetworkConfig, RunConfig, TrainSettings, apply_override
-from pointfuse.fusion import encode_box
 from pointfuse.kitti import SyntheticSceneSpec, generate_scene
 from pointfuse.losses import LossWeights
 from pointfuse.nn import Rng
@@ -29,6 +28,8 @@ from pointfuse.pipeline import (
     prepare_scene,
     train,
 )
+
+from oracles import encode_box
 
 
 def make_prepared(seed=0, scene_id=0, cfg=None):

@@ -1,5 +1,6 @@
 """Property tests (hypothesis) for the routing kernels, depth binning,
-the batched rotated IoU, NMS and the subnormal-lifted matmul gradients.
+the batched rotated IoU and its AABB bound, NMS and the subnormal-lifted
+matmul gradients.
 
 Every property runs derandomized with a bounded number of examples and
 no example database, so the suite stays deterministic and quick.
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pointfuse.tensor as T
-from pointfuse.boxes import Box3D, BoxArrays, DetectionResult, iou_bev, nms, pair_iou
+from pointfuse.boxes import Box3D, BoxArrays, DetectionResult, iou_bev, iou_bound, nms, pair_iou
 from pointfuse.geometry import LidBinning, farthest_point_sampling, knn_group, lid_decode, lid_encode
 
 from oracles import knn_argsort
@@ -97,6 +98,57 @@ def test_pair_iou_symmetric_bounded_and_scalar(a, b, same):
     assert np.max(np.abs(ab - ba)) <= 1e-12
     want = np.array([iou_bev(a[r], b[c]) for r, c in zip(rows, cols)])
     assert np.max(np.abs(ab - want)) <= 1e-12
+
+
+@st.composite
+def box_pair_set(draw):
+    """Boxes in pairs that test the bound's edges: a free box, an identical
+    copy, the same centre turned 45 or 90 degrees (also with l and w
+    swapped, the same footprint), or a box touching its partner end to end
+    or side by side, exactly or 1e-12 (relative) apart either way, also at
+    yaws where the AABBs touch too.  The set sits up to 70 m from the origin, where the clip
+    rounds coarser."""
+    shift = draw(st.sampled_from([0.0, 30.0, 70.0]))
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(box)
+        a = Box3D(a.x + shift, a.y - shift / 2, a.z, a.l, a.w, a.h, a.yaw)
+        kind = draw(st.sampled_from(["free", "identical", "turned", "end", "side"]))
+        if kind == "free":
+            b = draw(box)
+            b = Box3D(b.x + shift, b.y - shift / 2, b.z, b.l, b.w, b.h, b.yaw)
+        elif kind == "identical":
+            b = Box3D(a.x, a.y, a.z, a.l, a.w, a.h, a.yaw)
+        elif kind == "turned":
+            l, w = (a.w, a.l) if draw(st.booleans()) else (a.l, a.w)
+            turn = draw(st.sampled_from([np.pi / 2, np.pi / 4]))
+            b = Box3D(a.x, a.y, a.z, l, w, a.h, a.yaw + turn)
+        else:
+            other = draw(box)
+            gap = draw(st.sampled_from([0.0, 1e-12, -1e-12]))
+            yaw = a.yaw if draw(st.booleans()) else draw(st.sampled_from([0.0, np.pi / 2]))
+            a = Box3D(a.x, a.y, a.z, a.l, a.w, a.h, yaw)
+            c, s = np.cos(yaw), np.sin(yaw)
+            if kind == "end":
+                d = (a.l + other.l) / 2 * (1.0 + gap)
+                b = Box3D(a.x + d * c, a.y + d * s, other.z, other.l, a.w, other.h, yaw)
+            else:
+                d = (a.w + other.w) / 2 * (1.0 + gap)
+                b = Box3D(a.x - d * s, a.y + d * c, other.z, a.l, other.w, other.h, yaw)
+        out += [a, b]
+    return out
+
+
+@BOUNDED
+@given(sample=box_pair_set())
+def test_iou_bound_is_never_below_pair_iou(sample):
+    rows, cols = (g.ravel() for g in np.meshgrid(np.arange(len(sample)), np.arange(len(sample)),
+                                                  indexing="ij"))
+    table = BoxArrays.of(sample)
+    for overlap in ("bev", "3d"):
+        iou = pair_iou(table, table, rows, cols, overlap)
+        bound = iou_bound(table, table, rows, cols, overlap)
+        assert np.all(iou <= bound), overlap
 
 
 @BOUNDED
