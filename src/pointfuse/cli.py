@@ -392,6 +392,19 @@ def _state_hash(state: pipeline.ForwardState) -> str:
     return h.hexdigest()
 
 
+def _ablation_run(cfg: RunConfig, seed: int):
+    """One ablate row: train ``cfg``'s model on its seed's first scene.
+    Returns the model, the scene, the loss history and the trained
+    model's no-grad forward state, which ``_state_hash`` digests."""
+    rng = Rng(seed)
+    scene = _make_scenes(cfg, rng, 1)[0]
+    model = pipeline.DetectionModel(cfg.net, rng.derive("model"))
+    history = pipeline.train(model, [scene], cfg.train, cfg.loss)
+    with tensor.no_grad():
+        state = model.forward(scene)
+    return model, scene, history, state
+
+
 def cmd_ablate(args) -> int:
     cfg = _build_config(args)
     if not args.out:
@@ -404,13 +417,8 @@ def cmd_ablate(args) -> int:
         for key, value in overrides.items():
             apply_override(run_cfg, key, value)
         run_cfg.validate()
-        rng = Rng(args.seed)
-        scenes = _make_scenes(run_cfg, rng, 1)
-        model = pipeline.DetectionModel(run_cfg.net, rng.derive("model"))
-        history = pipeline.train(model, scenes, run_cfg.train, run_cfg.loss)
-        with tensor.no_grad():
-            state = model.forward(scenes[0])
-        dets = pipeline.detect(model, scenes[0])
+        model, scene, history, state = _ablation_run(run_cfg, args.seed)
+        dets = pipeline.detect(model, scene)
         final = history[-1]["total"] if history else float("nan")
         digest = _state_hash(state)
         rows.append((label, json.dumps(overrides, sort_keys=True), final, len(dets), digest))

@@ -15,13 +15,27 @@
   short desk ``overfit`` (seed 0, ``OVERFIT_STEPS`` steps): the fewest
   steps after which Car AP-40 is above 0, so the pin guards a matched
   true positive, which the untrained weights never reach.
+- per row of ``pointfuse ablate`` (``cli.ABLATION_ROWS``) at its default
+  seed 0 and ``--set train.steps=ABLATE_STEPS``: the loss parts of each
+  step, as ``float.hex``, and the row's ``output_sha256``.  These rows
+  run the code paths the default architecture does not: ``attend``'s
+  multiply mode, CrossFusion's subtract scores, the add and concat
+  combines, FPS sampling and the networks without fusion links.
+- every row of ``pointfuse gradcheck``'s ``gradcheck.csv`` at its
+  default seed 0: the case, its error as ``float.hex``, the tolerance
+  and the status.
 
 The file records a platform fingerprint: the numpy version, the BLAS
 build and the CPU model.  On that fingerprint every value must match bit
 for bit.  On any other, BLAS kernels may round differently.  Floats are
 then compared at relative tolerance ``FOREIGN_RTOL``, the detections by
-count and score, the loss parts of the first ``FOREIGN_STEPS`` steps
-only, and the overfit eval not at all: Adam divides by sqrt(v), so a
+count and score, and the loss parts of the desk runs and of each ablate
+row on their first ``FOREIGN_STEPS`` steps only.  The gradcheck rows
+must keep their cases, tolerances and statuses, but their errors are
+not compared: they are finite-difference residues near rounding level,
+which another BLAS moves by far more than FOREIGN_RTOL.  Neither are
+the ablate hashes, which any rounding difference changes, nor the
+overfit eval: Adam divides by sqrt(v), so a
 gradient entry near zero that rounds the other way moves its weight by
 up to lr, and the difference between two platforms grows about tenfold
 per step.  Forcing other OpenBLAS
@@ -36,6 +50,7 @@ CHANGES.md.
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -46,7 +61,7 @@ import numpy as np
 
 from pointfuse import cli, pipeline
 from pointfuse.boxes import DetectionResult
-from pointfuse.config import RunConfig
+from pointfuse.config import RunConfig, apply_override
 from pointfuse.nn import Rng
 
 DIGESTS = Path(__file__).resolve().parent / "digests.json"
@@ -55,6 +70,7 @@ TRAIN_SCENES = 4
 TRAIN_STEPS = 8
 MODEL_SEED = 0                 # `pointfuse eval` default --seed
 OVERFIT_STEPS = 12             # 11 steps still give Car AP-40 0.0
+ABLATE_STEPS = 3
 FOREIGN_RTOL = 1e-8             # off the recorded fingerprint, on every float compared
 FOREIGN_STEPS = 4               # ... and on the loss parts of these first steps only
 LOSS_PARTS = ("total", "depth", "depth_bin", "depth_res", "rpn", "rpn_cls", "rpn_reg", "rpn_vote")
@@ -82,7 +98,32 @@ def train_losses(seed: int) -> list[dict]:
     model = pipeline.DetectionModel(cfg.net, Rng(MODEL_SEED).derive("model"))
     history = pipeline.train(model, scenes, dataclasses.replace(cfg.train, steps=TRAIN_STEPS),
                              cfg.loss)
+    return _loss_hex(history)
+
+
+def _loss_hex(history) -> list[dict]:
     return [{k: float(h[k]).hex() for k in LOSS_PARTS} for h in history]
+
+
+def ablate_rows() -> dict:
+    """Per ablate row: the loss parts of each step and output_sha256, as
+    `pointfuse ablate --set train.steps=ABLATE_STEPS` computes them."""
+    rows = {}
+    for label, overrides in cli.ABLATION_ROWS:
+        cfg = RunConfig()
+        for key, value in {"train.steps": str(ABLATE_STEPS), **overrides}.items():
+            apply_override(cfg, key, value)
+        cfg.validate()
+        _, _, history, state = cli._ablation_run(cfg, MODEL_SEED)
+        rows[label] = {"steps": _loss_hex(history), "output_sha256": cli._state_hash(state)}
+    return rows
+
+
+def gradcheck_rows() -> list[list]:
+    """gradcheck.csv's rows at `pointfuse gradcheck`'s default seed, with
+    each error as float.hex."""
+    return [[name, float(err).hex(), tol, "ok" if err <= tol else "fail"]
+            for name, tol, fn in cli._gradcheck_cases(MODEL_SEED) for err in [fn()]]
 
 
 def _row(d: DetectionResult) -> str:
@@ -120,7 +161,9 @@ def current() -> dict:
             "train_desk": {str(s): train_losses(s) for s in TRAIN_SEEDS},
             "detect": dets,
             "ap40": ap,
-            "overfit_eval": {"steps": OVERFIT_STEPS, "detect": fit_dets, "ap40": fit_ap}}
+            "overfit_eval": {"steps": OVERFIT_STEPS, "detect": fit_dets, "ap40": fit_ap},
+            "ablate": ablate_rows(),
+            "gradcheck": gradcheck_rows()}
 
 
 def _close(a_hex, b_hex) -> bool:
@@ -153,16 +196,28 @@ def differences(pinned: dict, run: dict) -> list[str]:
     exact = pinned["fingerprint"] == run["fingerprint"]
     same = (lambda a, b: a == b) if exact else _close
     found = []
-    for seed, steps in pinned["train_desk"].items():
-        got = run["train_desk"].get(seed, [])
+    runs = [(f"train seed {seed}", steps, run["train_desk"].get(seed, []))
+            for seed, steps in pinned["train_desk"].items()]
+    runs += [(f"ablate {label}", row["steps"], run["ablate"].get(label, {}).get("steps", []))
+             for label, row in pinned["ablate"].items()]
+    for label, steps, got in runs:
         if len(got) != len(steps):
-            found.append(f"train seed {seed}: {len(got)} steps, pinned {len(steps)}")
+            found.append(f"{label}: {len(got)} steps, pinned {len(steps)}")
             continue
         for i, (want, have) in enumerate(zip(steps, got)):
             if not exact and i >= FOREIGN_STEPS:
                 break
-            found += [f"train seed {seed} step {i} {k}: {have[k]} != {want[k]}"
+            found += [f"{label} step {i} {k}: {have[k]} != {want[k]}"
                       for k in want if not same(want[k], have[k])]
+    for label, row in pinned["ablate"].items():
+        have = run["ablate"].get(label, {}).get("output_sha256")
+        if exact and have != row["output_sha256"]:
+            found.append(f"ablate {label} output_sha256 {have} != {row['output_sha256']}")
+    # the errors on the fingerprint only; the cases, tolerances and statuses everywhere
+    keep = (lambda r: r) if exact else (lambda r: r[:1] + r[2:])
+    found += [f"gradcheck {have} != {want}"
+              for want, have in itertools.zip_longest(pinned["gradcheck"], run["gradcheck"])
+              if want is None or have is None or keep(want) != keep(have)]
     found += _eval_differences("", pinned, run, exact, same)
     want, have = pinned["overfit_eval"], run["overfit_eval"]
     if want["steps"] != have["steps"]:
@@ -210,6 +265,39 @@ def test_a_moved_digest_is_caught_in_both_modes():
     assert len(differences(pinned, run)) == 1                  # bytewise
     run["fingerprint"] = dict(run["fingerprint"], cpu="another CPU")
     assert differences(pinned, run) == []                      # not compared elsewhere
+
+    def changed(edit, foreign):
+        run = json.loads(json.dumps(pinned))
+        if foreign:
+            run["fingerprint"] = dict(run["fingerprint"], cpu="another CPU")
+        edit(run)
+        return differences(pinned, run)
+
+    label = "combine-concat"
+    total = float.fromhex(pinned["ablate"][label]["steps"][-1]["total"])
+
+    def ablate_total(value):
+        return lambda run: run["ablate"][label]["steps"][-1].update(total=float(value).hex())
+
+    def ablate_hash(run):
+        run["ablate"][label]["output_sha256"] = "0" * 64
+
+    def gradcheck_error(run):
+        run["gradcheck"][0][1] = float(np.nextafter(float.fromhex(run["gradcheck"][0][1]),
+                                                    math.inf)).hex()
+
+    def gradcheck_status(run):
+        run["gradcheck"][0][3] = "fail"
+
+    ulp = ablate_total(np.nextafter(total, math.inf))
+    assert ABLATE_STEPS <= FOREIGN_STEPS                       # every ablate step is compared
+    for edit, bytewise, foreign in [(ulp, 1, 0),
+                                    (ablate_total(total * (1 + 2 * FOREIGN_RTOL)), 1, 1),
+                                    (ablate_hash, 1, 0),
+                                    (gradcheck_error, 1, 0),
+                                    (gradcheck_status, 1, 1)]:
+        assert len(changed(edit, foreign=False)) == bytewise
+        assert len(changed(edit, foreign=True)) == foreign
 
 
 if __name__ == "__main__":
