@@ -30,9 +30,9 @@ from .boxes import Box3D, normalize_angle
 from .geometry import farthest_point_sampling, knn_group
 from .nn import (LbrLayer, LinearLayer, Mlp, Rng, _mlp_backward, _mlp_forward, _mlp_hidden,
                  init_weight)
-from .tensor import (ShapeError, Tensor, _finite_check, _row_index, _scatter_rows, _shared_vjps,
-                     _unbroadcast, as_tensor, concat, gather_rows, matmul, maxpool_group, narrow,
-                     reshape, sigmoid, softmax, transpose, tsum)
+from .tensor import (ShapeError, Tensor, _finite_check, _row_index, _scatter_rows, _unbroadcast,
+                     as_tensor, concat, gather_rows, matmul, maxpool_group, narrow, reshape,
+                     sigmoid, softmax, transpose, tsum)
 
 
 class FusionError(ValueError):
@@ -107,7 +107,7 @@ def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray,
         d2_safe = keep = diff = None
 
     def grads_of(g):
-        grads = {}
+        grads = [None] * len(parents)
         g_num = np.expand_dims(g / den, 1)               # [n, 1, c]
         if sf.requires_grad:
             grads[2] = _scatter_rows(idx, g_num * w.reshape((n, k, 1)), sf.data.shape)
@@ -128,7 +128,7 @@ def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray,
             grads[1] = _scatter_rows(idx, g_diff, sc.data.shape)
         return grads
 
-    return Tensor._result(out, parents, _shared_vjps(len(parents), grads_of))
+    return Tensor._result(out, parents, grads_of)
 
 
 # -- grouped positional attention -------------------------------------------------
@@ -173,7 +173,7 @@ def pos_encoding(coords, groups, pos_mlp: Mlp) -> Tensor:
     out = _mlp_forward(flat, pos_mlp, check)[1]
 
     def grads_of(g):
-        grads = {}
+        grads = [None] * len(parents)
         flat = offsets()
         hidden = _mlp_hidden(flat, fc1, check)
         g_off = _mlp_backward(g.reshape((-1, fc2.c_out)), hidden, lambda: flat, pos_mlp,
@@ -184,8 +184,7 @@ def pos_encoding(coords, groups, pos_mlp: Mlp) -> Tensor:
             grads[1] = _unbroadcast(-g_off, (m, 1, d)).reshape(coords.data.shape)
         return grads
 
-    return Tensor._result(out.reshape(groups.shape + (fc2.c_out,)), parents,
-                          _shared_vjps(len(parents), grads_of))
+    return Tensor._result(out.reshape(groups.shape + (fc2.c_out,)), parents, grads_of)
 
 
 def attend(qkv, pos, groups, mode: str, score_mlp: Mlp) -> Tensor:
@@ -249,7 +248,7 @@ def attend(qkv, pos, groups, mode: str, score_mlp: Mlp) -> Tensor:
     pre_grad = qkv.requires_grad or pos.requires_grad
 
     def grads_of(g):
-        grads = {}
+        grads = [None] * len(parents)
         # the pooling: multiply, sum over the group, softmax
         g = np.expand_dims(g, 1)
         vp = values()
@@ -280,7 +279,7 @@ def attend(qkv, pos, groups, mode: str, score_mlp: Mlp) -> Tensor:
             grads[0] = from_pool + from_pre
         return grads
 
-    return Tensor._result(out, parents, _shared_vjps(len(parents), grads_of))
+    return Tensor._result(out, parents, grads_of)
 
 
 class PointAttention:

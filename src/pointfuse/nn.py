@@ -19,7 +19,6 @@ from .tensor import (
     Tensor,
     _finite_check,
     _grad_product,
-    _shared_vjps,
     _unbroadcast,
     as_tensor,
     zero_grads,
@@ -108,7 +107,7 @@ def linear(x, layer: LinearLayer) -> Tensor:
 
     def grads_of(g):
         g = g.reshape(out.shape)
-        grads = {}
+        grads = [None] * len(parents)
         if x.requires_grad:
             grads[0] = _grad_product(g, w.data.T, layer.c_in, True).reshape(x.data.shape)
         if w.requires_grad:
@@ -117,8 +116,7 @@ def linear(x, layer: LinearLayer) -> Tensor:
             grads[2] = _unbroadcast(g, b.data.shape)
         return grads
 
-    return Tensor._result(out.reshape(lead + (layer.c_out,)), parents,
-                          _shared_vjps(len(parents), grads_of))
+    return Tensor._result(out.reshape(lead + (layer.c_out,)), parents, grads_of)
 
 
 class LbrLayer:
@@ -192,7 +190,7 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
 
     def grads_of(g):
         g = g.reshape(out.shape) * (out > 0.0)           # relu
-        grads = {}
+        grads = [None] * len(parents)
         if shift.requires_grad:
             grads[4] = _unbroadcast(g, shift.data.shape)
         if scale.requires_grad:
@@ -215,8 +213,7 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
             grads[0] = _grad_product(g, w.data.T, layer.c_in, True).reshape(x.data.shape)
         return grads
 
-    return Tensor._result(out.reshape(lead + (layer.c_out,)), parents,
-                          _shared_vjps(len(parents), grads_of))
+    return Tensor._result(out.reshape(lead + (layer.c_out,)), parents, grads_of)
 
 
 class Mlp:
@@ -258,7 +255,7 @@ def _mlp_forward(rows: np.ndarray, layer: Mlp, check):
 
 
 def _mlp_backward(g: np.ndarray, hidden: np.ndarray, rows, layer: Mlp, rows_grad: bool,
-                  grads: dict, first: int):
+                  grads: list, first: int):
     """Backward of ``_mlp_forward`` for the output gradient g [n, c_out].
 
     Puts the required gradients of fc1.weight, fc1.bias, fc2.weight and
@@ -302,15 +299,14 @@ def mlp(x, layer: Mlp) -> Tensor:
     hidden, out = _mlp_forward(flat, layer, _finite_check("mlp", parents))
 
     def grads_of(g):
-        grads = {}
+        grads = [None] * len(parents)
         g_x = _mlp_backward(g.reshape(out.shape), hidden, lambda: flat, layer,
                             x.requires_grad, grads, 1)
         if g_x is not None:
             grads[0] = g_x.reshape(x.data.shape)
         return grads
 
-    return Tensor._result(out.reshape(lead + (fc2.c_out,)), parents,
-                          _shared_vjps(len(parents), grads_of))
+    return Tensor._result(out.reshape(lead + (fc2.c_out,)), parents, grads_of)
 
 
 # -- optimiser -----------------------------------------------------------------

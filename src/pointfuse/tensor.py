@@ -2,24 +2,24 @@
 
 Every learned component in this package is built from the primitives in
 this file.  A Tensor wraps a numpy float64 array; each op records the
-parent tensors and a vector-Jacobian closure per parent.  Calling
-``backward`` on a scalar walks the tape in reverse topological order,
-carrying each intermediate's gradient only while the walk needs it, and
-adds the gradients of leaves (tensors built with ``requires_grad=True``)
-into their ``grad`` buffers, so repeated backward calls accumulate until
-the buffers are zeroed.  Op results have no buffer (``grad`` is None).
+parent tensors and one vector-Jacobian closure, which maps the output's
+gradient to one gradient per parent and computes none for a parent that
+does not require grad.  Calling ``backward`` on a scalar walks the tape
+in reverse topological order, calls each node's closure once, carries
+each intermediate's gradient only while the walk needs it, and adds the
+gradients of leaves (tensors built with ``requires_grad=True``) into
+their ``grad`` buffers, so repeated backward calls accumulate until the
+buffers are zeroed.  Op results have no buffer (``grad`` is None).
 Inside ``with no_grad():`` ops record no tape at all, which is how
 inference runs.  Layer-level ops built on these primitives (``nn.linear``,
 ``nn.lbr``, ``nn.mlp``, the point-attention ops ``fusion.pos_encoding``
 and ``fusion.attend``, and ``fusion.idw_interpolate``) record one node
-for what would otherwise be a chain of ops.  Their parents' vjps, like
-``frustum_sample``'s, share one backward computation per upstream
-gradient through ``_shared_vjps``, each reading its share, and those
-that check stages before their output raise NonFiniteError through
-``_finite_check``.  The three that run an MLP (``nn.mlp``,
-``pos_encoding``, ``attend``) share its kernel, ``nn._mlp_forward`` and
-``nn._mlp_backward``.  They keep only the arrays their backward reads
-and rebuild the rest from them.
+for what would otherwise be a chain of ops, and those that check stages
+before their output raise NonFiniteError through ``_finite_check``.
+The three that run an MLP (``nn.mlp``, ``pos_encoding``, ``attend``)
+share its kernel, ``nn._mlp_forward`` and ``nn._mlp_backward``.  They
+keep only the arrays their backward reads and rebuild the rest from
+them.
 
 Three hard rules hold everywhere:
   * non-finite values (NaN/Inf) raise immediately instead of propagating,
@@ -93,7 +93,7 @@ class Tensor:
                     whose gradients live only inside backward
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
     # keep numpy from absorbing us into object arrays: binary ops with an
     # ndarray on the left defer to our reflected operators instead
@@ -106,27 +106,32 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
         self._parents = ()
-        self._vjps = ()
+        self._vjp = None
 
     # -- construction of op results ------------------------------------
 
     @staticmethod
-    def _result(data, parents, vjps):
+    def _result(data, parents, vjp):
+        """The op result ``data`` as a tape node over ``parents``, if one
+        of them requires grad and the tape is on.  ``vjp(g)`` maps the
+        output's gradient g to a sequence with one entry per parent, in
+        parent order: that parent's gradient, or None exactly where the
+        parent does not require grad (such an entry costs nothing)."""
         out = Tensor.__new__(Tensor)
         out.data = np.asarray(data, dtype=np.float64)
         if not np.isfinite(out.data).all():
             # name the op that called us; only the failure path pays for it
             raise _non_finite(sys._getframe(1).f_code.co_name,
                               (p.data.shape for p in parents))
-        out.grad = None
+        out.grad = out._vjp = None
         out.requires_grad = False
-        out._parents = out._vjps = ()
+        out._parents = ()
         if _GRAD_ENABLED:
             for p in parents:  # a plain loop: any() over a generator costs ~5x more here
                 if p.requires_grad:
                     out.requires_grad = True
                     out._parents = tuple(parents)
-                    out._vjps = tuple(vjps)
+                    out._vjp = vjp
                     break
         return out
 
@@ -243,36 +248,11 @@ def backward(loss: Tensor) -> None:
             continue
         if not node._parents:
             node.grad += g
-        for parent, vjp in zip(node._parents, node._vjps):
-            if not parent.requires_grad:
-                continue
-            pg = vjp(g)
-            acc = flow.get(id(parent))
-            flow[id(parent)] = pg if acc is None else acc + pg
-
-
-def _shared_vjps(n_parents, grads_of):
-    """One vjp per parent, all reading one backward computation.
-
-    ``grads_of(g)`` returns a dict from parent index to that parent's
-    gradient, for the parents that require grad.  The first vjp called
-    with a given g runs it; each vjp then takes its own entry, and the
-    last one taken releases them all.
-    """
-    state = [None, None]     # the upstream gradient, the entries not yet taken
-
-    def vjp_of(i):
-        def vjp(g):
-            if state[0] is not g:
-                state[0], state[1] = g, grads_of(g)
-            grads = state[1]
-            out = grads.pop(i)
-            if not grads:
-                state[0] = state[1] = None
-            return out
-        return vjp
-
-    return tuple(vjp_of(i) for i in range(n_parents))
+            continue
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if pg is not None:
+                acc = flow.get(id(parent))
+                flow[id(parent)] = pg if acc is None else acc + pg
 
 
 def zero_grads(tensors) -> None:
@@ -297,88 +277,68 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # -- elementwise ops -------------------------------------------------------
 
 
+# An op over two or more parents computes only the gradients of those
+# that require grad: a constant operand, such as a Python scalar, costs
+# no product and no ``_unbroadcast`` sum.
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor._result(
-        a.data + b.data,
-        (a, b),
-        (lambda g: _unbroadcast(g, a.data.shape),
-         lambda g: _unbroadcast(g, b.data.shape)),
-    )
+    return Tensor._result(a.data + b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+        _unbroadcast(g, b.data.shape) if b.requires_grad else None))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor._result(
-        a.data - b.data,
-        (a, b),
-        (lambda g: _unbroadcast(g, a.data.shape),
-         lambda g: _unbroadcast(-g, b.data.shape)),
-    )
+    return Tensor._result(a.data - b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+        _unbroadcast(-g, b.data.shape) if b.requires_grad else None))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor._result(
-        a.data * b.data,
-        (a, b),
-        (lambda g: _unbroadcast(g * b.data, a.data.shape),
-         lambda g: _unbroadcast(g * a.data, b.data.shape)),
-    )
+    return Tensor._result(a.data * b.data, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+        _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-    return Tensor._result(
-        out,
-        (a, b),
-        (lambda g: _unbroadcast(g / b.data, a.data.shape),
-         lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)),
-    )
+    return Tensor._result(a.data / b.data, (a, b), lambda g: (
+        _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+        _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if b.requires_grad else None))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return Tensor._result(-a.data, (a,), (lambda g: -g,))
+    return Tensor._result(-a.data, (a,), lambda g: (-g,))
 
 
 def pow_scalar(a, k: float) -> Tensor:
     a = as_tensor(a)
     k = float(k)
     out = a.data ** k
-    return Tensor._result(out, (a,), (lambda g: g * k * a.data ** (k - 1.0),))
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return Tensor._result(out, (a,), (lambda g: g * out,))
+    return Tensor._result(out, (a,), lambda g: (g * k * a.data ** (k - 1.0),))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
     out = np.log(a.data)
-    return Tensor._result(out, (a,), (lambda g: g / a.data,))
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-    return Tensor._result(out, (a,), (lambda g: g * 0.5 / out,))
+    return Tensor._result(out, (a,), lambda g: (g / a.data,))
 
 
 def absolute(a) -> Tensor:
     # d|x|/dx at 0 is taken as 0, matching the ReLU'(0)=0 convention
     a = as_tensor(a)
     s = np.sign(a.data)
-    return Tensor._result(np.abs(a.data), (a,), (lambda g: g * s,))
+    return Tensor._result(np.abs(a.data), (a,), lambda g: (g * s,))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0.0
-    return Tensor._result(np.where(mask, a.data, 0.0), (a,), (lambda g: g * mask,))
+    return Tensor._result(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def sigmoid(a) -> Tensor:
@@ -389,14 +349,14 @@ def sigmoid(a) -> Tensor:
     out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
     ez = np.exp(a.data[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return Tensor._result(out, (a,), (lambda g: g * out * (1.0 - out),))
+    return Tensor._result(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
     """Clip values to [lo, hi]; gradient is identity strictly inside."""
     a = as_tensor(a)
     mask = (a.data > lo) & (a.data < hi)
-    return Tensor._result(np.clip(a.data, lo, hi), (a,), (lambda g: g * mask,))
+    return Tensor._result(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -501,12 +461,9 @@ def matmul(a, b) -> Tensor:
             operand_products_lifted += out is not None
     if out is None:
         out = a.data @ b.data
-    return Tensor._result(
-        out,
-        (a, b),
-        (lambda g: _grad_product(g, b.data.T, k, True, sub_b),
-         lambda g: _grad_product(a.data.T, g, k, False, sub_a)),
-    )
+    return Tensor._result(out, (a, b), lambda g: (
+        _grad_product(g, b.data.T, k, True, sub_b) if a.requires_grad else None,
+        _grad_product(a.data.T, g, k, False, sub_a) if b.requires_grad else None))
 
 
 # -- reductions --------------------------------------------------------------
@@ -528,9 +485,9 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, a.data.shape).copy()
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
-    return Tensor._result(out, (a,), (vjp,))
+    return Tensor._result(out, (a,), vjp)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -560,9 +517,9 @@ def amax(a, axis: int, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, ax)
         z = np.zeros_like(a.data)
         np.put_along_axis(z, np.expand_dims(idx, ax), g, axis=ax)
-        return z
+        return (z,)
 
-    return Tensor._result(out, (a,), (vjp,))
+    return Tensor._result(out, (a,), vjp)
 
 
 def maxpool_group(x) -> Tensor:
@@ -584,9 +541,9 @@ def softmax(a, axis: int = -1) -> Tensor:
 
     def vjp(g):
         inner = (g * out).sum(axis=ax, keepdims=True)
-        return out * (g - inner)
+        return (out * (g - inner),)
 
-    return Tensor._result(out, (a,), (vjp,))
+    return Tensor._result(out, (a,), vjp)
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -595,14 +552,14 @@ def softmax(a, axis: int = -1) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     out = a.data.reshape(shape)
-    return Tensor._result(out, (a,), (lambda g: g.reshape(a.data.shape),))
+    return Tensor._result(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    return Tensor._result(a.data.transpose(axes), (a,), (lambda g: g.transpose(inv),))
+    return Tensor._result(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -616,9 +573,9 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     def vjp(g):
         z = np.zeros_like(a.data)
         z[sl] = g
-        return z
+        return (z,)
 
-    return Tensor._result(a.data[sl], (a,), (vjp,))
+    return Tensor._result(a.data[sl], (a,), vjp)
 
 
 def concat(parts, axis: int = 0) -> Tensor:
@@ -627,15 +584,14 @@ def concat(parts, axis: int = 0) -> Tensor:
         raise EmptyInputError("concat of zero tensors")
     ax = axis % parts[0].data.ndim
     out = np.concatenate([p.data for p in parts], axis=ax)
-    offsets = np.cumsum([0] + [p.data.shape[ax] for p in parts])
+    ends = np.cumsum([p.data.shape[ax] for p in parts]).tolist()
+    lead = (slice(None),) * ax
 
-    def make_vjp(i):
-        sl = [slice(None)] * parts[i].data.ndim
-        sl[ax] = slice(int(offsets[i]), int(offsets[i + 1]))
-        sl = tuple(sl)
-        return lambda g: g[sl]
+    def vjp(g):
+        return [g[lead + (slice(end - p.data.shape[ax], end),)] if p.requires_grad else None
+                for p, end in zip(parts, ends)]
 
-    return Tensor._result(out, tuple(parts), tuple(make_vjp(i) for i in range(len(parts))))
+    return Tensor._result(out, parts, vjp)
 
 
 def _scatter_rows(rows: np.ndarray, vals: np.ndarray, shape: tuple) -> np.ndarray:
@@ -670,7 +626,7 @@ def gather_rows(a, idx) -> Tensor:
     idx = _row_index(idx, a.data.shape[0], "gather_rows")
     out = a.data[idx]
 
-    return Tensor._result(out, (a,), (lambda g: _scatter_rows(idx, g, a.data.shape),))
+    return Tensor._result(out, (a,), lambda g: (_scatter_rows(idx, g, a.data.shape),))
 
 
 # -- differentiable grid sampling ---------------------------------------------
@@ -714,19 +670,22 @@ def bilinear_sample(grid, uv) -> Tensor:
     out = ((1 - wu) * (1 - wv) * g00 + wu * (1 - wv) * g01
            + (1 - wu) * wv * g10 + wu * wv * g11)
 
-    def vjp_grid(g):
-        # all four corners in one scatter, in corner order
-        cells = np.concatenate([v0 * w + u0, v0 * w + u1, v1 * w + u0, v1 * w + u1])
-        vals = np.concatenate([(1 - wu) * (1 - wv) * g, wu * (1 - wv) * g,
-                               (1 - wu) * wv * g, wu * wv * g])
-        return _scatter_rows(cells, vals, (h * w,) + grid.data.shape[2:]).reshape(grid.data.shape)
+    def vjp(g):
+        g_grid = g_uv = None
+        if grid.requires_grad:
+            # all four corners in one scatter, in corner order
+            cells = np.concatenate([v0 * w + u0, v0 * w + u1, v1 * w + u0, v1 * w + u1])
+            vals = np.concatenate([(1 - wu) * (1 - wv) * g, wu * (1 - wv) * g,
+                                   (1 - wu) * wv * g, wu * wv * g])
+            g_grid = _scatter_rows(cells, vals, (h * w,) + grid.data.shape[2:])
+            g_grid = g_grid.reshape(grid.data.shape)
+        if uv.requires_grad:
+            du = ((1 - wv) * (g01 - g00) + wv * (g11 - g10)) * g
+            dv = ((1 - wu) * (g10 - g00) + wu * (g11 - g01)) * g
+            g_uv = np.stack([du.sum(axis=1) * u_in, dv.sum(axis=1) * v_in], axis=1)
+        return g_grid, g_uv
 
-    def vjp_uv(g):
-        du = ((1 - wv) * (g01 - g00) + wv * (g11 - g10)) * g
-        dv = ((1 - wu) * (g10 - g00) + wu * (g11 - g01)) * g
-        return np.stack([du.sum(axis=1) * u_in, dv.sum(axis=1) * v_in], axis=1)
-
-    return Tensor._result(out, (grid, uv), (vjp_grid, vjp_uv))
+    return Tensor._result(out, (grid, uv), vjp)
 
 
 _CORNERS = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
@@ -778,14 +737,19 @@ def trilinear_sample(volume, uvd) -> Tensor:
     vals = [volume.data[vi, ui, di] for vi, ui, di in cells]
     out = sum(wt * val for wt, val in zip(weights, vals))
 
-    def vjp_volume(g):
-        # all eight corners in one scatter, in corner order
-        flat = np.concatenate([(vi * w + ui) * d + di for vi, ui, di in cells])
-        rows = np.concatenate([wt * g for wt in weights])
-        return _scatter_rows(flat, rows, (h * w * d,) + volume.data.shape[3:]).reshape(volume.data.shape)
+    def vjp(g):
+        g_volume = g_uvd = None
+        if volume.requires_grad:
+            # all eight corners in one scatter, in corner order
+            flat = np.concatenate([(vi * w + ui) * d + di for vi, ui, di in cells])
+            rows = np.concatenate([wt * g for wt in weights])
+            g_volume = _scatter_rows(flat, rows, (h * w * d,) + volume.data.shape[3:])
+            g_volume = g_volume.reshape(volume.data.shape)
+        if uvd.requires_grad:
+            g_uvd = _trilinear_position_grad(vals, frac, inside, g)
+        return g_volume, g_uvd
 
-    return Tensor._result(out, (volume, uvd),
-                          (vjp_volume, lambda g: _trilinear_position_grad(vals, frac, inside, g)))
+    return Tensor._result(out, (volume, uvd), vjp)
 
 
 def frustum_sample(weights, feats, uvd) -> Tensor:
@@ -797,7 +761,7 @@ def frustum_sample(weights, feats, uvd) -> Tensor:
     corner value is the same w * f product the volume holds, added in the
     same corner order.  Backward forms the volume gradient only at the
     touched cells (one scatter in corner order, as ``trilinear_sample``
-    does, run once per upstream gradient for both parents that read it),
+    does, shared by both parents that read it),
     then reduces it over channels for the weights and over depth,
     ascending, for the features.  With C >= 2 that equals the volume
     path's reductions bit for bit; with C == 1 numpy sums the volume's
@@ -823,7 +787,7 @@ def frustum_sample(weights, feats, uvd) -> Tensor:
     parents = (weights, feats, uvd)
 
     def grads_of(g):
-        grads = {}
+        grads = [None] * len(parents)
         if weights.requires_grad or feats.requires_grad:
             # the volume path's gradient, restricted to the touched cells [K, C]
             cell = _scatter_rows(slot, np.concatenate([wt * g for wt in corner_w]), (touched.size, c))
@@ -838,4 +802,4 @@ def frustum_sample(weights, feats, uvd) -> Tensor:
             grads[2] = _trilinear_position_grad(vals, frac, inside, g)
         return grads
 
-    return Tensor._result(out, parents, _shared_vjps(len(parents), grads_of))
+    return Tensor._result(out, parents, grads_of)

@@ -9,6 +9,8 @@ per-vote box residual encode and per-row decode, and the
 (``pos_encoding``, ``attend``) and the differentiable inverse-distance
 interpolation (``idw_chain``) as chains of single tape ops.
 The library must match them exactly or within a stated tolerance.
+The tape ops ``exp`` and ``sqrt`` live here too: only tests and the
+``lbr`` chain run them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,22 @@ from pointfuse.fusion import _EXACT_D2
 from pointfuse.geometry import GeometryError, PointSet
 from pointfuse.nn import LBR_NORM_EPS, linear
 from pointfuse.tensor import (Tensor, as_tensor, gather_rows, matmul, narrow, relu, reshape,
-                              softmax, sqrt, tmean, tsum)
+                              softmax, tmean, tsum)
+
+
+# -- tape ops no library path runs -------------------------------------------------
+
+
+def exp(a) -> Tensor:
+    a = as_tensor(a)
+    out = np.exp(a.data)
+    return Tensor._result(out, (a,), lambda g: (g * out,))
+
+
+def sqrt(a) -> Tensor:
+    a = as_tensor(a)
+    out = np.sqrt(a.data)
+    return Tensor._result(out, (a,), lambda g: (g * 0.5 / out,))
 
 
 # -- layers as chains of tape ops ---------------------------------------------------

@@ -282,7 +282,7 @@ def test_attention_without_a_tape_records_no_parents():
         out = block(coords, feats, groups)
         want = oracles.attention_chain(block, coords, feats, groups)
     for t in (pos, pooled, out):
-        assert not t.requires_grad and t._parents == () and t._vjps == ()
+        assert not t.requires_grad and t._parents == () and t._vjp is None
     assert pos.data.tobytes() == want_pos.data.tobytes()
     assert pooled.data.tobytes() == want_pooled.data.tobytes()
     assert out.data.tobytes() == want.data.tobytes()
@@ -381,7 +381,7 @@ def test_idw_without_a_tape_records_no_parents():
     with T.no_grad():
         out = idw_interpolate(tc, sc, sf, idx)
         want = oracles.idw_chain(tc, sc, sf, idx)
-    assert not out.requires_grad and out._parents == () and out._vjps == ()
+    assert not out.requires_grad and out._parents == () and out._vjp is None
     assert out.data.tobytes() == want.data.tobytes()
 
 

@@ -8,6 +8,8 @@ Covers, in rough order:
   grid sampling (exact affine reproduction, position gradients),
   the fused frustum read against the read of the built volume,
   the subnormal-lifted matmul gradient products and their counters,
+  the node contract: one vjp per node, one gradient per parent and
+    None, at no cost, for each parent that does not require grad,
   graph mechanics (reuse accumulation, detach, zero_grad, leaf-only
     grad buffers, no_grad),
   the finite-value guard,
@@ -21,7 +23,8 @@ import pytest
 
 import pointfuse.tensor as T
 from pointfuse.frustum import DepthPrediction, ImageFeatureGrid, build_frustum
-from pointfuse.nn import Rng, gradcheck
+from pointfuse.fusion import attend, idw_interpolate, pos_encoding
+from pointfuse.nn import LbrLayer, LinearLayer, Mlp, Rng, gradcheck, lbr, linear, mlp
 from pointfuse.tensor import (
     EmptyInputError,
     NonFiniteError,
@@ -29,7 +32,7 @@ from pointfuse.tensor import (
     Tensor,
 )
 
-from oracles import bilinear_grid_grad, scatter_add_at, trilinear_grid_grad
+from oracles import bilinear_grid_grad, exp, scatter_add_at, sqrt, trilinear_grid_grad
 
 
 def leaf(rng, *shape):
@@ -88,9 +91,9 @@ def test_sigmoid_is_stable_at_large_magnitude():
 
 def test_unary_forward_values():
     x = np.array([0.25, 1.0, 4.0])
-    assert np.allclose(T.exp(Tensor(x)).data, np.exp(x))
+    assert np.allclose(exp(Tensor(x)).data, np.exp(x))
     assert np.allclose(T.log(Tensor(x)).data, np.log(x))
-    assert np.allclose(T.sqrt(Tensor(x)).data, np.sqrt(x))
+    assert np.allclose(sqrt(Tensor(x)).data, np.sqrt(x))
     assert np.array_equal(T.absolute(Tensor([-2.0, 0.0, 3.0])).data, [2.0, 0.0, 3.0])
     assert np.array_equal(T.relu(Tensor([-2.0, 0.0, 3.0])).data, [0.0, 0.0, 3.0])
     assert np.array_equal(T.clamp(Tensor([-2.0, 0.5, 3.0]), 0.0, 1.0).data, [0.0, 0.5, 1.0])
@@ -178,7 +181,7 @@ def test_only_leaves_hold_grad_buffers():
     x = Tensor([1.0, 2.0], requires_grad=True)
     c = Tensor([3.0, 4.0])
     assert c.grad is None
-    mid = T.exp(x) * c
+    mid = exp(x) * c
     out = T.tsum(mid * mid)
     assert mid.grad is None and out.grad is None
     out.backward()
@@ -193,13 +196,13 @@ def test_only_leaves_hold_grad_buffers():
 def test_no_grad_builds_no_tape():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with T.no_grad():
-        y = T.tsum(T.exp(x) * x)
+        y = T.tsum(exp(x) * x)
         leaf = Tensor([3.0], requires_grad=True)  # leaves keep their own flag
     assert not y.requires_grad and y._parents == () and y.grad is None
     assert leaf.requires_grad and np.array_equal(leaf.grad, [0.0])
     y.backward()  # nothing to walk
     assert not x.grad.any()
-    assert T.tsum(T.exp(x) * x).data == y.data
+    assert T.tsum(exp(x) * x).data == y.data
     assert T.tsum(x * x).requires_grad
 
 
@@ -307,9 +310,9 @@ def test_gradcheck_every_smooth_op():
     cases = [
         (lambda: T.tsum((x + y) * (x - y)), [x, y]),
         (lambda: T.tsum(x / (pos + 1.0)), [x, pos]),
-        (lambda: T.tsum(T.exp(x * 0.3)), [x]),
+        (lambda: T.tsum(exp(x * 0.3)), [x]),
         (lambda: T.tsum(T.log(pos)), [pos]),
-        (lambda: T.tsum(T.sqrt(pos)), [pos]),
+        (lambda: T.tsum(sqrt(pos)), [pos]),
         (lambda: T.tsum(T.sigmoid(x) ** 2), [x]),
         (lambda: T.tsum(T.matmul(x, w)), [x, w]),
         (lambda: T.tsum(T.softmax(x, axis=1) * y), [x, y]),
@@ -343,13 +346,13 @@ def test_gradcheck_nonsmooth_ops_away_from_kinks():
 
 # -- lifted gradient products -------------------------------------------------
 #
-# The two vjps of one matmul are its closures: g -> g @ b.T and g -> a.T @ g.
+# The two gradients of one matmul's vjp: g -> g @ b.T and g -> a.T @ g.
 
 SUBNORMAL_ULP = 2.0 ** -1074
 
 
-def matmul_vjps(a, b):
-    return T.matmul(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))._vjps
+def matmul_grads(a, b, g):
+    return T.matmul(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))._vjp(g)
 
 
 def plant_subnormals(rng, g, count):
@@ -367,7 +370,7 @@ def test_lifted_gradient_products_equal_plain_ones_on_normal_gradients(monkeypat
     g = rng.standard_normal((64, 48))
     monkeypatch.setattr(T, "_TINY", np.inf)    # every nonzero entry counts: always lift
     lifted = T.grad_products_lifted
-    ga, gb = (vjp(g) for vjp in matmul_vjps(a, b))
+    ga, gb = matmul_grads(a, b, g)
     assert T.grad_products_lifted == lifted + 2
     assert ga.tobytes() == (g @ b.T).tobytes()
     assert gb.tobytes() == (a.T @ g).tobytes()
@@ -379,7 +382,7 @@ def test_lifted_gradient_products_equal_plain_ones_where_outputs_stay_normal():
     b = rng.standard_normal((192, 192))
     g = plant_subnormals(rng, rng.normal(0.0, 1e-3, (512, 192)), 4000)
     guarded, lifted = T.grad_products_guarded, T.grad_products_lifted
-    ga, gb = (vjp(g) for vjp in matmul_vjps(a, b))
+    ga, gb = matmul_grads(a, b, g)
     assert (T.grad_products_guarded, T.grad_products_lifted) == (guarded + 2, lifted + 2)
     for got, plain in ((ga, g @ b.T), (gb, a.T @ g)):
         assert np.abs(plain).min() >= T._TINY
@@ -395,7 +398,7 @@ def test_lifted_gradient_products_are_closer_to_exact_on_subnormal_rows_and_colu
     a = rng.standard_normal((m, T.LIFT_MIN_K))
     b = rng.standard_normal((T.LIFT_MIN_K, n))
     g = rng.uniform(-1.0, 1.0, (m, n)) * T._TINY * 2.0 ** -20
-    ga, gb = (vjp(g) for vjp in matmul_vjps(a, b))
+    ga, gb = matmul_grads(a, b, g)
     for got, lhs, rhs in ((ga, g, b.T), (gb, a.T, g)):
         plain = lhs @ rhs
         exact = np.array([[float(sum(Fraction(x) * Fraction(y) for x, y in zip(row, col)))
@@ -415,7 +418,7 @@ def test_gradient_products_below_the_contraction_gate_are_not_guarded():
     a, b = rng.standard_normal((32, k)), rng.standard_normal((k, 24))
     g = plant_subnormals(rng, rng.normal(0.0, 1e-3, (32, 24)), 40)
     guarded, lifted = T.grad_products_guarded, T.grad_products_lifted
-    ga, gb = (vjp(g) for vjp in matmul_vjps(a, b))
+    ga, gb = matmul_grads(a, b, g)
     assert (T.grad_products_guarded, T.grad_products_lifted) == (guarded, lifted)
     assert ga.tobytes() == (g @ b.T).tobytes() and gb.tobytes() == (a.T @ g).tobytes()
 
@@ -427,7 +430,7 @@ def test_gradient_products_that_could_overflow_when_lifted_run_plain():
     g = plant_subnormals(rng, rng.normal(0.0, 1e-3, (32, 24)), 40)
     g[3, 5] = 1e300        # 1e300 * 2**600 overflows
     guarded, lifted = T.grad_products_guarded, T.grad_products_lifted
-    ga, gb = (vjp(g) for vjp in matmul_vjps(a, b))
+    ga, gb = matmul_grads(a, b, g)
     assert (T.grad_products_guarded, T.grad_products_lifted) == (guarded + 2, lifted)
     assert ga.tobytes() == (g @ b.T).tobytes() and gb.tobytes() == (a.T @ g).tobytes()
 
@@ -444,7 +447,7 @@ def test_matmul_lifts_a_subnormal_operand_in_the_forward_and_the_gradient_that_r
     before = (T.operands_guarded, T.operand_products_lifted, T.grad_products_lifted)
     out = T.matmul(Tensor(attn, requires_grad=True), Tensor(v, requires_grad=True))
     assert tested == [(512, 192), (192, 48)]
-    ga, gv = (vjp(g) for vjp in out._vjps)
+    ga, gv = out._vjp(g)
     # each gradient product tests only g; the forward's finding stands for attn
     assert tested[2:] == [(512, 48), (512, 48)]
     assert (T.operands_guarded, T.operand_products_lifted, T.grad_products_lifted) == \
@@ -483,9 +486,133 @@ def test_a_subnormal_operand_that_could_overflow_when_lifted_runs_plain():
     g = rng.standard_normal((32, 24))
     before = (T.operands_guarded, T.operand_products_lifted)
     out = T.matmul(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
-    gb = out._vjps[1](g)
+    gb = out._vjp(g)[1]
     assert (T.operands_guarded, T.operand_products_lifted) == (before[0] + 1, before[1])
     assert out.data.tobytes() == (a @ b).tobytes() and gb.tobytes() == (a.T @ g).tobytes()
+
+
+# -- the node contract: one vjp, one gradient per parent ------------------------------
+
+
+def _linear_of(w, b):
+    layer = LinearLayer(Rng(0), *w.shape)
+    layer.weight, layer.bias = w, b
+    return layer
+
+
+def _mlp_of(w1, b1, w2, b2):
+    layer = Mlp(Rng(0), w1.shape[0], w1.shape[1], w2.shape[1])
+    layer.fc1, layer.fc2 = _linear_of(w1, b1), _linear_of(w2, b2)
+    return layer
+
+
+def _lbr_of(w, b, scale, shift):
+    layer = LbrLayer(Rng(0), *w.shape)
+    layer.weight, layer.bias, layer.norm_scale, layer.norm_shift = w, b, scale, shift
+    return layer
+
+
+def _contract_cases(k=4):
+    """Op name -> (the op's tensor arguments as arrays, the op over them).
+    The layer ops take ``k`` input channels."""
+    r = np.random.default_rng(70)
+    n = r.standard_normal
+    groups = np.sort(r.integers(0, 6, (6, 3)), axis=1)
+    neighbours = r.integers(0, 5, (4, 3))
+    uv, uvd = r.uniform(0.2, 2.6, (7, 2)), r.uniform(0.2, 2.6, (7, 3))
+
+    def mlp_arrays(c_in, c_out):
+        return [n((c_in, 5)), n(5), n((5, c_out)), n(c_out)]
+
+    return {
+        "add": ([n((3, 4)), n(4)], T.add),
+        "sub": ([n((3, 4)), n((3, 1))], T.sub),
+        "mul": ([n((3, 4)), n((1, 4))], T.mul),
+        "div": ([n((3, 4)), np.abs(n((3, 4))) + 0.5], T.div),
+        "neg": ([n(3)], T.neg),
+        "pow_scalar": ([np.abs(n(3)) + 0.5], lambda a: a ** 3),
+        "log": ([np.abs(n(3)) + 0.5], T.log),
+        "absolute": ([n(3)], T.absolute),
+        "relu": ([n(3)], T.relu),
+        "sigmoid": ([n(3)], T.sigmoid),
+        "clamp": ([n(3)], lambda a: T.clamp(a, -0.5, 0.5)),
+        "matmul": ([n((3, k)), n((k, 2))], T.matmul),
+        "tsum": ([n((3, 4))], lambda a: T.tsum(a, axis=1)),
+        "amax": ([n((3, 4))], lambda a: T.amax(a, axis=1)),
+        "softmax": ([n((3, 4))], T.softmax),
+        "reshape": ([n((3, 4))], lambda a: T.reshape(a, (4, 3))),
+        "transpose": ([n((3, 4))], lambda a: T.transpose(a, (1, 0))),
+        "narrow": ([n((3, 4))], lambda a: T.narrow(a, 1, 1, 2)),
+        "concat": ([n((2, 3)), n((4, 3)), n((1, 3))], lambda *parts: T.concat(parts)),
+        "gather_rows": ([n((4, 3))], lambda a: T.gather_rows(a, np.array([0, 2, 2]))),
+        "bilinear_sample": ([n((4, 5, 2)), uv], T.bilinear_sample),
+        "trilinear_sample": ([n((3, 4, 5, 2)), uvd], T.trilinear_sample),
+        "frustum_sample": ([np.abs(n((3, 4, 5))), n((3, 4, 2)), uvd], T.frustum_sample),
+        "linear": ([n((5, k)), n((k, 3)), n(3)], lambda x, *p: linear(x, _linear_of(*p))),
+        "lbr": ([n((5, k)), n((k, 3)), n(3), n(3), n(3)], lambda x, *p: lbr(x, _lbr_of(*p))),
+        "mlp": ([n((2, 3, k))] + mlp_arrays(k, 3), lambda x, *p: mlp(x, _mlp_of(*p))),
+        "pos_encoding": ([n((6, 3))] + mlp_arrays(3, 4),
+                         lambda c, *p: pos_encoding(c, groups, _mlp_of(*p))),
+        "attend-subtract": ([n((6, 12)), n((6, 3, 4))] + mlp_arrays(4, 4),
+                            lambda q, pos, *p: attend(q, pos, groups, "subtract", _mlp_of(*p))),
+        "attend-multiply": ([n((6, 12)), n((6, 3, 4))] + mlp_arrays(4, 4),
+                            lambda q, pos, *p: attend(q, pos, groups, "multiply", _mlp_of(*p))),
+        "idw_interpolate": ([n((4, 3)), n((5, 3)), n((5, 2))],
+                            lambda t, src, f: idw_interpolate(t, src, f, neighbours)),
+    }
+
+
+def _node(arrays, op, frozen=()):
+    """op over fresh leaves of arrays, those at the ``frozen`` indices built
+    without requires_grad."""
+    return op(*(Tensor(a, requires_grad=i not in frozen) for i, a in enumerate(arrays)))
+
+
+@pytest.mark.parametrize("name", sorted(_contract_cases()))
+def test_a_node_has_one_vjp_with_one_gradient_per_parent(name):
+    arrays, op = _contract_cases()[name]
+    node = _node(arrays, op)
+    g = np.random.default_rng(71).standard_normal(node.shape)
+    full = node._vjp(g)
+    assert len(full) == len(node._parents)
+    assert all(e.shape == p.shape for e, p in zip(full, node._parents))
+    for i in range(len(arrays)):            # each argument frozen in turn
+        node = _node(arrays, op, frozen=(i,))
+        if len(arrays) == 1:
+            assert not node.requires_grad and node._parents == () and node._vjp is None
+            continue
+        entries = node._vjp(g)
+        assert len(entries) == len(node._parents)
+        for e, want, p in zip(entries, full, node._parents):
+            # None exactly where the parent is frozen; the others do not move
+            assert (e is None) == (not p.requires_grad), (name, i)
+            assert e is None or e.tobytes() == want.tobytes(), (name, i)
+
+
+def test_frozen_parents_cost_no_gradient_product(monkeypatch):
+    # at K = LIFT_MIN_K every gradient product of matmul and of the layer
+    # ops' K-wide products is guarded, so the counter counts the products
+    cases = _contract_cases(k=T.LIFT_MIN_K)
+    g = np.random.default_rng(72)
+    for name, frozen, products in [("matmul", (), 2), ("matmul", (0,), 1), ("matmul", (1,), 1),
+                                   ("linear", (), 2), ("linear", (0,), 1), ("linear", (1,), 1),
+                                   ("linear", (2,), 2), ("lbr", (0,), 1), ("lbr", (1,), 1),
+                                   ("mlp", (0,), 1), ("mlp", (1,), 1), ("mlp", (0, 1), 0)]:
+        node = _node(*cases[name], frozen=frozen)
+        guarded = T.grad_products_guarded
+        node._vjp(g.standard_normal(node.shape))
+        assert T.grad_products_guarded == guarded + products, (name, frozen)
+    # a constant operand, such as a Python scalar weighting a loss term,
+    # costs no _unbroadcast sum
+    sums = []
+    unbroadcast = T._unbroadcast
+    monkeypatch.setattr(T, "_unbroadcast", lambda g, shape: sums.append(shape) or unbroadcast(g, shape))
+    x = Tensor(np.ones((3, 4)), requires_grad=True)
+    for op in (T.add, T.sub, T.mul, T.div):
+        sums.clear()
+        op(2.0, x)._vjp(np.ones((3, 4)))
+        op(x, Tensor(np.full(4, 2.0)))._vjp(np.ones((3, 4)))
+        assert sums == [(3, 4), (3, 4)], op
 
 
 # -- grid sampling ------------------------------------------------------------
@@ -631,7 +758,7 @@ def test_non_finite_results_raise():
         Tensor([np.nan])
     with np.errstate(over="ignore", divide="ignore"):
         with pytest.raises(NonFiniteError):
-            T.exp(Tensor([1000.0]))
+            exp(Tensor([1000.0]))
         with pytest.raises(NonFiniteError):
             T.log(Tensor([0.0]))
         with pytest.raises(NonFiniteError):
@@ -645,7 +772,7 @@ def test_finite_guard_checks_every_element_without_overflowing():
     # op results from finite operands: NaN, +Inf and -Inf in one element
     with np.errstate(all="ignore"):
         for op in (lambda: T.div(Tensor([1.0, 0.0]), Tensor([1.0, 0.0])),
-                   lambda: T.exp(Tensor([0.0, 1000.0])),
+                   lambda: exp(Tensor([0.0, 1000.0])),
                    lambda: T.log(Tensor([1.0, 0.0]))):
             with pytest.raises(NonFiniteError):
                 op()
