@@ -215,8 +215,6 @@ class BoxArrays:
     """A box list in column form, as the batched kernel reads it."""
 
     corners: np.ndarray  # [n, 4, 2] bev_corners(), counter-clockwise
-    center: np.ndarray   # [n, 2] BEV centre
-    radius: np.ndarray   # [n] BEV half-diagonal
     area: np.ndarray     # [n] l * w
     z_lo: np.ndarray     # [n]
     z_hi: np.ndarray     # [n]
@@ -235,8 +233,8 @@ class BoxArrays:
         local = np.stack([np.stack([l / 2, -l / 2, -l / 2, l / 2], axis=-1),
                           np.stack([w / 2, w / 2, -w / 2, -w / 2], axis=-1)], axis=-1)
         corners = local @ np.swapaxes(rot, -1, -2) + a[:, None, :2]
-        return cls(corners, a[:, :2], 0.5 * np.hypot(l, w), l * w,
-                   z - h / 2, z + h / 2, l * w * h, corners.min(axis=1), corners.max(axis=1))
+        return cls(corners, l * w, z - h / 2, z + h / 2, l * w * h,
+                   corners.min(axis=1), corners.max(axis=1))
 
 
 def _clip_area(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
@@ -305,16 +303,13 @@ def pair_iou(subject: BoxArrays, clip: BoxArrays, rows: np.ndarray, cols: np.nda
     """Overlap of ``subject`` box rows[k] with ``clip`` box cols[k] for every k.
 
     Each value is iou_bev(subject, clip), or iou_3d when ``overlap`` is
-    not "bev", up to rounding.  Pairs whose centres lie further apart than
-    the sum of their half-diagonals cannot overlap and read exactly 0
+    not "bev", up to rounding.  Pairs whose BEV AABBs, the bounds of the
+    corners the clip reads, do not overlap cannot meet and read exactly 0
     without being clipped; the rest are clipped PAIR_BLOCK at a time.
     """
     out = np.zeros(len(rows))
-    d = subject.center[rows] - clip.center[cols]
-    # the relative slack covers corner rounding, so the filter never drops
-    # a pair whose clip could come out non-empty
-    reach = (subject.radius[rows] + clip.radius[cols]) * (1.0 + 1e-9)
-    near = np.flatnonzero(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= reach * reach)
+    near = np.flatnonzero((np.minimum(subject.hi[rows], clip.hi[cols])
+                           >= np.maximum(subject.lo[rows], clip.lo[cols])).all(axis=1))
     for start in range(0, len(near), PAIR_BLOCK):
         k = near[start:start + PAIR_BLOCK]
         r, c = rows[k], cols[k]

@@ -230,11 +230,6 @@ class Calibration:
         except np.linalg.LinAlgError as exc:
             raise CalibrationError(f"singular calibration: {exc}") from exc
 
-    @classmethod
-    def identity(cls, fx: float = 1.0, fy: float = 1.0, cx: float = 0.0, cy: float = 0.0) -> "Calibration":
-        p2 = np.array([[fx, 0.0, cx, 0.0], [0.0, fy, cy, 0.0], [0.0, 0.0, 1.0, 0.0]])
-        return cls(p2, np.eye(3), np.hstack([np.eye(3), np.zeros((3, 1))]))
-
     @property
     def k_inv(self) -> np.ndarray:
         """Inverse of the left 3x3 of P2 (image -> rectified camera rays)."""

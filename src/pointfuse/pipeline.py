@@ -41,7 +41,6 @@ class PreparedScene:
     scene_id: int
     raw_indices: np.ndarray
     depth_targets: DepthTargets
-    rng_seed: int                 # routing rng handed to pseudo-point generation
     routes: dict = field(default_factory=dict, repr=False)   # (raw_stages, l_group) -> StreamRoute
 
     def raw_route(self, backbone: TwoStreamNetwork) -> StreamRoute:
@@ -103,8 +102,7 @@ def prepare_scene(scene: SceneSample, cfg: NetworkConfig, rng: Rng, scene_id: in
     cells = np.stack([np.floor(sel.uv[fg, 0] / cfg.stride).astype(np.int64),
                       np.floor(sel.uv[fg, 1] / cfg.stride).astype(np.int64)], axis=1)
     targets = DepthTargets(cells, gt_bin, gt_res)
-    return PreparedScene(scene, scene_id, raw_indices, targets,
-                         rng_seed=rng.derive("routing").seed)
+    return PreparedScene(scene, scene_id, raw_indices, targets)
 
 
 class DetectionModel:
@@ -135,7 +133,7 @@ class DetectionModel:
         fi, dp, og = self.encoder(scene.image)
         pseudo = generate_pseudo_points(
             scene.points, scene.mask, scene.calib, fi, dp, og,
-            cfg.n_pseudo, self.binning, cfg.sampling_mode, Rng(prepared.rng_seed))
+            cfg.n_pseudo, self.binning, cfg.sampling_mode)
         raw_coords = Tensor(scene.points.coords[prepared.raw_indices])
         raw_feats = Tensor(scene.points.feats[prepared.raw_indices, :RAW_IN_CHANNELS])
         raw_out, pseudo_out, aux = self.backbone(raw_coords, raw_feats, pseudo.coords,

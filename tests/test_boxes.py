@@ -293,11 +293,11 @@ def test_nms_matches_oracle_on_desk_proposals():
     model = DetectionModel(cfg, Rng(40))
     props = model.head.decode_proposals(model.forward(prepared).rpn, 0.0)
     assert len(props.boxes) == cfg.n_raw == 128
-    # proposals cluster on the cars: many pairs survive the circumradius filter
+    # proposals cluster on the cars: many pairs have overlapping BEV AABBs
     table = BoxArrays.of(props.boxes)
     later, earlier = np.tril_indices(len(props.boxes), -1)
-    d = table.center[later] - table.center[earlier]
-    near = np.hypot(d[:, 0], d[:, 1]) <= table.radius[later] + table.radius[earlier]
+    near = np.all(np.minimum(table.hi[later], table.hi[earlier])
+                  >= np.maximum(table.lo[later], table.lo[earlier]), axis=1)
     assert near.mean() > 0.2
     for overlap, iou_fn in (("bev", iou_bev), ("3d", iou_3d)):
         got = pair_iou(table, table, later, earlier, overlap)

@@ -310,8 +310,14 @@ def random_calibration(rng):
     return Calibration(p2, qr, tr)
 
 
+def identity_calibration(fx=1.0, fy=1.0, cx=0.0, cy=0.0):
+    """A pinhole camera at the LiDAR origin: no rectification, no offset."""
+    p2 = np.array([[fx, 0.0, cx, 0.0], [0.0, fy, cy, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    return Calibration(p2, np.eye(3), np.hstack([np.eye(3), np.zeros((3, 1))]))
+
+
 def test_identity_calibration_projects_like_a_pinhole():
-    calib = Calibration.identity(fx=100.0, fy=100.0, cx=50.0, cy=25.0)
+    calib = identity_calibration(fx=100.0, fy=100.0, cx=50.0, cy=25.0)
     uv, depth = calib.project_to_image(np.array([1.0, 2.0, 10.0]))
     assert depth == pytest.approx(10.0)
     assert uv[0] == pytest.approx(100.0 * 1.0 / 10.0 + 50.0)
@@ -341,7 +347,7 @@ def test_image_round_trip_random_calibs():
 
 
 def test_project_points_masks_points_behind_camera():
-    calib = Calibration.identity()
+    calib = identity_calibration()
     pts = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, -5.0]])
     uv, depth, ok = calib.project_points(pts)
     assert ok.tolist() == [True, False]
