@@ -593,14 +593,14 @@ def test_frozen_parents_cost_no_gradient_product(monkeypatch):
     # at K = LIFT_MIN_K every gradient product of matmul and of the layer
     # ops' K-wide products is guarded, so the counter counts the products
     cases = _contract_cases(k=T.LIFT_MIN_K)
-    g = np.random.default_rng(72)
+    rng = np.random.default_rng(72)
     for name, frozen, products in [("matmul", (), 2), ("matmul", (0,), 1), ("matmul", (1,), 1),
                                    ("linear", (), 2), ("linear", (0,), 1), ("linear", (1,), 1),
                                    ("linear", (2,), 2), ("lbr", (0,), 1), ("lbr", (1,), 1),
                                    ("mlp", (0,), 1), ("mlp", (1,), 1), ("mlp", (0, 1), 0)]:
         node = _node(*cases[name], frozen=frozen)
         guarded = T.grad_products_guarded
-        node._vjp(g.standard_normal(node.shape))
+        node._vjp(rng.standard_normal(node.shape))
         assert T.grad_products_guarded == guarded + products, (name, frozen)
     # a constant operand, such as a Python scalar weighting a loss term,
     # costs no _unbroadcast sum
