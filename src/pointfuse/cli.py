@@ -14,6 +14,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -66,10 +67,10 @@ def _write_csv(path: str, header: list, rows: list) -> None:
         if isinstance(v, float):
             return f"{v:.12g}"
         return str(v)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([fmt(v) for v in row] for row in rows)
 
 
 def _build_config(args) -> RunConfig:
@@ -274,10 +275,10 @@ def cmd_gradcheck(args) -> int:
         print(f"{'ok  ' if ok else 'FAIL'} {name:22s} err {err:.3e} (tol {tol:.0e})  "
               f"max |a-n| {max_abs:.3e}, skipped {skipped}/{probed}, "
               f"directional {directional:.1e}")
-        rows.append((name, err, tol, "ok" if ok else "fail"))
+        rows.append((name, err, tol, "ok" if ok else "fail", directional))
     if manifest:
         _write_csv(os.path.join(args.out, "gradcheck.csv"),
-                   ["case", "max_rel_err", "tolerance", "status"], rows)
+                   ["case", "max_rel_err", "tolerance", "status", "directional_rel_err"], rows)
         manifest.artifact("gradcheck.csv")
     return 1 if failed else 0
 

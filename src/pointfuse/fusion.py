@@ -28,8 +28,7 @@ import numpy as np
 
 from .boxes import Box3D, normalize_angle
 from .geometry import farthest_point_sampling, knn_group
-from .nn import (LbrLayer, LinearLayer, Mlp, Rng, _mlp_backward, _mlp_forward, _mlp_hidden,
-                 init_weight)
+from .nn import LbrLayer, Mlp, Rng, _mlp_backward, _mlp_forward, _mlp_hidden, init_weight
 from .tensor import (ShapeError, Tensor, _finite_check, _row_index, _scatter_rows, _unbroadcast,
                      as_tensor, concat, gather_rows, matmul, maxpool_group, narrow, reshape,
                      sigmoid, softmax, transpose, tsum)
@@ -44,9 +43,8 @@ class FusionError(ValueError):
 _EXACT_D2 = 1e-20    # squared distance below this counts as coincident
 
 
-def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray,
-                    p: float = 2.0) -> Tensor:
-    """Interpolate source features at target positions, weights 1/d^p over
+def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray) -> Tensor:
+    """Interpolate source features at target positions, weights 1/d^2 over
     each target's neighbours ``idx`` [n, k] (its k nearest sources, as
     ``knn_group`` lists them).
 
@@ -71,7 +69,7 @@ def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray,
         raise ShapeError(f"idw_interpolate needs idx [{n}, k] and feats [{m}, c], got "
                          f"{idx.shape} and {sf.data.shape}")
     k = idx.shape[1]
-    e = float(-p / 2.0)
+    e = -1.0                                             # the weights' power of d^2
     parents = (tc, sc, sf)
     check = _finite_check("idw_interpolate", parents)
 
@@ -484,7 +482,9 @@ class CrossFusion:
     attended summary is combined with the side's own projection
     (subtract / add / concat) before a final LBR.  Both directions run
     the exact same code path with arguments swapped, so mirrored
-    parameters give bitwise-mirrored outputs.
+    parameters give bitwise-mirrored outputs.  Each stream's q/k/v
+    product ``f @ w`` is computed once and read by both directions.  The
+    projections have no bias: the final LBR's centring would cancel it.
 
     A one-way link runs the raw direction only, for a link whose pseudo
     output nothing reads: it builds no pseudo-side projection, mixer or
@@ -508,31 +508,30 @@ class CrossFusion:
         merged = 2 * c_embed if combine == "concat" else c_embed
         self.w_raw = init_weight(rng.derive("w_raw"), c_raw, 3 * c_embed)
         self.w_pseudo = init_weight(rng.derive("w_pseudo"), c_pseudo, 3 * c_embed)
-        self.proj_raw = LinearLayer(rng.derive("proj_raw"), c_raw, c_embed)
+        self.proj_raw = init_weight(rng.derive("proj_raw"), c_raw, c_embed)
         self.mix_raw = Mlp(rng.derive("mix_raw"), n_pseudo, n_pseudo, n_pseudo)
         self.out_raw = LbrLayer(rng.derive("out_raw"), merged, c_embed)
         if not one_way:
             # each layer draws from its own derived stream, so skipping
             # these leaves every other initial weight as it was
-            self.proj_pseudo = LinearLayer(rng.derive("proj_pseudo"), c_pseudo, c_embed)
+            self.proj_pseudo = init_weight(rng.derive("proj_pseudo"), c_pseudo, c_embed)
             self.mix_pseudo = Mlp(rng.derive("mix_pseudo"), n_raw, n_raw, n_raw)
             self.out_pseudo = LbrLayer(rng.derive("out_pseudo"), merged, c_embed)
 
     def params(self, prefix: str):
-        out = ([(prefix + ".w_raw", self.w_raw), (prefix + ".w_pseudo", self.w_pseudo)]
-               + self.proj_raw.params(prefix + ".proj_raw")
+        out = ([(prefix + ".w_raw", self.w_raw), (prefix + ".w_pseudo", self.w_pseudo),
+                (prefix + ".proj_raw", self.proj_raw)]
                + self.mix_raw.params(prefix + ".mix_raw")
                + self.out_raw.params(prefix + ".out_raw"))
         if not self.one_way:
-            out += (self.proj_pseudo.params(prefix + ".proj_pseudo")
+            out += ([(prefix + ".proj_pseudo", self.proj_pseudo)]
                     + self.mix_pseudo.params(prefix + ".mix_pseudo")
                     + self.out_pseudo.params(prefix + ".out_pseudo"))
         return out
 
-    def _enhance(self, f_self, w_self, proj_self, mix_self, out_self, f_other, w_other):
+    def _enhance(self, f_self, qkv_self, proj_self, mix_self, out_self, qkv_other):
         c = self.c_embed
-        k_self = narrow(matmul(f_self, w_self), 1, c, c)
-        qkv_other = matmul(f_other, w_other)
+        k_self = narrow(qkv_self, 1, c, c)
         q_other = narrow(qkv_other, 1, 0, c)
         v_other = narrow(qkv_other, 1, 2 * c, c)
         if self.mode == "multiply":
@@ -541,7 +540,7 @@ class CrossFusion:
             scores = tsum(k_self, axis=1, keepdims=True) - reshape(tsum(q_other, axis=1), (1, -1))
         attn = softmax(mix_self(scores), axis=1)
         attended = matmul(attn, v_other)
-        base = proj_self(f_self)
+        base = matmul(f_self, proj_self)
         if self.combine == "subtract":
             merged = base - attended
         elif self.combine == "add":
@@ -555,12 +554,13 @@ class CrossFusion:
             raise FusionError(
                 f"fusion sized for {self.n_raw}/{self.n_pseudo} points, "
                 f"got {f_raw.data.shape[0]}/{f_pseudo.data.shape[0]}")
-        enh_raw, a_raw = self._enhance(f_raw, self.w_raw, self.proj_raw, self.mix_raw,
-                                       self.out_raw, f_pseudo, self.w_pseudo)
+        qkv_raw, qkv_pseudo = matmul(f_raw, self.w_raw), matmul(f_pseudo, self.w_pseudo)
+        enh_raw, a_raw = self._enhance(f_raw, qkv_raw, self.proj_raw, self.mix_raw,
+                                       self.out_raw, qkv_pseudo)
         if self.one_way:
             return enh_raw, f_pseudo, {"attn_raw": a_raw.data}
-        enh_pseudo, a_pseudo = self._enhance(f_pseudo, self.w_pseudo, self.proj_pseudo,
-                                             self.mix_pseudo, self.out_pseudo, f_raw, self.w_raw)
+        enh_pseudo, a_pseudo = self._enhance(f_pseudo, qkv_pseudo, self.proj_pseudo,
+                                             self.mix_pseudo, self.out_pseudo, qkv_raw)
         return enh_raw, enh_pseudo, {"attn_raw": a_raw.data, "attn_pseudo": a_pseudo.data}
 
 

@@ -256,24 +256,6 @@ class Calibration:
         out = p @ self._rect_to_velo[:3, :3].T + self._rect_to_velo[:3, 3]
         return out[0] if single else out
 
-    def project_to_image(self, pts_cam: np.ndarray):
-        """Rectified-camera points -> (uv [N,2], depth [N]).
-
-        Raises for non-positive projective depth; use project_points for
-        the masked bulk variant.
-        """
-        pts_cam = np.asarray(pts_cam, dtype=np.float64)
-        single = pts_cam.ndim == 1
-        p = np.atleast_2d(pts_cam)
-        h = p @ self.p2[:, :3].T + self.p2[:, 3]
-        depth = h[:, 2]
-        if np.any(depth <= 0.0):
-            raise GeometryError("point at or behind the image plane")
-        uv = h[:, :2] / depth[:, None]
-        if single:
-            return uv[0], float(depth[0])
-        return uv, depth
-
     def project_points(self, pts_lidar: np.ndarray):
         """LiDAR points -> (uv [N,2], depth [N], in-front mask).
 
@@ -288,8 +270,8 @@ class Calibration:
         return uv, depth, ok
 
     def image_to_camera(self, uv: np.ndarray, depth) -> np.ndarray:
-        """(u, v, projective depth) -> rectified-camera point; inverse of
-        the project_to_image method."""
+        """(u, v, projective depth) -> rectified-camera point; with
+        image_to_lidar, the inverse of project_points in front of the camera."""
         uv = np.asarray(uv, dtype=np.float64)
         single = uv.ndim == 1
         uvm = np.atleast_2d(uv)

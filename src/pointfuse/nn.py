@@ -124,20 +124,20 @@ class LbrLayer:
 
     The standardisation centres and scales each output feature over the
     row axis (the batch-norm analogue for a single point set) before the
-    learned affine.
+    learned affine.  The linear map has no bias: the centring subtracts
+    any constant added before it, so ``norm_shift`` is the only offset.
     """
 
     def __init__(self, rng: Rng, c_in: int, c_out: int):
         self.c_in = c_in
         self.c_out = c_out
         self.weight = init_weight(rng, c_in, c_out)
-        self.bias = init_bias(rng, c_in, c_out)
         self.norm_scale = Tensor(np.ones(c_out), requires_grad=True)
         self.norm_shift = Tensor(np.zeros(c_out), requires_grad=True)
 
     def params(self, prefix: str):
-        return [(prefix + ".weight", self.weight), (prefix + ".bias", self.bias),
-                (prefix + ".norm_scale", self.norm_scale), (prefix + ".norm_shift", self.norm_shift)]
+        return [(prefix + ".weight", self.weight), (prefix + ".norm_scale", self.norm_scale),
+                (prefix + ".norm_shift", self.norm_shift)]
 
     def __call__(self, x: Tensor) -> Tensor:
         return lbr(x, self)
@@ -146,10 +146,10 @@ class LbrLayer:
 def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
     """Apply an LbrLayer to [N, c_in] (or [..., c_in], flattened to rows).
 
-    One tape op with parents (x, weight, bias, norm_scale, norm_shift).
+    One tape op with parents (x, weight, norm_scale, norm_shift).
     Forward runs the numpy expressions of the chain reshape -> matmul ->
-    add -> mean -> centre -> mean of squares -> sqrt(var + eps) -> divide
-    -> scale -> shift -> relu -> reshape in its order; backward runs that
+    mean -> centre -> mean of squares -> sqrt(var + eps) -> divide ->
+    scale -> shift -> relu -> reshape in its order; backward runs that
     chain's vjps once per upstream gradient, with its ``_unbroadcast``
     sums and its accumulation order, so values and gradients equal the
     chain's bit for bit (``tests/oracles.py`` keeps it).  Like the chain,
@@ -160,7 +160,7 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
     ``out > 0``.
     """
     x = as_tensor(x)
-    w, b, scale, shift = layer.weight, layer.bias, layer.norm_scale, layer.norm_shift
+    w, scale, shift = layer.weight, layer.norm_scale, layer.norm_shift
     if x.data.shape[-1] != layer.c_in:
         raise ShapeError(f"lbr expects trailing dim {layer.c_in}, got {x.data.shape}")
     lead = x.data.shape[:-1]
@@ -168,13 +168,12 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
     n = flat.shape[0]
     if n == 0:
         raise EmptyInputError("lbr over zero rows")
-    parents = (x, w, b, scale, shift)
+    parents = (x, w, scale, shift)
     check = _finite_check("lbr", parents)
 
     # in-place steps below run the chain's operations on the same values,
     # without the chain's temporaries
     h = flat @ w.data
-    h += b.data
     check(h)
     inv_n = 1.0 / n
     mu = h.sum(axis=(0,), keepdims=True) * inv_n
@@ -192,9 +191,9 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
         g = g.reshape(out.shape) * (out > 0.0)           # relu
         grads = [None] * len(parents)
         if shift.requires_grad:
-            grads[4] = _unbroadcast(g, shift.data.shape)
+            grads[3] = _unbroadcast(g, shift.data.shape)
         if scale.requires_grad:
-            grads[3] = _unbroadcast(g * (centred / sd), scale.data.shape)
+            grads[2] = _unbroadcast(g * (centred / sd), scale.data.shape)
         g = g * scale.data
         # divide -> sqrt -> mean of squares, as (1, C) rows
         g_sd = _unbroadcast(-g * centred / (sd * sd), sd.shape)
@@ -205,8 +204,6 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
         g_centred = g_centred + g_sq * centred
         # h's: the centring, then the mean
         g = g_centred + _unbroadcast(-g_centred, sd.shape) * inv_n
-        if b.requires_grad:
-            grads[2] = _unbroadcast(g, b.data.shape)
         if w.requires_grad:
             grads[1] = _grad_product(flat.T, g, layer.c_in, False)
         if x.requires_grad:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import (CLASSES, DEFAULT_ANCHORS, DetectionResult, GroundTruth,
+from .boxes import (CLASS_IOU_THRESHOLD, CLASSES, DEFAULT_ANCHORS, DetectionResult, GroundTruth,
                     average_precision_40, nms)
 from .config import NetworkConfig
 from .frustum import (DepthPrediction, FrustumError, ImageEncoder, ImageFeatureGrid, OffsetGrid,
@@ -236,11 +236,8 @@ def detect(model: DetectionModel, prepared: PreparedScene,
     return [dets[i] for i in keep]
 
 
-def evaluate(model: DetectionModel, scenes: list[PreparedScene], eval_settings,
-             iou_thresholds: dict | None = None) -> dict:
+def evaluate(model: DetectionModel, scenes: list[PreparedScene], eval_settings) -> dict:
     """Detections over all scenes, then per-class 40-point AP."""
-    from .boxes import CLASS_IOU_THRESHOLD
-    thresholds = iou_thresholds or CLASS_IOU_THRESHOLD
     dets: list[DetectionResult] = []
     gts: list[GroundTruth] = []
     for prepared in scenes:
@@ -249,6 +246,6 @@ def evaluate(model: DetectionModel, scenes: list[PreparedScene], eval_settings,
     results = {}
     for klass in CLASSES:
         results[klass] = average_precision_40(
-            dets, gts, thresholds[klass], klass,
+            dets, gts, CLASS_IOU_THRESHOLD[klass], klass,
             overlap=eval_settings.overlap, max_difficulty=eval_settings.max_difficulty)
     return {"ap": results, "detections": dets, "ground_truths": gts}

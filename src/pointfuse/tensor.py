@@ -154,9 +154,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0

@@ -55,11 +55,11 @@ def linear_chain(x, layer):
 
 
 def lbr_chain(x, layer, eps=LBR_NORM_EPS):
-    """``nn.lbr`` as sixteen tape ops."""
+    """``nn.lbr`` as fifteen tape ops."""
     x = as_tensor(x)
     lead = x.data.shape[:-1]
     flat = reshape(x, (-1, layer.c_in))
-    h = matmul(flat, layer.weight) + layer.bias
+    h = matmul(flat, layer.weight)
     mu = tmean(h, axis=0, keepdims=True)
     centred = h - mu
     var = tmean(centred * centred, axis=0, keepdims=True)
@@ -115,7 +115,7 @@ def attend_chain(qkv, pos, groups, mode, score_mlp):
     return attn_pool_chain(logits, qkv, pos, groups)
 
 
-def idw_chain(target_coords, source_coords, source_feats, idx, p=2.0):
+def idw_chain(target_coords, source_coords, source_feats, idx):
     """``fusion.idw_interpolate`` as its chain of single tape ops."""
     tc = as_tensor(target_coords)
     sc = as_tensor(source_coords)
@@ -131,7 +131,7 @@ def idw_chain(target_coords, source_coords, source_feats, idx, p=2.0):
     # shift coincident entries off zero, then mask their weights away;
     # rows with a coincident source get a constant one-hot instead
     d2_safe = d2 + Tensor(exact.astype(np.float64))
-    w = d2_safe ** (-p / 2.0)
+    w = d2_safe ** -1.0
     keep = np.broadcast_to(~row_exact[:, None], exact.shape).astype(np.float64)
     onehot = np.zeros(exact.shape)
     rows = np.flatnonzero(row_exact)

@@ -5,6 +5,7 @@ whole file stays in the seconds range.  Bitwise reproduction of a real
 200-step run is an acceptance criterion, not a unit test.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -263,10 +264,9 @@ def test_replay_of_eval_with_checkpoint_reproduces_bitwise(tmp_path, overfit_run
 def test_ablate_rows_have_distinct_hashes(tmp_path, capsys):
     out = str(tmp_path / "ablate")
     assert run("ablate", "--out", out, "--set", "train.steps=1") == 0
-    with open(os.path.join(out, "ablation.csv")) as fh:
-        rows = [line.split(",") for line in fh.read().strip().splitlines()[1:]]
-    names = [r[0] for r in rows]
-    hashes = [r[-1] for r in rows]
-    assert "reference" in names
-    assert len(rows) >= 7
+    with open(os.path.join(out, "ablation.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(len(r) == 5 and None not in r.values() for r in rows)
+    assert [(r["variant"], json.loads(r["overrides"])) for r in rows] == cli.ABLATION_ROWS
+    hashes = [r["output_sha256"] for r in rows]
     assert len(set(hashes)) == len(hashes)

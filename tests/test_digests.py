@@ -22,8 +22,8 @@
   multiply mode, CrossFusion's subtract scores, the add and concat
   combines, FPS sampling and the networks without fusion links.
 - every row of ``pointfuse gradcheck``'s ``gradcheck.csv`` at its
-  default seed 0: the case, its error as ``float.hex``, the tolerance
-  and the status.
+  default seed 0: the case, its error as ``float.hex``, the tolerance,
+  the status and its directional error as ``float.hex``.
 
 The file records a platform fingerprint: the numpy version, the BLAS
 build and the CPU model.  On that fingerprint every value must match bit
@@ -31,9 +31,9 @@ for bit.  On any other, BLAS kernels may round differently.  Floats are
 then compared at relative tolerance ``FOREIGN_RTOL``, the detections by
 count and score, and the loss parts of the desk runs and of each ablate
 row on their first ``FOREIGN_STEPS`` steps only.  The gradcheck rows
-must keep their cases, tolerances and statuses, but their errors are
-not compared: they are finite-difference residues near rounding level,
-which another BLAS moves by far more than FOREIGN_RTOL.  Neither are
+must keep their cases, tolerances and statuses, but neither of their
+errors is compared: they are finite-difference residues near rounding
+level, which another BLAS moves by far more than FOREIGN_RTOL.  Neither are
 the ablate hashes, which any rounding difference changes, nor the
 overfit eval: Adam divides by sqrt(v), so a
 gradient entry near zero that rounds the other way moves its weight by
@@ -121,9 +121,11 @@ def ablate_rows() -> dict:
 
 def gradcheck_rows() -> list[list]:
     """gradcheck.csv's rows at `pointfuse gradcheck`'s default seed, with
-    each error as float.hex."""
-    return [[name, float(err).hex(), tol, "ok" if err <= tol else "fail"]
-            for name, tol, fn in cli._gradcheck_cases(MODEL_SEED) for err in [fn()]]
+    both errors as float.hex."""
+    report = []
+    rows = [[name, float(err).hex(), tol, "ok" if err <= tol else "fail"]
+            for name, tol, fn in cli._gradcheck_cases(MODEL_SEED, report) for err in [fn()]]
+    return [row + [float(entry[3]).hex()] for row, entry in zip(rows, report)]
 
 
 def _row(d: DetectionResult) -> str:
@@ -214,7 +216,7 @@ def differences(pinned: dict, run: dict) -> list[str]:
         if exact and have != row["output_sha256"]:
             found.append(f"ablate {label} output_sha256 {have} != {row['output_sha256']}")
     # the errors on the fingerprint only; the cases, tolerances and statuses everywhere
-    keep = (lambda r: r) if exact else (lambda r: r[:1] + r[2:])
+    keep = (lambda r: r) if exact else (lambda r: r[:1] + r[2:4])
     found += [f"gradcheck {have} != {want}"
               for want, have in itertools.zip_longest(pinned["gradcheck"], run["gradcheck"])
               if want is None or have is None or keep(want) != keep(have)]
@@ -289,12 +291,17 @@ def test_a_moved_digest_is_caught_in_both_modes():
     def gradcheck_status(run):
         run["gradcheck"][0][3] = "fail"
 
+    def gradcheck_directional(run):
+        run["gradcheck"][0][4] = float(np.nextafter(float.fromhex(run["gradcheck"][0][4]),
+                                                    math.inf)).hex()
+
     ulp = ablate_total(np.nextafter(total, math.inf))
     assert ABLATE_STEPS <= FOREIGN_STEPS                       # every ablate step is compared
     for edit, bytewise, foreign in [(ulp, 1, 0),
                                     (ablate_total(total * (1 + 2 * FOREIGN_RTOL)), 1, 1),
                                     (ablate_hash, 1, 0),
                                     (gradcheck_error, 1, 0),
+                                    (gradcheck_directional, 1, 0),
                                     (gradcheck_status, 1, 1)]:
         assert len(changed(edit, foreign=False)) == bytewise
         assert len(changed(edit, foreign=True)) == foreign

@@ -489,15 +489,14 @@ def mirror_cross_fusion(a: CrossFusion) -> CrossFusion:
     c_pseudo = a.w_pseudo.data.shape[0]
     b = CrossFusion(Rng(999), c_pseudo, c_raw, a.c_embed,
                     a.n_pseudo, a.n_raw, a.combine, a.mode)
-    pairs = [(b.w_raw, a.w_pseudo), (b.w_pseudo, a.w_raw)]
-    for dst, src in ((b.proj_raw, a.proj_pseudo), (b.proj_pseudo, a.proj_raw)):
-        pairs += [(dst.weight, src.weight), (dst.bias, src.bias)]
+    pairs = [(b.w_raw, a.w_pseudo), (b.w_pseudo, a.w_raw),
+             (b.proj_raw, a.proj_pseudo), (b.proj_pseudo, a.proj_raw)]
     for dst, src in ((b.mix_raw, a.mix_pseudo), (b.mix_pseudo, a.mix_raw)):
         pairs += [(dst.fc1.weight, src.fc1.weight), (dst.fc1.bias, src.fc1.bias),
                   (dst.fc2.weight, src.fc2.weight), (dst.fc2.bias, src.fc2.bias)]
     for dst, src in ((b.out_raw, a.out_pseudo), (b.out_pseudo, a.out_raw)):
-        pairs += [(dst.weight, src.weight), (dst.bias, src.bias),
-                  (dst.norm_scale, src.norm_scale), (dst.norm_shift, src.norm_shift)]
+        pairs += [(dst.weight, src.weight), (dst.norm_scale, src.norm_scale),
+                  (dst.norm_shift, src.norm_shift)]
     for dst, src in pairs:
         dst.data = src.data.copy()
     return b
@@ -564,7 +563,7 @@ def test_backbone_final_link_is_one_way():
     names = [n for n, _ in net.params()]
     assert not any(n.startswith("net.final_link.") and "_pseudo." in n for n in names)
     assert sum(n.startswith(f"net.link{k}.out_pseudo.") for n in names
-               for k in range(len(cfg.stage_channels))) == 4 * len(cfg.stage_channels)
+               for k in range(len(cfg.stage_channels))) == 3 * len(cfg.stage_channels)
     net.final_link = None       # without the final link, the decoder's own output
     _, pf_decoder, _ = net(*backbone_inputs(cfg))
     assert pf.data.tobytes() == pf_decoder.data.tobytes()

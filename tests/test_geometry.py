@@ -318,10 +318,10 @@ def identity_calibration(fx=1.0, fy=1.0, cx=0.0, cy=0.0):
 
 def test_identity_calibration_projects_like_a_pinhole():
     calib = identity_calibration(fx=100.0, fy=100.0, cx=50.0, cy=25.0)
-    uv, depth = calib.project_to_image(np.array([1.0, 2.0, 10.0]))
-    assert depth == pytest.approx(10.0)
-    assert uv[0] == pytest.approx(100.0 * 1.0 / 10.0 + 50.0)
-    assert uv[1] == pytest.approx(100.0 * 2.0 / 10.0 + 25.0)
+    uv, depth, ok = calib.project_points(np.array([1.0, 2.0, 10.0]))
+    assert ok[0] and depth[0] == pytest.approx(10.0)
+    assert uv[0, 0] == pytest.approx(100.0 * 1.0 / 10.0 + 50.0)
+    assert uv[0, 1] == pytest.approx(100.0 * 2.0 / 10.0 + 25.0)
 
 
 def test_camera_lidar_round_trip_random_calibs():
@@ -338,10 +338,11 @@ def test_image_round_trip_random_calibs():
     for _ in range(10):
         calib = random_calibration(rng)
         cam = rng.uniform([-10, -5, 2.0], [10, 5, 60.0], size=(200, 3))
-        uv, depth = calib.project_to_image(cam)
+        lidar = calib.camera_to_lidar(cam)
+        uv, depth, ok = calib.project_points(lidar)
+        assert ok.all()
         back = calib.image_to_camera(uv, depth)
         assert np.max(np.abs(back - cam)) <= 1e-9
-        lidar = calib.camera_to_lidar(cam)
         back_l = calib.image_to_lidar(uv, depth)
         assert np.max(np.abs(back_l - lidar)) <= 1e-9
 
@@ -352,8 +353,6 @@ def test_project_points_masks_points_behind_camera():
     uv, depth, ok = calib.project_points(pts)
     assert ok.tolist() == [True, False]
     assert np.array_equal(uv[1], [0.0, 0.0])
-    with pytest.raises(GeometryError):
-        calib.project_to_image(np.array([0.0, 0.0, -1.0]))
 
 
 def test_calibration_validation():

@@ -5,6 +5,11 @@ referenced in that module.  Package ``__init__.py`` files re-export what
 they import, names listed in ``__all__`` are exports, and
 ``from __future__`` imports are compiler directives, so those are exempt.
 
+Every function and class defined under ``src/`` must be referenced by
+name somewhere in ``src/``: as a name, an attribute or an imported name.
+Dunder methods are called by the language, so they are exempt.  Like the
+config reads below, references are matched by name alone.
+
 Every field of a config dataclass (a section of ``RunConfig``) must be
 read somewhere in ``src/`` outside the ``validate`` and ``__post_init__``
 checks: a setting that only its own check reads changes nothing a run
@@ -100,3 +105,39 @@ def test_every_config_field_is_read_outside_its_checks():
                   for f in fields(cls) if f.name not in outside]
     assert not found, ("config fields that src/ reads only in validate/__post_init__, "
                        "or not at all:\n" + "\n".join(found))
+
+
+def unreferenced_definitions(sources: dict) -> list[str]:
+    """Functions and classes defined in ``sources`` (path -> source text)
+    whose name no source references, as ``path:line name``."""
+    defined, referenced = {}, set()
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return sorted(f"{where} {name}" for name, where in defined.items()
+                  if name not in referenced and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_unreferenced_definitions_are_found():
+    sources = {"a.py": ("class A:\n"
+                        "    def __init__(self): pass\n"
+                        "    def used(self): pass\n"
+                        "    def unused(self): pass\n"
+                        "def helper(): pass\n"
+                        "def orphan(): pass\n"),
+               "b.py": "from a import helper as h\nA().used()\n"}
+    assert unreferenced_definitions(sources) == ["a.py:4 unused", "a.py:6 orphan"]
+
+
+def test_every_function_and_class_in_src_is_referenced_in_src():
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    found = unreferenced_definitions(sources)
+    assert not found, "defined under src/ but referenced nowhere in src/:\n" + "\n".join(found)

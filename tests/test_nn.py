@@ -223,8 +223,9 @@ def test_fused_layer_lifts_subnormal_gradients_as_its_chain_does(kind):
 def test_fused_layer_raises_where_its_chain_raises(kind, x, weight, scale, shift):
     layer, fused, chain = _layer(kind, c_in=1, c_out=1)
     layer.weight.data[...] = weight
-    layer.bias.data[...] = 0.0
-    if kind != "linear":
+    if kind == "linear":
+        layer.bias.data[...] = 0.0
+    else:
         layer.norm_scale.data[...] = scale
         layer.norm_shift.data[...] = shift
     x = Tensor(np.array(x).reshape(-1, 1))

@@ -127,16 +127,23 @@ def test_model_params_unique_and_trainable():
     assert all(p.requires_grad for p in params.values())
 
 
-# Ablation rows under which some parameters reach no loss by design: the
-# row's count, which names, and why.  Every other row trains them all.
+# A parameter is dead in a row when its largest |gradient| is at most this
+# share of the row's largest: parameters the output cannot see get rounding
+# residues (at most 2e-14 of the top), every live one at least 1e-5 of it.
+DEAD_SHARE = 1e-9
+# Dead under every row: each score MLP's output bias adds one constant per
+# channel to every member of a group, and the softmax over the group cancels it.
+SOFTMAX_CANCELLED = (12, lambda n: n.endswith(".attn.score.fc2.bias"))
+# Ablation rows under which more parameters reach no loss by design: the
+# row's count, which names, and why.  Every other row trains all the rest.
 LAST_LINK = f"net.link{len(NetworkConfig.desk().stage_channels) - 1}."
 DEAD_BY_DESIGN = {
     # no link reads the pseudo stream, so neither it nor the image heads that feed it
-    "no-fusion-links": (120, lambda n: n.startswith(("net.pseudo_", "image.feat_head.",
+    "no-fusion-links": (100, lambda n: n.startswith(("net.pseudo_", "image.feat_head.",
                                                      "image.offset_head."))),
     # the pseudo decoder feeds only the final link, the last link's pseudo half only the decoder
-    "stage-links-only": (42, lambda n: n.startswith("net.pseudo_up") or n.startswith(
-        tuple(LAST_LINK + half for half in ("proj_pseudo.", "mix_pseudo.", "out_pseudo.")))),
+    "stage-links-only": (32, lambda n: n.startswith("net.pseudo_up") or n.startswith(
+        tuple(LAST_LINK + half for half in ("proj_pseudo", "mix_pseudo.", "out_pseudo.")))),
     # only keypoint sampling reads the predicted pixel offsets
     "sampling-fps": (2, lambda n: n.startswith("image.offset_head.")),
 }
@@ -156,12 +163,16 @@ def test_every_parameter_reaches_the_loss_under_every_ablation_row():
         for prepared in scenes:
             total, _ = compute_losses(prepared, model.forward(prepared), cfg.loss)
             total.backward()
-        dead = sorted(n for n, p in params.items() if not np.any(p.grad))
-        count, rule = DEAD_BY_DESIGN.get(label, (0, lambda n: False))
-        expected = sorted(filter(rule, params))
-        assert dead == expected, (label, "dead:", sorted(set(dead) - set(expected)),
-                                  "alive:", sorted(set(expected) - set(dead)))
-        assert len(dead) == count, label
+        top = {n: np.max(np.abs(p.grad)) for n, p in params.items()}
+        dead = sorted(n for n, g in top.items() if g <= DEAD_SHARE * max(top.values()))
+        expected = []
+        for count, rule in (SOFTMAX_CANCELLED, DEAD_BY_DESIGN.get(label, (0, lambda n: False))):
+            names = list(filter(rule, params))
+            assert len(names) == count, label
+            expected += names
+        expected = sorted(set(expected))
+        assert dead == expected, (f"{label}: dead {sorted(set(dead) - set(expected))}, "
+                                  f"alive {sorted(set(expected) - set(dead))}")
 
 
 # -- raw routing, built once per scene ----------------------------------------------
@@ -351,7 +362,7 @@ def test_a_desk_training_step_builds_a_fixed_number_of_tape_nodes():
     cfg, prepared = make_prepared(0)
     model = DetectionModel(cfg, Rng(0))
     total, _ = compute_losses(prepared, model.forward(prepared), LossWeights())
-    assert len([node for node in T._topo_order(total) if node._parents]) == 369
+    assert len([node for node in T._topo_order(total) if node._parents]) == 361
 
 
 # bytes a desk forward plus compute_losses keeps alive: 5.18 MB at seed 0

@@ -10,7 +10,7 @@ Covers, in rough order:
   the subnormal-lifted matmul gradient products and their counters,
   the node contract: one vjp per node, one gradient per parent and
     None, at no cost, for each parent that does not require grad,
-  graph mechanics (reuse accumulation, detach, zero_grad, leaf-only
+  graph mechanics (reuse accumulation, zero_grad, leaf-only
     grad buffers, no_grad),
   the finite-value guard,
   and the ndarray-on-the-left operator regression.
@@ -168,13 +168,6 @@ def test_zero_grad_and_repeated_backward():
     assert np.allclose(x.grad, [8.0])  # accumulated twice
     x.zero_grad()
     assert np.array_equal(x.grad, [0.0])
-
-
-def test_detach_blocks_gradient():
-    x = Tensor([2.0], requires_grad=True)
-    y = x.detach() * x
-    y.backward()
-    assert np.allclose(x.grad, [2.0])  # only the live factor contributes
 
 
 def test_only_leaves_hold_grad_buffers():
