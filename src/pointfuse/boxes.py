@@ -9,6 +9,7 @@ axis-aligned approximation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,9 @@ class Box3D:
         for name in ("l", "w", "h"):
             if not getattr(self, name) > 0.0:
                 raise BoxError(f"{name} must be positive, got {getattr(self, name)}")
-        vals = [self.x, self.y, self.z, self.l, self.w, self.h, self.yaw]
-        if not np.all(np.isfinite(vals)):
-            raise BoxError("non-finite box field")
+        for v in (self.x, self.y, self.z, self.l, self.w, self.h, self.yaw):
+            if not math.isfinite(v):
+                raise BoxError("non-finite box field")
         self.yaw = normalize_angle(self.yaw)
 
     @property
@@ -369,13 +370,22 @@ def nms(dets: list[DetectionResult], iou_threshold: float, overlap: str = "bev")
     pair_iou with the candidate as subject and the earlier box as clip
     polygon, as in iou_bev(candidate, kept) / iou_3d(candidate, kept).
     Only pairs whose iou_bound exceeds the threshold are clipped: the
-    bound is never below pair_iou, so no other pair can suppress.
+    bound is never below pair_iou, so no other pair can suppress.  Before
+    the bound, a separable test on the [n, n] grid drops the pairs whose
+    BEV AABBs do not meet: pair_iou reads them 0, which suppresses
+    nothing at a threshold of 0 or more, so a negative threshold raises.
     """
+    if iou_threshold < 0.0:
+        raise BoxError(f"nms threshold must be >= 0, got {iou_threshold}")
     scores = np.array([d.score for d in dets])
     order = np.argsort(-scores, kind="stable")
     table = BoxArrays.of([dets[i].box for i in order])
     n = len(order)
-    later, earlier = np.tril_indices(n, -1)
+    # pair_iou's test min(hi) >= max(lo), per axis; each box's lo <= hi
+    lo, hi = table.lo, table.hi
+    meet = ((hi[:, None, 0] >= lo[None, :, 0]) & (lo[:, None, 0] <= hi[None, :, 0])
+            & (hi[:, None, 1] >= lo[None, :, 1]) & (lo[:, None, 1] <= hi[None, :, 1]))
+    later, earlier = np.nonzero(np.tril(meet, -1))
     ask = iou_bound(table, table, later, earlier, overlap) > iou_threshold
     later, earlier = later[ask], earlier[ask]
     # over[s, r]: keeping s suppresses the later candidate r

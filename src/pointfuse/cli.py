@@ -86,10 +86,19 @@ def _build_config(args) -> RunConfig:
     return cfg
 
 
+def _generate_scene(cfg: RunConfig, rng: Rng, i: int) -> kitti.SceneSample:
+    """Scene i of a run; its errors name the stage and the scene, as in
+    ``generate_scene (scene 3) / place_boxes: ...``."""
+    try:
+        return kitti.generate_scene(cfg.scene, rng.derive(f"scene{i}"))
+    except kitti.SceneError as exc:
+        raise kitti.SceneError(f"generate_scene (scene {i}) / {exc}") from exc
+
+
 def _make_scenes(cfg: RunConfig, rng: Rng, count: int):
     prepared = []
     for i in range(count):
-        scene = kitti.generate_scene(cfg.scene, rng.derive(f"scene{i}"))
+        scene = _generate_scene(cfg, rng, i)
         prepared.append(pipeline.prepare_scene(scene, cfg.net, rng.derive(f"prep{i}"), scene_id=i))
     return prepared
 
@@ -441,7 +450,7 @@ def cmd_genscene(args) -> int:
         return 2
     manifest = Manifest(args.out, "genscene", args.seed, cfg)
     rng = Rng(args.seed)
-    scene = kitti.generate_scene(cfg.scene, rng.derive("scene0"))
+    scene = _generate_scene(cfg, rng, 0)
 
     def dump(name, payload):
         path = os.path.join(args.out, name)

@@ -228,28 +228,53 @@ def _lift_to_lidar(u: Tensor, v: Tensor, depth: Tensor, calib: Calibration) -> T
     return T.matmul(cam, T.Tensor(rt[:3, :3].T)) + rt[:3, 3]
 
 
+@dataclass
+class PseudoSources:
+    """The points a scene's pseudo points start from: a farthest-point
+    sample of the mask-hit points.  They depend on the scene alone, so a
+    PreparedScene keeps them for every forward."""
+
+    indices: np.ndarray    # [m] indices into the scene's point set
+    uv: np.ndarray         # [m, 2] their projected image pixels
+
+
+def pseudo_sources(points: PointSet, mask: np.ndarray, calib: Calibration, m: int,
+                   rng: Rng | None = None) -> PseudoSources:
+    """m farthest-point picks among the points that hit the foreground
+    mask.  Raises when fewer than m points do."""
+    sel = select_foreground(points, mask, calib, len(points), rng or Rng(0))
+    fg = sel.indices[:sel.n_foreground]
+    if fg.size < m:
+        raise FrustumError(f"only {fg.size} foreground points for m={m}")
+    keep = fg[farthest_point_sampling(points.coords[fg], m)]
+    uv = sel.uv[keep]
+    keep.flags.writeable = uv.flags.writeable = False   # shared by every forward
+    return PseudoSources(keep, uv)
+
+
 def generate_pseudo_points(points: PointSet, mask: np.ndarray, calib: Calibration,
                            fi: ImageFeatureGrid, dp: DepthPrediction, og: OffsetGrid,
                            m: int, binning: LidBinning, mode: str = "KPS",
-                           rng: Rng | None = None) -> PseudoPointSet:
+                           rng: Rng | None = None, *,
+                           sources: PseudoSources | None = None) -> PseudoPointSet:
     """Generate m pseudo points from the foreground of a scene.
 
     mode "KPS" shifts each source pixel by the learned offset before the
     depth and frustum reads; "FPS" keeps the raw projections.  Sources
     are a farthest-point sample of the mask-hit points, so both modes
-    share source indices.
+    share source indices.  ``sources``, if given, are that sample as
+    ``pseudo_sources(points, mask, calib, m)`` returns it, and are used
+    instead of drawing it again.
     """
     if mode not in ("KPS", "FPS"):
         raise FrustumError(f"mode must be KPS or FPS, got {mode!r}")
-    rng = rng or Rng(0)
     mask = np.asarray(mask, dtype=bool)
     img_h, img_w = mask.shape
-    sel = select_foreground(points, mask, calib, len(points), rng)
-    fg = sel.indices[:sel.n_foreground]
-    if fg.size < m:
-        raise FrustumError(f"only {fg.size} foreground points for m={m}")
-    keep = fg[farthest_point_sampling(points.coords[fg], m)]
-    uv0 = sel.uv[keep]
+    if sources is None:
+        sources = pseudo_sources(points, mask, calib, m, rng)
+    elif len(sources.indices) != m:
+        raise FrustumError(f"got {len(sources.indices)} pseudo sources for m={m}")
+    keep, uv0 = sources.indices, sources.uv
 
     if mode == "KPS":
         shift = sample_keypoint_offsets(og, uv0, fi.stride)

@@ -222,19 +222,20 @@ def _sample_box_surface(box: Box3D, n: int, rng: Rng) -> np.ndarray:
     return local @ rot.T + box.center
 
 
-def generate_scene(spec: SyntheticSceneSpec, rng: Rng) -> SceneSample:
-    """Deterministic synthetic scene: boxes, surface + ground points, a
-    flat-shaded silhouette image and the matching foreground mask."""
-    calib = make_camera(spec)
-    h, w = spec.image_height, spec.image_width
-    half_fov = np.arctan((w / 2.0 - 1.0) / spec.focal)
+PLACEMENT_ATTEMPTS = 200
 
-    boxes: list[Box3D] = []
+
+def place_boxes(spec: SyntheticSceneSpec, rng: Rng, half_fov: float) -> list[LabeledObject]:
+    """Seeded labelled boxes for spec's class counts, class by class, each at
+    least ``min_gap`` clear of those placed before it, inside ``x_range``
+    and the camera's horizontal field of view.  Raises SceneError naming
+    this step and the spec keys that bound the room when a box finds no
+    spot in PLACEMENT_ATTEMPTS draws."""
     labels: list[LabeledObject] = []
     for klass, count in spec.class_counts():
         anchor = DEFAULT_ANCHORS[klass]
-        for _ in range(count):
-            for attempt in range(200):
+        for k in range(count):
+            for _ in range(PLACEMENT_ATTEMPTS):
                 dims = np.array(anchor) * (1.0 + rng.uniform(-spec.dim_jitter, spec.dim_jitter, 3))
                 x = float(rng.uniform(*spec.x_range))
                 y_lim = max(0.5, np.tan(half_fov) * x - max(dims[0], dims[1]))
@@ -243,12 +244,28 @@ def generate_scene(spec: SyntheticSceneSpec, rng: Rng) -> SceneSample:
                 yaw = float(rng.uniform(*spec.yaw_range))
                 cand = Box3D(x, y, z, dims[0], dims[1], dims[2], yaw)
                 grown = Box3D(x, y, z, dims[0] + spec.min_gap, dims[1] + spec.min_gap, dims[2], yaw)
-                if all(iou_bev(grown, b) == 0.0 for b in boxes):
+                if all(iou_bev(grown, o.box) == 0.0 for o in labels):
                     break
             else:
-                raise SceneError(f"could not place a {klass} after 200 attempts")
-            boxes.append(cand)
+                raise SceneError(
+                    f"place_boxes: could not place {klass} {k + 1} of {count} clear of the "
+                    f"{len(labels)} placed before it in {PLACEMENT_ATTEMPTS} attempts; "
+                    f"x_range={list(spec.x_range)}, min_gap={spec.min_gap}, n_cars={spec.n_cars}, "
+                    f"n_pedestrians={spec.n_pedestrians} and n_cyclists={spec.n_cyclists} "
+                    f"leave too little room in the field of view")
             labels.append(LabeledObject(klass, cand))
+    return labels
+
+
+def generate_scene(spec: SyntheticSceneSpec, rng: Rng) -> SceneSample:
+    """Deterministic synthetic scene: boxes, surface + ground points, a
+    flat-shaded silhouette image and the matching foreground mask."""
+    calib = make_camera(spec)
+    h, w = spec.image_height, spec.image_width
+    half_fov = np.arctan((w / 2.0 - 1.0) / spec.focal)
+
+    labels = place_boxes(spec, rng, half_fov)
+    boxes = [o.box for o in labels]
 
     pts, intensity = [], []
     for i, box in enumerate(boxes):

@@ -17,8 +17,10 @@ from .tensor import (
     NonFiniteError,
     ShapeError,
     Tensor,
+    _all_finite,
     _finite_check,
     _grad_product,
+    _relu_,
     _unbroadcast,
     as_tensor,
     zero_grads,
@@ -185,7 +187,7 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
     pre = centred / sd * scale.data
     pre += shift.data
     check(pre)
-    out = np.where(pre > 0.0, pre, 0.0)
+    out = _relu_(pre)
 
     def grads_of(g):
         g = g.reshape(out.shape) * (out > 0.0)           # relu
@@ -240,7 +242,7 @@ def _mlp_hidden(rows: np.ndarray, fc1: LinearLayer, check) -> np.ndarray:
     h = rows @ fc1.weight.data
     h += fc1.bias.data
     check(h)
-    return np.where(h > 0.0, h, 0.0)
+    return _relu_(h)
 
 
 def _mlp_forward(rows: np.ndarray, layer: Mlp, check):
@@ -381,7 +383,7 @@ class Adam:
             upd *= self.lr
             upd /= denom
             np.subtract(data, upd, out=data)
-        if not np.isfinite(self.data).all():
+        if not _all_finite(self.data):
             raise NonFiniteError("optimiser produced non-finite parameters")
 
     def zero_grad(self) -> None:
@@ -463,7 +465,7 @@ def restore_params(params: dict, loaded: dict) -> None:
         arr = loaded[name]
         if arr.shape != tensor.data.shape:
             raise CheckpointError(f"shape mismatch for {name}: {arr.shape} vs {tensor.data.shape}")
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise CheckpointError(f"non-finite values in checkpoint tensor {name}")
     for name, tensor in params.items():
         tensor.data[...] = loaded[name]

@@ -17,7 +17,8 @@ from .boxes import (CLASS_IOU_THRESHOLD, CLASSES, DEFAULT_ANCHORS, DetectionResu
                     average_precision_40, nms)
 from .config import NetworkConfig
 from .frustum import (DepthPrediction, FrustumError, ImageEncoder, ImageFeatureGrid, OffsetGrid,
-                      PseudoPointSet, generate_pseudo_points, select_foreground)
+                      PseudoPointSet, PseudoSources, generate_pseudo_points, pseudo_sources,
+                      select_foreground)
 from .fusion import (RAW_IN_CHANNELS, ProposalHead, RpnOutput, StreamRoute, TwoStreamNetwork,
                      encode_boxes)
 from .geometry import LidBinning, farthest_point_sampling, lid_encode
@@ -34,14 +35,16 @@ class PipelineError(ValueError):
 @dataclass
 class PreparedScene:
     """Fixed per-scene state: which points feed each branch, the
-    depth supervision extracted from the true foreground, and the raw
-    stream's routing once a forward has built it."""
+    depth supervision extracted from the true foreground, and two lazy
+    caches that the first forward fills: the raw stream's routing and
+    the pseudo points' sources."""
 
     scene: SceneSample
     scene_id: int
     raw_indices: np.ndarray
     depth_targets: DepthTargets
     routes: dict = field(default_factory=dict, repr=False)   # (raw_stages, l_group) -> StreamRoute
+    sources: dict = field(default_factory=dict, repr=False)  # n_pseudo -> PseudoSources
 
     def raw_route(self, backbone: TwoStreamNetwork) -> StreamRoute:
         """The raw stream's routing under backbone's stage config.  The
@@ -51,6 +54,16 @@ class PreparedScene:
         if key not in self.routes:
             self.routes[key] = backbone.route_raw(self.scene.points.coords[self.raw_indices])
         return self.routes[key]
+
+    def pseudo_sources(self, m: int) -> PseudoSources:
+        """The m pseudo sources of the scene, as
+        ``generate_pseudo_points`` would draw them.  They depend on the
+        scene alone, so the first forward draws them and every later one
+        reuses them."""
+        if m not in self.sources:
+            s = self.scene
+            self.sources[m] = pseudo_sources(s.points, s.mask, s.calib, m)
+        return self.sources[m]
 
     def ground_truths(self) -> list[GroundTruth]:
         return [GroundTruth(o.box, o.klass, o.difficulty, self.scene_id)
@@ -133,7 +146,8 @@ class DetectionModel:
         fi, dp, og = self.encoder(scene.image)
         pseudo = generate_pseudo_points(
             scene.points, scene.mask, scene.calib, fi, dp, og,
-            cfg.n_pseudo, self.binning, cfg.sampling_mode)
+            cfg.n_pseudo, self.binning, cfg.sampling_mode,
+            sources=prepared.pseudo_sources(cfg.n_pseudo))
         raw_coords = Tensor(scene.points.coords[prepared.raw_indices])
         raw_feats = Tensor(scene.points.feats[prepared.raw_indices, :RAW_IN_CHANNELS])
         raw_out, pseudo_out, aux = self.backbone(raw_coords, raw_feats, pseudo.coords,

@@ -10,7 +10,10 @@ per-vote box residual encode and per-row decode, and the
 interpolation (``idw_chain``) as chains of single tape ops.
 The library must match them exactly or within a stated tolerance.
 The tape ops ``exp`` and ``sqrt`` live here too: only tests and the
-``lbr`` chain run them.
+``lbr`` chain run them.  So do the plain forms of the library's
+branch-free ReLU and sigmoid, ``relu_where`` and ``sigmoid_masked``,
+which those must equal byte for byte; the layer chains use
+``relu_where``.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from pointfuse.boxes import Box3D, iou_3d, iou_bev, normalize_angle
 from pointfuse.fusion import _EXACT_D2
 from pointfuse.geometry import GeometryError, PointSet
 from pointfuse.nn import LBR_NORM_EPS, linear
-from pointfuse.tensor import (Tensor, as_tensor, gather_rows, matmul, narrow, relu, reshape,
-                              softmax, tmean, tsum)
+from pointfuse.tensor import (Tensor, as_tensor, gather_rows, matmul, narrow, reshape, softmax,
+                              tmean, tsum)
 
 
 # -- tape ops no library path runs -------------------------------------------------
@@ -40,6 +43,25 @@ def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out = np.sqrt(a.data)
     return Tensor._result(out, (a,), lambda g: (g * 0.5 / out,))
+
+
+def relu_where(a) -> Tensor:
+    """ReLU as ``np.where(x > 0, x, 0)``, with the gradient masked at 0."""
+    a = as_tensor(a)
+    mask = a.data > 0.0
+    return Tensor._result(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+
+
+def sigmoid_masked(x: np.ndarray) -> np.ndarray:
+    """The sigmoid split by sign through boolean-mask gathers and
+    scatters: 1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x))
+    elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 # -- layers as chains of tape ops ---------------------------------------------------
@@ -65,13 +87,13 @@ def lbr_chain(x, layer, eps=LBR_NORM_EPS):
     var = tmean(centred * centred, axis=0, keepdims=True)
     h = centred / sqrt(var + eps)
     h = h * layer.norm_scale + layer.norm_shift
-    h = relu(h)
+    h = relu_where(h)
     return reshape(h, lead + (layer.c_out,))
 
 
 def mlp_chain(x, layer):
     """``nn.mlp`` as three tape ops: linear -> relu -> linear."""
-    return linear(relu(linear(x, layer.fc1)), layer.fc2)
+    return linear(relu_where(linear(x, layer.fc1)), layer.fc2)
 
 
 def group_offsets_chain(coords, groups):

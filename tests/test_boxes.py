@@ -56,8 +56,12 @@ def test_box_validation_and_yaw_wrap():
         make_box(l=0.0)
     with pytest.raises(BoxError):
         make_box(h=-1.0)
-    with pytest.raises(BoxError):
-        Box3D(np.inf, 0, 0, 1, 1, 1, 0)
+    for field in range(7):
+        for bad in (np.nan, np.inf, -np.inf):
+            vals = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
+            vals[field] = bad
+            with pytest.raises(BoxError):
+                Box3D(*vals)
     assert make_box(yaw=3.0 * np.pi).yaw == pytest.approx(np.pi)
     assert normalize_angle(-np.pi) == pytest.approx(np.pi)
     assert normalize_angle(0.5) == 0.5
@@ -380,6 +384,30 @@ def test_nms_and_ap40_keep_their_results_at_the_threshold(thr, monkeypatch):
                 want = ap40_oracle(apart[n:], gts, thr, *args)
                 assert res.flagged == want[0], (trial, overlap)
                 assert res.flagged or (res.ap, res.n_gt, res.n_det) == want[1:], (trial, overlap)
+
+
+def test_nms_bounds_only_the_pairs_whose_aabbs_meet(monkeypatch):
+    # pairs whose BEV AABBs do not meet overlap by 0, which suppresses
+    # nothing at a threshold of 0 or more; NMS rejects one below 0
+    rng = np.random.default_rng(39)
+    dets = random_detections(rng, 40)
+    table = BoxArrays.of([d.box for d in dets])
+    later, earlier = np.tril_indices(len(dets), -1)
+    meet = np.all(np.minimum(table.hi[later], table.hi[earlier])
+                  >= np.maximum(table.lo[later], table.lo[earlier]), axis=1)
+    assert 0 < meet.sum() < len(later)
+    asked = []
+    bound = boxes.iou_bound
+    monkeypatch.setattr(boxes, "iou_bound",
+                        lambda sub, clip, rows, cols, overlap: asked.append(len(rows))
+                        or bound(sub, clip, rows, cols, overlap))
+    for thr in (0.0, 0.3):
+        for overlap in ("bev", "3d"):
+            asked.clear()
+            assert nms(dets, thr, overlap) == nms_oracle(dets, thr, overlap), (thr, overlap)
+            assert asked == [meet.sum()], (thr, overlap)
+    with pytest.raises(BoxError, match="threshold must be >= 0"):
+        nms(dets, -0.1)
 
 
 def test_nms_keeps_identical_boxes_only_once():

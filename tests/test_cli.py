@@ -236,6 +236,15 @@ def test_eval_on_an_empty_or_sparse_frame_names_its_stage(tmp_path, capsys, over
     assert f"error: prepare_scene (scene 0) / {step}" in capsys.readouterr().err
 
 
+def test_eval_on_a_scene_with_no_room_for_its_boxes_names_the_stage_and_the_keys(tmp_path, capsys):
+    assert run("eval", "--out", str(tmp_path / "eval"), "--set", "scene.x_range=[5.0,8.0]") == 1
+    err = capsys.readouterr().err
+    assert "error: generate_scene (scene 0) / place_boxes: could not place Car 2 of 2" in err
+    for key in ("x_range=[5.0, 8.0]", "min_gap=1.0", "n_cars=2", "n_pedestrians=0",
+                "n_cyclists=0"):
+        assert key in err
+
+
 def test_replay_of_eval_with_checkpoint_reproduces_bitwise(tmp_path, overfit_run, capsys):
     ckpt = tmp_path / "weights.bin"
     ckpt.write_bytes(open(os.path.join(overfit_run, "checkpoint.bin"), "rb").read())

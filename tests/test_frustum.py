@@ -8,6 +8,7 @@ The load-bearing checks that back training:
     provenance, and with planted grids they land back on the source
     points,
   KPS and FPS share source indices and differ only through the offsets,
+  sources drawn once and passed in give the same pseudo points,
   gradients reach the offset head only in KPS mode.
 """
 
@@ -24,6 +25,7 @@ from pointfuse.frustum import (
     build_frustum,
     encode_image,
     generate_pseudo_points,
+    pseudo_sources,
     sample_keypoint_offsets,
     select_foreground,
     space_to_depth,
@@ -254,6 +256,25 @@ def test_kps_and_fps_share_sources_and_differ_by_offsets():
         generate_pseudo_points(pts, mask, calib, fi, dp, og, 5, binning, "bad", Rng(4))
     with pytest.raises(FrustumError):
         generate_pseudo_points(pts, mask, calib, fi, dp, og, 99, binning, "KPS", Rng(4))
+
+
+def test_sources_passed_in_give_the_pseudo_points_that_drawing_them_gives():
+    pts, mask, calib, fi, dp, og, binning = planted_scene()
+    og = OffsetGrid(Tensor(np.full((4, 8, 2), 1.5)))
+    sources = pseudo_sources(pts, mask, calib, 5)
+    assert not sources.indices.flags.writeable and not sources.uv.flags.writeable
+    for mode in ("KPS", "FPS"):
+        drawn = generate_pseudo_points(pts, mask, calib, fi, dp, og, 5, binning, mode, Rng(7))
+        given = generate_pseudo_points(pts, mask, calib, fi, dp, og, 5, binning, mode,
+                                       sources=sources)
+        assert given.coords.data.tobytes() == drawn.coords.data.tobytes()
+        assert given.feats.data.tobytes() == drawn.feats.data.tobytes()
+        assert np.array_equal(given.source_indices, drawn.source_indices)
+    with pytest.raises(FrustumError, match="4 pseudo sources for m=5"):
+        generate_pseudo_points(pts, mask, calib, fi, dp, og, 5, binning,
+                               sources=pseudo_sources(pts, mask, calib, 4))
+    with pytest.raises(FrustumError, match="only 6 foreground points for m=9"):
+        pseudo_sources(pts, mask, calib, 9)
 
 
 def test_pseudo_point_gradients_route_by_mode():

@@ -10,6 +10,10 @@ name somewhere in ``src/``: as a name, an attribute or an imported name.
 Dunder methods are called by the language, so they are exempt.  Like the
 config reads below, references are matched by name alone.
 
+No module under ``src/`` computes a ReLU as ``np.where(x > 0, x, 0)``:
+its per-element branch is mispredicted on mixed signs, and
+``tensor._relu_`` gives the same bytes without one.
+
 Every field of a config dataclass (a section of ``RunConfig``) must be
 read somewhere in ``src/`` outside the ``validate`` and ``__post_init__``
 checks: a setting that only its own check reads changes nothing a run
@@ -141,3 +145,43 @@ def test_every_function_and_class_in_src_is_referenced_in_src():
                for path in sorted((ROOT / "src").rglob("*.py"))}
     found = unreferenced_definitions(sources)
     assert not found, "defined under src/ but referenced nowhere in src/:\n" + "\n".join(found)
+
+
+def _is_zero(node) -> bool:
+    return (isinstance(node, ast.Constant) and not isinstance(node.value, bool)
+            and node.value == 0)
+
+
+def where_relus(source: str) -> list[int]:
+    """Lines of ``source`` that call ``<module>.where(x > 0, x, 0)``, x
+    any expression, 0 written as an int or a float."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "where" and len(node.args) == 3):
+            continue
+        cond, x, other = node.args
+        if (isinstance(cond, ast.Compare) and len(cond.ops) == 1
+                and isinstance(cond.ops[0], ast.Gt) and _is_zero(cond.comparators[0])
+                and ast.dump(cond.left) == ast.dump(x) and _is_zero(other)):
+            found.append(node.lineno)
+    return found
+
+
+def test_where_relus_are_found():
+    src = ("import numpy as np\n"
+           "a = np.where(h > 0.0, h, 0.0)\n"
+           "b = np.where(h.data > 0, h.data, 0)\n"
+           "c = np.where(h > 0.0, g, 0.0)\n"
+           "d = np.where(h < 0.0, h, 0.0)\n"
+           "e = np.where(h > 1.0, h, 0.0)\n"
+           "f = np.where(h > 0.0, h, -1.0)\n"
+           "g = np.maximum(h, 0.0)\n")
+    assert where_relus(src) == [2, 3]
+
+
+def test_no_module_in_src_computes_a_relu_with_where():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line in where_relus(path.read_text())]
+    assert not found, "np.where ReLU, use tensor._relu_:\n" + "\n".join(found)

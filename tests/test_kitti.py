@@ -235,7 +235,8 @@ def test_generate_scene_difficulty_is_rescaled_for_small_rasters():
 
 def test_generate_scene_impossible_placement_raises():
     spec = SyntheticSceneSpec(n_cars=40, x_range=(10.0, 12.0), min_gap=3.0)
-    with pytest.raises(SceneError):
+    with pytest.raises(SceneError, match=r"^place_boxes: could not place Car \d+ of 40 .*"
+                                         r"x_range=\[10.0, 12.0\], min_gap=3.0, n_cars=40"):
         generate_scene(spec, Rng(10))
 
 

@@ -11,10 +11,11 @@ import weakref
 import numpy as np
 import pytest
 
-from pointfuse import cli, fusion, pipeline, tensor as T
+from pointfuse import cli, frustum, fusion, pipeline, tensor as T
 from pointfuse.boxes import (CLASSES, DEFAULT_ANCHORS, DetectionResult, format_detection_row,
                              iou_bev, nms)
 from pointfuse.config import NetworkConfig, RunConfig, TrainSettings, apply_override
+from pointfuse.frustum import generate_pseudo_points
 from pointfuse.kitti import SyntheticSceneSpec, generate_scene
 from pointfuse.losses import LossWeights
 from pointfuse.nn import Rng
@@ -249,6 +250,39 @@ def test_a_second_stage_config_gets_its_own_raw_routing():
     assert sorted(prepared.routes) == sorted([((64, 32, 16, 8), 8), ((48, 24, 12, 8), 8),
                                               ((64, 32, 16, 8), 4)])
     assert [len(r.centers) for r in prepared.routes[((48, 24, 12, 8), 8)].down] == [48, 24, 12, 8]
+
+
+def test_pseudo_sources_are_drawn_once_per_scene(monkeypatch):
+    cfg, prepared = make_prepared(14)
+    calls = []
+    fps = frustum.farthest_point_sampling
+    monkeypatch.setattr(frustum, "farthest_point_sampling",
+                        lambda coords, m: calls.append(m) or fps(coords, m))
+    model = DetectionModel(cfg, Rng(140))
+    model.forward(prepared)
+    with T.no_grad():
+        model.forward(prepared)
+    detect(model, prepared)
+    assert calls == [cfg.n_pseudo]
+    assert list(prepared.sources) == [cfg.n_pseudo]
+
+
+@pytest.mark.parametrize("mode", ["KPS", "FPS"])
+def test_a_forward_on_cached_sources_equals_one_that_draws_them(mode):
+    cfg, prepared = make_prepared(15)
+    cfg.sampling_mode = mode
+    model = DetectionModel(cfg, Rng(150))
+    model.forward(prepared)                  # draws the sources
+    state = model.forward(prepared)          # reuses them
+    s = prepared.scene
+    drawn = generate_pseudo_points(s.points, s.mask, s.calib, state.features, state.depth,
+                                   state.offsets, cfg.n_pseudo, model.binning, mode)
+    got = state.pseudo
+    for a, b in ((got.coords.data, drawn.coords.data), (got.feats.data, drawn.feats.data),
+                 (got.pixel_uv, drawn.pixel_uv), (got.source_depth, drawn.source_depth),
+                 (got.source_indices, drawn.source_indices)):
+        assert a.tobytes() == b.tobytes()
+    assert got.clamped == drawn.clamped
 
 
 # -- supervision --------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 Covers, in rough order:
   forward values and closed-form gradients for every op,
+  the branch-free relu and sigmoid against their masked forms, byte
+    for byte,
   broadcasting reduction in the backward pass,
   subgradient conventions (relu/abs at 0, clamp at the boundary,
     first-argmax ties),
@@ -24,7 +26,7 @@ import pytest
 import pointfuse.tensor as T
 from pointfuse.frustum import DepthPrediction, ImageFeatureGrid, build_frustum
 from pointfuse.fusion import attend, idw_interpolate, pos_encoding
-from pointfuse.nn import LbrLayer, LinearLayer, Mlp, Rng, gradcheck, lbr, linear, mlp
+from pointfuse.nn import LbrLayer, LinearLayer, Mlp, Rng, _mlp_hidden, gradcheck, lbr, linear, mlp
 from pointfuse.tensor import (
     EmptyInputError,
     NonFiniteError,
@@ -32,7 +34,8 @@ from pointfuse.tensor import (
     Tensor,
 )
 
-from oracles import bilinear_grid_grad, exp, scatter_add_at, sqrt, trilinear_grid_grad
+from oracles import (bilinear_grid_grad, exp, relu_where, scatter_add_at, sigmoid_masked, sqrt,
+                     trilinear_grid_grad)
 
 
 def leaf(rng, *shape):
@@ -87,6 +90,45 @@ def test_sigmoid_is_stable_at_large_magnitude():
     assert np.all(np.isfinite(s.data))
     assert s.data[0] >= 0.0 and s.data[2] <= 1.0
     assert s.data[1] == 0.5
+
+
+def branch_free_inputs():
+    """Signed zeros, the smallest subnormals, magnitudes whose exp
+    overflows and random normals at lengths around the SIMD widths, plus
+    a strided view such as the depth head's residual half."""
+    rng = np.random.default_rng(71)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 800.0, -800.0, 1e-320, -1e-320, 30.0, -30.0])
+    out = [special]
+    for n in (1, 3, 7, 8, 9, 16, 17, 33, 1001):
+        for scale in (1.0, 40.0):
+            x = rng.standard_normal(n) * scale
+            x[::5] = -0.0
+            out.append(x)
+    out.append(np.concatenate([special, rng.standard_normal(502)]).reshape(8, 8, 8)[:, :, 4:])
+    return out
+
+
+def test_relu_and_sigmoid_equal_their_masked_forms_byte_for_byte():
+    for x in branch_free_inputs():
+        assert T.relu(Tensor(x)).data.tobytes() == relu_where(Tensor(x)).data.tobytes(), x
+        assert T.sigmoid(Tensor(x)).data.tobytes() == sigmoid_masked(x).tobytes(), x
+    # -0.0 comes out as +0.0, as np.where's 0 does
+    assert not np.signbit(T.relu(Tensor([-0.0, -5e-324])).data).any()
+
+
+def test_mlp_hidden_layer_equals_the_masked_relu_byte_for_byte():
+    rng = Rng(72)
+    for x in branch_free_inputs():
+        rows = x.reshape(-1, 1)
+        for c_out in (1, 5, 48):
+            fc1 = LinearLayer(rng.derive(f"fc1/{x.size}/{c_out}"), 1, c_out)
+            if c_out == 1:
+                # pass the special values through to the ReLU unchanged
+                fc1.weight.data[...] = 1.0
+                fc1.bias.data[...] = -0.0
+            hidden = _mlp_hidden(rows, fc1, lambda *arrays: None)
+            pre = rows @ fc1.weight.data + fc1.bias.data
+            assert hidden.tobytes() == relu_where(Tensor(pre)).data.tobytes()
 
 
 def test_unary_forward_values():
