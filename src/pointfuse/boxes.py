@@ -123,80 +123,13 @@ class GroundTruth:
     scene: int = 0
 
 
-# -- convex polygon clipping -----------------------------------------------------
-
-
-def polygon_area(poly: np.ndarray) -> float:
-    """Shoelace area of a simple polygon, sign-free."""
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-
-
-def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman intersection of two convex polygons.
-
-    ``clip`` must be counter-clockwise; returns the (possibly empty)
-    intersection polygon.
-    """
-    out = list(subject)
-    n = len(clip)
-    for i in range(n):
-        if not out:
-            break
-        a, b = clip[i], clip[(i + 1) % n]
-        edge = b - a
-        inp, out = out, []
-        prev = inp[-1]
-        prev_in = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0]) >= 0.0
-        for cur in inp:
-            cur_in = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0]) >= 0.0
-            if cur_in != prev_in:
-                # segment crosses the edge line; append the intersection.  A
-                # segment parallel to the edge (denom 0) only "crosses" by a
-                # rounding flip of the side test: both ends lie on the line.
-                d = cur - prev
-                denom = edge[0] * d[1] - edge[1] * d[0]
-                if denom != 0.0:
-                    t = (edge[0] * (a[1] - prev[1]) - edge[1] * (a[0] - prev[0])) / denom
-                    out.append(prev + t * d)
-            if cur_in:
-                out.append(cur)
-            prev, prev_in = cur, cur_in
-    return np.array(out) if out else np.zeros((0, 2))
-
-
-def iou_bev(a: Box3D, b: Box3D) -> float:
-    """Rotated-rectangle IoU in the x-y plane."""
-    pa, pb = a.bev_corners(), b.bev_corners()
-    inter = polygon_area(clip_convex(pa, pb))
-    area_a, area_b = a.l * a.w, b.l * b.w
-    union = area_a + area_b - inter
-    if union <= 0.0:
-        raise BoxError("degenerate union in iou_bev")
-    return float(np.clip(inter / union, 0.0, 1.0))
-
-
-def iou_3d(a: Box3D, b: Box3D) -> float:
-    """Volumetric IoU: BEV intersection times vertical overlap."""
-    pa, pb = a.bev_corners(), b.bev_corners()
-    inter_bev = polygon_area(clip_convex(pa, pb))
-    z_lo = max(a.z - a.h / 2, b.z - b.h / 2)
-    z_hi = min(a.z + a.h / 2, b.z + b.h / 2)
-    inter = inter_bev * max(0.0, z_hi - z_lo)
-    union = a.volume + b.volume - inter
-    if union <= 0.0:
-        raise BoxError("degenerate union in iou_3d")
-    return float(np.clip(inter / union, 0.0, 1.0))
-
-
-# -- batched overlap ---------------------------------------------------------------
+# -- rotated overlap ---------------------------------------------------------------
 #
-# NMS and AP-40 score many box pairs at once.  The kernel clips arrays of
-# pairs with the same float operations, in the same order, as clip_convex;
-# only the shoelace sum differs (np.dot may fuse multiply-adds), so it agrees
-# with the scalar iou_bev / iou_3d, kept as its oracle, to about 1e-13.
+# One kernel scores every box pair: pair_iou clips arrays of pairs by
+# Sutherland-Hodgman (CACM 1974), and iou_bev / iou_3d are its one-pair
+# calls.  Its independent oracle, the scalar clip_convex and polygon_area
+# with the per-pair IoU on top, lives in the tests, which hold the kernel
+# to it within 1e-12.
 #
 # Most pairs cannot reach the threshold they are tested against, and the
 # clip is the expensive part.  Two rotated boxes intersect only inside the
@@ -239,13 +172,15 @@ class BoxArrays:
 
 
 def _clip_area(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """polygon_area(clip_convex(subject[k], clip[k])) for every k.
+    """Area of the intersection of ``subject[k]`` and ``clip[k]`` for every k.
 
     ``subject`` and ``clip`` are [P, 4, 2] convex quads, ``clip``
-    counter-clockwise.  Polygons live in [C, P] coordinate slots (pairs on
-    the fast axis, so every elementwise op runs one long inner loop) with
-    per-pair vertex counts.  C grows to whatever a clip edge emits, since in
-    floating point the clip can exceed the 8 vertices of exact arithmetic.
+    counter-clockwise.  Each clip edge keeps the vertices on its left and
+    adds the points where the polygon's edges cross it.  Polygons live in
+    [C, P] coordinate slots (pairs on the fast axis, so every elementwise op
+    runs one long inner loop) with per-pair vertex counts.  C grows to
+    whatever a clip edge emits, since in floating point the clip can exceed
+    the 8 vertices of exact arithmetic.
     """
     n_pairs, n_edges = clip.shape[:2]
     pair = np.arange(n_pairs)
@@ -303,10 +238,13 @@ def pair_iou(subject: BoxArrays, clip: BoxArrays, rows: np.ndarray, cols: np.nda
              overlap: str = "bev") -> np.ndarray:
     """Overlap of ``subject`` box rows[k] with ``clip`` box cols[k] for every k.
 
-    Each value is iou_bev(subject, clip), or iou_3d when ``overlap`` is
-    not "bev", up to rounding.  Pairs whose BEV AABBs, the bounds of the
-    corners the clip reads, do not overlap cannot meet and read exactly 0
-    without being clipped; the rest are clipped PAIR_BLOCK at a time.
+    The overlap is the rotated-rectangle IoU in the x-y plane, or the
+    volumetric IoU (BEV intersection times vertical overlap) when
+    ``overlap`` is not "bev".  Each value depends only on its own pair, so
+    a batched call gives the bytes of the one-pair calls.  Pairs whose BEV
+    AABBs, the bounds of the corners the clip reads, do not overlap cannot
+    meet and read exactly 0 without being clipped; the rest are clipped
+    PAIR_BLOCK at a time.
     """
     out = np.zeros(len(rows))
     near = np.flatnonzero((np.minimum(subject.hi[rows], clip.hi[cols])
@@ -324,6 +262,20 @@ def pair_iou(subject: BoxArrays, clip: BoxArrays, rows: np.ndarray, cols: np.nda
             union = subject.volume[r] + clip.volume[c] - inter
         out[k] = np.clip(inter / union, 0.0, 1.0)
     return out
+
+
+def iou_bev(a: Box3D, b: Box3D) -> float:
+    """Rotated-rectangle IoU in the x-y plane: one pair_iou call, ``a`` the
+    subject and ``b`` the clip polygon."""
+    table = BoxArrays.of([a, b])
+    return float(pair_iou(table, table, np.array([0]), np.array([1]))[0])
+
+
+def iou_3d(a: Box3D, b: Box3D) -> float:
+    """Volumetric IoU, BEV intersection times vertical overlap: one
+    pair_iou call, ``a`` the subject and ``b`` the clip polygon."""
+    table = BoxArrays.of([a, b])
+    return float(pair_iou(table, table, np.array([0]), np.array([1]), "3d")[0])
 
 
 def iou_bound(subject: BoxArrays, clip: BoxArrays, rows: np.ndarray, cols: np.ndarray,

@@ -158,9 +158,10 @@ def _check_calibration():
 def _check_rotated_iou():
     a = boxes.Box3D(0, 0, 0, 1, 1, 1, 0.0)
     b = boxes.Box3D(0.5, 0, 0, 1, 1, 1, 0.0)
-    v = boxes.iou_3d(a, b)
-    if abs(v - 1.0 / 3.0) > 1e-12:
-        raise AssertionError(f"half-offset cube IoU {v}")
+    for iou in (boxes.iou_bev, boxes.iou_3d):
+        v = iou(a, b)
+        if abs(v - 1.0 / 3.0) > 1e-12:
+            raise AssertionError(f"half-offset cube {iou.__name__} {v}")
     if abs(boxes.iou_3d(a, a) - 1.0) > 1e-12:
         raise AssertionError("self IoU must be 1")
 
@@ -302,11 +303,10 @@ def _loss_csv_rows(history):
 
 
 def _best_overlap(dets, gts) -> float:
-    best = 0.0
-    for d in dets:
-        for g in gts:
-            best = max(best, boxes.iou_bev(d.box, g.box))
-    return best
+    rows, cols = np.indices((len(dets), len(gts))).reshape(2, -1)
+    ious = boxes.pair_iou(boxes.BoxArrays.of([d.box for d in dets]),
+                          boxes.BoxArrays.of([g.box for g in gts]), rows, cols)
+    return float(ious.max(initial=0.0))
 
 
 def cmd_overfit(args) -> int:

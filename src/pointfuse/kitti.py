@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box3D, DEFAULT_ANCHORS, iou_bev, normalize_angle
+from .boxes import Box3D, BoxArrays, DEFAULT_ANCHORS, normalize_angle, pair_iou
 from .geometry import Calibration, PointSet, SCENE_BOUNDS, crop_points
 from .nn import Rng
 
@@ -244,7 +244,10 @@ def place_boxes(spec: SyntheticSceneSpec, rng: Rng, half_fov: float) -> list[Lab
                 yaw = float(rng.uniform(*spec.yaw_range))
                 cand = Box3D(x, y, z, dims[0], dims[1], dims[2], yaw)
                 grown = Box3D(x, y, z, dims[0] + spec.min_gap, dims[1] + spec.min_gap, dims[2], yaw)
-                if all(iou_bev(grown, o.box) == 0.0 for o in labels):
+                # one pair_iou call: the grown candidate (row 0) against each placed box
+                table = BoxArrays.of([grown] + [o.box for o in labels])
+                placed = np.arange(1, len(labels) + 1)
+                if not pair_iou(table, table, np.zeros_like(placed), placed).any():
                     break
             else:
                 raise SceneError(

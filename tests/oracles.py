@@ -3,8 +3,10 @@
 Each is the plain, obviously-correct form of a faster library kernel:
 the full stable argsort kNN, the loop farthest-point sampler, the
 sequential ``np.add.at`` scatter, single-position grid reads, the scalar
-inverse-distance interpolation, the per-proposal assignment rule, the
-per-vote box residual encode and per-row decode, and the
+inverse-distance interpolation, the scalar Sutherland-Hodgman clip and
+the per-pair rotated IoU on top of it (``iou_bev_scalar``,
+``iou_3d_scalar``), the per-proposal assignment rule, the per-vote box
+residual encode and per-row decode, and the
 ``linear``/``lbr``/``mlp`` layers, the point-attention ops
 (``pos_encoding``, ``attend``) and the differentiable inverse-distance
 interpolation (``idw_chain``) as chains of single tape ops.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pointfuse.boxes import Box3D, iou_3d, iou_bev, normalize_angle
+from pointfuse.boxes import Box3D, normalize_angle
 from pointfuse.fusion import _EXACT_D2
 from pointfuse.geometry import GeometryError, PointSet
 from pointfuse.nn import LBR_NORM_EPS, linear
@@ -309,6 +311,62 @@ def idw_interpolate(target, neighbors: PointSet, k=3, p=2.0):
 # -- boxes ----------------------------------------------------------------------------
 
 
+def polygon_area(poly: np.ndarray) -> float:
+    """Shoelace area of a simple polygon, sign-free."""
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+
+
+def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman intersection of two convex polygons.
+
+    ``clip`` must be counter-clockwise; returns the (possibly empty)
+    intersection polygon.
+    """
+    out = list(subject)
+    n = len(clip)
+    for i in range(n):
+        if not out:
+            break
+        a, b = clip[i], clip[(i + 1) % n]
+        edge = b - a
+        inp, out = out, []
+        prev = inp[-1]
+        prev_in = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0]) >= 0.0
+        for cur in inp:
+            cur_in = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0]) >= 0.0
+            if cur_in != prev_in:
+                # segment crosses the edge line; append the intersection.  A
+                # segment parallel to the edge (denom 0) only "crosses" by a
+                # rounding flip of the side test: both ends lie on the line.
+                d = cur - prev
+                denom = edge[0] * d[1] - edge[1] * d[0]
+                if denom != 0.0:
+                    t = (edge[0] * (a[1] - prev[1]) - edge[1] * (a[0] - prev[0])) / denom
+                    out.append(prev + t * d)
+            if cur_in:
+                out.append(cur)
+            prev, prev_in = cur, cur_in
+    return np.array(out) if out else np.zeros((0, 2))
+
+
+def iou_bev_scalar(a: Box3D, b: Box3D) -> float:
+    """Rotated-rectangle IoU in the x-y plane, one clip_convex call."""
+    inter = polygon_area(clip_convex(a.bev_corners(), b.bev_corners()))
+    return float(np.clip(inter / (a.l * a.w + b.l * b.w - inter), 0.0, 1.0))
+
+
+def iou_3d_scalar(a: Box3D, b: Box3D) -> float:
+    """Volumetric IoU: BEV intersection times vertical overlap."""
+    inter_bev = polygon_area(clip_convex(a.bev_corners(), b.bev_corners()))
+    z_lo = max(a.z - a.h / 2, b.z - b.h / 2)
+    z_hi = min(a.z + a.h / 2, b.z + b.h / 2)
+    inter = inter_bev * max(0.0, z_hi - z_lo)
+    return float(np.clip(inter / (a.volume + b.volume - inter), 0.0, 1.0))
+
+
 def box_from_array(a) -> Box3D:
     a = np.asarray(a, dtype=np.float64).reshape(7)
     return Box3D(*a.tolist())
@@ -365,7 +423,7 @@ def assign_proposals(boxes, gts, overlap="bev"):
     ignored; IoU > 0.55 activates regression.  With no ground truth every
     proposal is negative.
     """
-    iou_fn = iou_bev if overlap == "bev" else iou_3d
+    iou_fn = iou_bev_scalar if overlap == "bev" else iou_3d_scalar
     out = []
     for box in boxes:
         best_iou, best_j = 0.0, -1

@@ -1,9 +1,10 @@
 """Box overlap, suppression, assignment, AP and detection I/O tests.
 
 The overlap tests use boxes whose intersection is computable by hand
-(axis-aligned offsets, 45-degree rotations); suppression is checked
-against a literal O(n^2) re-derivation over random detection sets; the
-AP test freezes a fully hand-worked 3-detection / 2-ground-truth
+(axis-aligned offsets, 45-degree rotations), and hold the batched kernel
+to the scalar clip of ``oracles``; suppression is checked against a
+literal O(n^2) re-derivation over random detection sets; the AP test
+freezes a fully hand-worked 3-detection / 2-ground-truth
 example whose AP-40 is exactly 5/6.
 """
 
@@ -21,7 +22,6 @@ from pointfuse.boxes import (
     DetectionResult,
     GroundTruth,
     average_precision_40,
-    clip_convex,
     format_detection_row,
     iou_3d,
     iou_bev,
@@ -29,7 +29,6 @@ from pointfuse.boxes import (
     nms,
     normalize_angle,
     pair_iou,
-    polygon_area,
     write_detections,
 )
 
@@ -41,11 +40,20 @@ from oracles import (
     REG_ACTIVE_IOU,
     assign_proposals,
     box_from_array,
+    clip_convex,
+    iou_3d_scalar,
+    iou_bev_scalar,
+    polygon_area,
 )
 
 
 def make_box(x=0.0, y=0.0, z=0.0, l=4.0, w=2.0, h=1.5, yaw=0.0):
     return Box3D(x, y, z, l, w, h, yaw)
+
+
+# overlap -> the one-pair kernel call, and its scalar oracle
+KERNEL = {"bev": iou_bev, "3d": iou_3d}
+SCALAR = {"bev": iou_bev_scalar, "3d": iou_3d_scalar}
 
 
 # -- box basics -----------------------------------------------------------------
@@ -167,12 +175,20 @@ DEGENERATE_IOU = {"touching": 0.0, "shared": 0.0, "swapped": 1.0, "identical": 1
 
 def test_iou_is_finite_and_exact_on_degenerate_pairs():
     # a segment parallel to a clip edge whose side test rounding flipped
-    # used to divide by zero: NaN for touching and swapped-label boxes
+    # used to divide by zero: NaN for touching and swapped-label boxes.
+    # The kernel runs batched (the bytes of its one-pair calls), the
+    # oracle pair by pair.
     with np.errstate(all="raise"):
         for kind, pairs in degenerate_pairs(np.random.default_rng(32), 500).items():
-            for a, b in pairs:
-                for iou_fn in (iou_bev, iou_3d):
-                    v, u = iou_fn(a, b), iou_fn(b, a)
+            table = BoxArrays.of([box for pair in pairs for box in pair])
+            first, second = np.arange(0, 2 * len(pairs), 2), np.arange(1, 2 * len(pairs), 2)
+            for overlap in ("bev", "3d"):
+                v = pair_iou(table, table, first, second, overlap)
+                u = pair_iou(table, table, second, first, overlap)
+                assert np.all((0.0 <= v) & (v <= 1.0)) and np.max(np.abs(v - u)) <= 1e-12, kind
+                assert np.max(np.abs(v - DEGENERATE_IOU[kind])) <= 1e-12, kind
+                for a, b in pairs:
+                    v, u = SCALAR[overlap](a, b), SCALAR[overlap](b, a)
                     assert 0.0 <= v <= 1.0 and abs(v - u) <= 1e-12, kind
                     assert abs(v - DEGENERATE_IOU[kind]) <= 1e-12, kind
 
@@ -186,12 +202,12 @@ def random_box(rng):
 
 
 def assert_pair_iou_matches_scalar(subjects, clips):
-    """pair_iou over all (subject, clip) pairs equals the scalar calls,
+    """pair_iou over all (subject, clip) pairs equals the scalar oracle,
     and iou_bound is never below it."""
     rows, cols = (g.ravel() for g in np.meshgrid(np.arange(len(subjects)),
                                                   np.arange(len(clips)), indexing="ij"))
     sub, clip = BoxArrays.of(subjects), BoxArrays.of(clips)
-    for overlap, iou_fn in (("bev", iou_bev), ("3d", iou_3d)):
+    for overlap, iou_fn in SCALAR.items():
         got = pair_iou(sub, clip, rows, cols, overlap)
         want = np.array([iou_fn(subjects[r], clips[c]) for r, c in zip(rows, cols)])
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12, overlap
@@ -232,6 +248,22 @@ def test_pair_iou_matches_scalar_on_degenerate_pairs():
         assert_pair_iou_matches_scalar([a, b], [a, b])
 
 
+def test_iou_bev_and_iou_3d_give_the_bytes_of_a_batched_pair_iou(monkeypatch):
+    # each pair_iou value depends on its own pair only: the one-pair calls
+    # equal a batched call bytewise, whatever else the tables and blocks hold
+    rng = np.random.default_rng(41)
+    sample = [random_box(rng) for _ in range(20)]
+    sample += [b for kind in degenerate_pairs(rng, 2).values() for pair in kind for b in pair]
+    table = BoxArrays.of(sample)
+    rows, cols = np.indices((len(sample), len(sample))).reshape(2, -1)
+    monkeypatch.setattr(boxes, "PAIR_BLOCK", 61)
+    for overlap, iou_fn in KERNEL.items():
+        got = pair_iou(table, table, rows, cols, overlap)
+        assert (got > 0.0).sum() > len(sample), overlap
+        want = np.array([iou_fn(sample[r], sample[c]) for r, c in zip(rows, cols)])
+        assert got.tobytes() == want.tobytes(), overlap
+
+
 def test_pair_iou_of_no_pairs_is_empty():
     table = BoxArrays.of([make_box()])
     empty = np.zeros(0, dtype=np.int64)
@@ -241,10 +273,10 @@ def test_pair_iou_of_no_pairs_is_empty():
 # -- nms ------------------------------------------------------------------------
 
 
-def nms_oracle(dets, thr, overlap="bev"):
+def nms_oracle(dets, thr, overlap="bev", ious=SCALAR):
     """Independent quadratic pass: visit by (-score, index), keep unless
-    overlapping a kept box."""
-    iou_fn = iou_bev if overlap == "bev" else iou_3d
+    overlapping a kept box by ious[overlap](candidate, kept)."""
+    iou_fn = ious[overlap]
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     kept = []
     for i in order:
@@ -303,7 +335,7 @@ def test_nms_matches_oracle_on_desk_proposals():
     near = np.all(np.minimum(table.hi[later], table.hi[earlier])
                   >= np.maximum(table.lo[later], table.lo[earlier]), axis=1)
     assert near.mean() > 0.2
-    for overlap, iou_fn in (("bev", iou_bev), ("3d", iou_3d)):
+    for overlap, iou_fn in SCALAR.items():
         got = pair_iou(table, table, later, earlier, overlap)
         want = np.array([iou_fn(props.boxes[r], props.boxes[c]) for r, c in zip(later, earlier)])
         assert np.max(np.abs(got - want)) <= 1e-12, overlap
@@ -384,6 +416,22 @@ def test_nms_and_ap40_keep_their_results_at_the_threshold(thr, monkeypatch):
                 want = ap40_oracle(apart[n:], gts, thr, *args)
                 assert res.flagged == want[0], (trial, overlap)
                 assert res.flagged or (res.ap, res.n_gt, res.n_det) == want[1:], (trial, overlap)
+
+
+@pytest.mark.parametrize("thr", [0.85, 0.7, 0.5, 0.25])
+def test_nms_equals_the_quadratic_pass_over_iou_bev_on_the_threshold(thr):
+    # boxes.iou_bev and iou_3d are one-pair calls of the kernel NMS decides
+    # with, so the quadratic pass over them keeps what NMS keeps even where
+    # an overlap sits on the threshold itself, and rounds to either side
+    rng = np.random.default_rng(38)
+    bases, copies = near_threshold_scene(rng, thr)
+    every = bases + [c for cs in copies for c in cs]
+    for trial in range(10):
+        rank = rng.permutation(len(every)).astype(float)
+        rank[:len(bases)] += len(every)  # bases rank first and meet each copy at its step
+        dets = [DetectionResult(b, r / (2 * len(every)), "Car") for b, r in zip(every, rank)]
+        for overlap in ("bev", "3d"):
+            assert nms(dets, thr, overlap) == nms_oracle(dets, thr, overlap, KERNEL), (trial, overlap)
 
 
 def test_nms_bounds_only_the_pairs_whose_aabbs_meet(monkeypatch):
@@ -479,8 +527,8 @@ def golden_ap_inputs():
 
 def ap40_oracle(dets, gts, iou_threshold, klass, overlap="bev", max_difficulty=None):
     """The per-pair scalar AP-40: the same greedy matching and ignore
-    rule, one iou_bev / iou_3d call per same-scene (det, gt) pair."""
-    iou_fn = iou_bev if overlap == "bev" else iou_3d
+    rule, one scalar oracle call per same-scene (det, gt) pair."""
+    iou_fn = SCALAR[overlap]
     gts = [g for g in gts if g.klass == klass]
     counted = [max_difficulty is None or g.difficulty <= max_difficulty for g in gts]
     n_pos = int(sum(counted))

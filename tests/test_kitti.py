@@ -8,9 +8,12 @@ determinism and for the physical properties the pipeline assumes
 camera view, non-overlapping placements).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from pointfuse import kitti
 from pointfuse.boxes import Box3D, iou_bev
 from pointfuse.geometry import PointSet
 from pointfuse.kitti import (
@@ -23,6 +26,7 @@ from pointfuse.kitti import (
     fill_convex,
     generate_scene,
     make_camera,
+    place_boxes,
     rasterize_foreground,
     write_calib,
     write_labels,
@@ -31,6 +35,7 @@ from pointfuse.kitti import (
 from pointfuse.nn import Rng
 
 from formats import KittiParseError, parse_calib, parse_labels, read_velodyne
+from oracles import iou_bev_scalar
 
 
 # -- difficulty -----------------------------------------------------------------
@@ -238,6 +243,41 @@ def test_generate_scene_impossible_placement_raises():
     with pytest.raises(SceneError, match=r"^place_boxes: could not place Car \d+ of 40 .*"
                                          r"x_range=\[10.0, 12.0\], min_gap=3.0, n_cars=40"):
         generate_scene(spec, Rng(10))
+
+
+PLACEMENT_SPECS = (
+    SyntheticSceneSpec(),
+    SyntheticSceneSpec(n_cars=5, n_pedestrians=3, n_cyclists=3),
+    SyntheticSceneSpec(min_gap=0.0),
+    SyntheticSceneSpec(yaw_range=(-np.pi, np.pi)),
+)
+
+
+def test_place_boxes_places_as_the_scalar_overlap_oracle_does(monkeypatch):
+    # a candidate is placed when pair_iou reads 0 against every placed box;
+    # with the scalar clip of the oracles deciding instead, every seed and
+    # spec gives the same labels, byte for byte
+    def placements(spec, seed):
+        half_fov = np.arctan((spec.image_width / 2.0 - 1.0) / spec.focal)
+        return [(o.klass, o.box.as_array().tobytes())
+                for o in place_boxes(spec, Rng(seed), half_fov)]
+
+    seeds = range(80)
+    want = [placements(spec, seed) for spec in PLACEMENT_SPECS for seed in seeds]
+    overlaps = []
+
+    def scalar_pair_iou(table, _, rows, cols):
+        got = [iou_bev_scalar(table[r], table[c]) for r, c in zip(rows, cols)]
+        overlaps.extend(got)
+        return np.array(got)
+
+    # the "table" is then the box list itself
+    monkeypatch.setattr(kitti, "BoxArrays", SimpleNamespace(of=list))
+    monkeypatch.setattr(kitti, "pair_iou", scalar_pair_iou)
+    got = [placements(spec, seed) for spec in PLACEMENT_SPECS for seed in seeds]
+    assert got == want
+    # the sweep rejects candidates as well as placing them
+    assert 0 < sum(v > 0.0 for v in overlaps) < len(overlaps)
 
 
 def test_make_camera_geometry():

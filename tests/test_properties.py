@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pointfuse.tensor as T
-from pointfuse.boxes import Box3D, BoxArrays, DetectionResult, iou_bev, iou_bound, nms, pair_iou
+from pointfuse.boxes import Box3D, BoxArrays, DetectionResult, iou_bound, nms, pair_iou
 from pointfuse.geometry import LidBinning, farthest_point_sampling, knn_group, lid_decode, lid_encode
 
-from oracles import knn_argsort
+from oracles import iou_bev_scalar, knn_argsort
 
 BOUNDED = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -96,7 +96,7 @@ def test_pair_iou_symmetric_bounded_and_scalar(a, b, same):
     ba = pair_iou(tb, ta, cols, rows)
     assert np.all((ab >= 0.0) & (ab <= 1.0))
     assert np.max(np.abs(ab - ba)) <= 1e-12
-    want = np.array([iou_bev(a[r], b[c]) for r, c in zip(rows, cols)])
+    want = np.array([iou_bev_scalar(a[r], b[c]) for r, c in zip(rows, cols)])
     assert np.max(np.abs(ab - want)) <= 1e-12
 
 
