@@ -19,6 +19,8 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -182,32 +184,25 @@ def _check_fps():
         raise AssertionError(f"fps picked {got}")
 
 
-def _check_checkpoint(tmp_dir: str):
-    path = os.path.join(tmp_dir, "ck_check.bin")
-    params = {"a": Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True),
-              "b": Tensor(np.ones(4), requires_grad=True)}
-    nn.save_checkpoint(path, sorted(params.items()))
-    loaded = nn.load_checkpoint(path)
-    for name, t in params.items():
-        if not np.array_equal(loaded[name], t.data):
-            raise AssertionError(f"tensor {name} changed across save/load")
-    blob = bytearray(open(path, "rb").read())
-    blob[1] ^= 0xFF  # corrupt the magic
-    bad = os.path.join(tmp_dir, "ck_bad.bin")
-    open(bad, "wb").write(bytes(blob))
-    try:
-        nn.load_checkpoint(bad)
-    except nn.CheckpointError:
-        pass
-    else:
-        raise AssertionError("corrupted magic was accepted")
-    open(bad, "wb").write(open(path, "rb").read()[:-4])
-    try:
-        nn.load_checkpoint(bad)
-    except nn.CheckpointError:
-        pass
-    else:
-        raise AssertionError("truncated payload was accepted")
+def _check_checkpoint():
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        path, bad = Path(tmp_dir, "ck_check.bin"), Path(tmp_dir, "ck_bad.bin")
+        params = {"a": Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True),
+                  "b": Tensor(np.ones(4), requires_grad=True)}
+        nn.save_checkpoint(str(path), sorted(params.items()))
+        loaded = nn.load_checkpoint(str(path))
+        for name, t in params.items():
+            if not np.array_equal(loaded[name], t.data):
+                raise AssertionError(f"tensor {name} changed across save/load")
+        blob = path.read_bytes()
+        for broken, what in ((blob[:1] + bytes([blob[1] ^ 0xFF]) + blob[2:], "corrupted magic"),
+                             (blob[:-4], "truncated payload")):
+            bad.write_bytes(broken)
+            try:
+                nn.load_checkpoint(str(bad))
+            except nn.CheckpointError:
+                continue
+            raise AssertionError(f"{what} was accepted")
 
 
 def _check_pseudo_points():
@@ -238,7 +233,6 @@ def _check_scene_determinism():
 
 def cmd_check(args) -> int:
     cfg = _build_config(args)
-    out_dir = args.out or "."
     checks = [
         ("autodiff-chain", _check_autodiff),
         ("softmax-normalisation", _check_softmax),
@@ -248,7 +242,7 @@ def cmd_check(args) -> int:
         ("rotated-iou", _check_rotated_iou),
         ("nms-ordering", _check_nms),
         ("fps-ties", _check_fps),
-        ("checkpoint-io", lambda: _check_checkpoint(out_dir if args.out else "/tmp")),
+        ("checkpoint-io", _check_checkpoint),
         ("pseudo-point-consistency", _check_pseudo_points),
         ("scene-determinism", _check_scene_determinism),
     ]

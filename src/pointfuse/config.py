@@ -201,22 +201,26 @@ def apply_override(cfg: RunConfig, key: str, raw_value: str) -> None:
     valid = {f.name for f in fields(target)}
     if name not in valid:
         raise ConfigError(f"unknown config key: {key!r}")
-    value = _parse_value(raw_value)
-    current = getattr(target, name)
-    if isinstance(current, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key} expects true/false, got {raw_value!r}")
-    elif isinstance(current, int) and not isinstance(value, bool):
-        if not isinstance(value, int):
-            raise ConfigError(f"{key} expects an integer, got {raw_value!r}")
-    elif isinstance(current, float):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{key} expects a number, got {raw_value!r}")
-        value = float(value)
-    elif isinstance(current, tuple):
+    setattr(target, name, _typed(key, getattr(target, name), _parse_value(raw_value), raw_value))
+
+
+_KINDS = {bool: (bool, "true/false"), int: (int, "an integer"), float: ((int, float), "a number")}
+
+
+def _typed(key: str, current, value, raw_value: str):
+    """value checked against the default ``current``'s type, a tuple's
+    elements against its first's (every default tuple holds one type; a
+    bool is no number); a number for a float becomes a float."""
+    if isinstance(current, tuple):
         if not isinstance(value, tuple):
             raise ConfigError(f"{key} expects a JSON list, got {raw_value!r}")
-    setattr(target, name, value)
+        return tuple(_typed(f"{key}[{i}]", current[0], v, raw_value) for i, v in enumerate(value))
+    if type(current) not in _KINDS:
+        return value
+    kind, want = _KINDS[type(current)]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ConfigError(f"{key} expects {want}, got {raw_value!r}")
+    return float(value) if type(current) is float else value
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:

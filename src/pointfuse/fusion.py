@@ -30,7 +30,7 @@ from .boxes import Box3D, normalize_angle
 from .geometry import farthest_point_sampling, knn_group
 from .nn import LbrLayer, Mlp, Rng, _mlp_backward, _mlp_forward, _mlp_hidden, init_weight
 from .tensor import (ShapeError, Tensor, _finite_check, _row_index, _scatter_rows, _unbroadcast,
-                     as_tensor, concat, gather_rows, matmul, maxpool_group, narrow, reshape,
+                     as_tensor, concat, gather_rows, matmul, maxpool_group, reshape,
                      sigmoid, softmax, transpose, tsum)
 
 
@@ -474,6 +474,12 @@ class FeatureProp:
 # -- cross-modal fusion -----------------------------------------------------------
 
 
+def _qkv_blocks(rng: Rng, c_in: int, c: int) -> list[Tensor]:
+    """One stream's q, k and v weights [c_in, c], cut from one [c_in, 3c] draw."""
+    return [Tensor(block.copy(), requires_grad=True)
+            for block in np.split(init_weight(rng, c_in, 3 * c).data, 3, axis=1)]
+
+
 class CrossFusion:
     """Bidirectional feature exchange between the two streams.
 
@@ -482,14 +488,14 @@ class CrossFusion:
     attended summary is combined with the side's own projection
     (subtract / add / concat) before a final LBR.  Both directions run
     the exact same code path with arguments swapped, so mirrored
-    parameters give bitwise-mirrored outputs.  Each stream's q/k/v
-    product ``f @ w`` is computed once and read by both directions.  The
-    projections have no bias: the final LBR's centring would cancel it.
+    parameters give bitwise-mirrored outputs.  The raw direction reads
+    k_raw, q_pseudo and v_pseudo, the pseudo direction the other three.
+    The projections have no bias: the final LBR's centring would cancel it.
 
     A one-way link runs the raw direction only, for a link whose pseudo
-    output nothing reads: it builds no pseudo-side projection, mixer or
-    output LBR, passes f_pseudo through unchanged and reports only
-    ``attn_raw``.
+    output nothing reads: it builds no q_raw, v_raw, k_pseudo or
+    pseudo-side projection, mixer or output LBR, passes f_pseudo through
+    unchanged and reports only ``attn_raw``.
     """
 
     def __init__(self, rng: Rng, c_raw: int, c_pseudo: int, c_embed: int,
@@ -499,68 +505,67 @@ class CrossFusion:
             raise FusionError(f"unknown combine mode {combine!r}")
         if mode not in ("subtract", "multiply"):
             raise FusionError(f"unknown attention mode {mode!r}")
-        self.c_embed = c_embed
         self.n_raw = n_raw
         self.n_pseudo = n_pseudo
         self.combine = combine
         self.mode = mode
         self.one_way = one_way
         merged = 2 * c_embed if combine == "concat" else c_embed
-        self.w_raw = init_weight(rng.derive("w_raw"), c_raw, 3 * c_embed)
-        self.w_pseudo = init_weight(rng.derive("w_pseudo"), c_pseudo, 3 * c_embed)
+        q_raw, self.k_raw, v_raw = _qkv_blocks(rng.derive("w_raw"), c_raw, c_embed)
+        self.q_pseudo, k_pseudo, self.v_pseudo = _qkv_blocks(rng.derive("w_pseudo"),
+                                                             c_pseudo, c_embed)
         self.proj_raw = init_weight(rng.derive("proj_raw"), c_raw, c_embed)
         self.mix_raw = Mlp(rng.derive("mix_raw"), n_pseudo, n_pseudo, n_pseudo)
         self.out_raw = LbrLayer(rng.derive("out_raw"), merged, c_embed)
         if not one_way:
             # each layer draws from its own derived stream, so skipping
             # these leaves every other initial weight as it was
+            self.q_raw, self.v_raw, self.k_pseudo = q_raw, v_raw, k_pseudo
             self.proj_pseudo = init_weight(rng.derive("proj_pseudo"), c_pseudo, c_embed)
             self.mix_pseudo = Mlp(rng.derive("mix_pseudo"), n_raw, n_raw, n_raw)
             self.out_pseudo = LbrLayer(rng.derive("out_pseudo"), merged, c_embed)
 
     def params(self, prefix: str):
-        out = ([(prefix + ".w_raw", self.w_raw), (prefix + ".w_pseudo", self.w_pseudo),
-                (prefix + ".proj_raw", self.proj_raw)]
+        out = ([(prefix + "." + name, getattr(self, name))
+                for name in ("k_raw", "q_pseudo", "v_pseudo", "proj_raw")]
                + self.mix_raw.params(prefix + ".mix_raw")
                + self.out_raw.params(prefix + ".out_raw"))
         if not self.one_way:
-            out += ([(prefix + ".proj_pseudo", self.proj_pseudo)]
+            out += ([(prefix + "." + name, getattr(self, name))
+                     for name in ("q_raw", "v_raw", "k_pseudo", "proj_pseudo")]
                     + self.mix_pseudo.params(prefix + ".mix_pseudo")
                     + self.out_pseudo.params(prefix + ".out_pseudo"))
         return out
 
-    def _enhance(self, f_self, qkv_self, proj_self, mix_self, out_self, qkv_other):
-        c = self.c_embed
-        k_self = narrow(qkv_self, 1, c, c)
-        q_other = narrow(qkv_other, 1, 0, c)
-        v_other = narrow(qkv_other, 1, 2 * c, c)
+    def _enhance(self, f_self, f_other, k_self, q_other, v_other, proj, mix, out_lbr):
+        k_self, q_other = matmul(f_self, k_self), matmul(f_other, q_other)
         if self.mode == "multiply":
             scores = matmul(k_self, transpose(q_other, (1, 0)))
         else:
             scores = tsum(k_self, axis=1, keepdims=True) - reshape(tsum(q_other, axis=1), (1, -1))
-        attn = softmax(mix_self(scores), axis=1)
-        attended = matmul(attn, v_other)
-        base = matmul(f_self, proj_self)
+        attn = softmax(mix(scores), axis=1)
+        attended = matmul(attn, matmul(f_other, v_other))
+        base = matmul(f_self, proj)
         if self.combine == "subtract":
             merged = base - attended
         elif self.combine == "add":
             merged = base + attended
         else:
             merged = concat([base, attended], axis=1)
-        return out_self(merged), attn
+        return out_lbr(merged), attn
 
     def __call__(self, f_raw: Tensor, f_pseudo: Tensor):
         if f_raw.data.shape[0] != self.n_raw or f_pseudo.data.shape[0] != self.n_pseudo:
             raise FusionError(
                 f"fusion sized for {self.n_raw}/{self.n_pseudo} points, "
                 f"got {f_raw.data.shape[0]}/{f_pseudo.data.shape[0]}")
-        qkv_raw, qkv_pseudo = matmul(f_raw, self.w_raw), matmul(f_pseudo, self.w_pseudo)
-        enh_raw, a_raw = self._enhance(f_raw, qkv_raw, self.proj_raw, self.mix_raw,
-                                       self.out_raw, qkv_pseudo)
+        enh_raw, a_raw = self._enhance(f_raw, f_pseudo, self.k_raw, self.q_pseudo,
+                                       self.v_pseudo, self.proj_raw, self.mix_raw, self.out_raw)
         if self.one_way:
             return enh_raw, f_pseudo, {"attn_raw": a_raw.data}
-        enh_pseudo, a_pseudo = self._enhance(f_pseudo, qkv_pseudo, self.proj_pseudo,
-                                             self.mix_pseudo, self.out_pseudo, qkv_raw)
+        enh_pseudo, a_pseudo = self._enhance(f_pseudo, f_raw, self.k_pseudo, self.q_raw,
+                                             self.v_raw, self.proj_pseudo, self.mix_pseudo,
+                                             self.out_pseudo)
         return enh_raw, enh_pseudo, {"attn_raw": a_raw.data, "attn_pseudo": a_pseudo.data}
 
 

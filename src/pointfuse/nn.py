@@ -151,15 +151,18 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
     One tape op with parents (x, weight, norm_scale, norm_shift).
     Forward runs the numpy expressions of the chain reshape -> matmul ->
     mean -> centre -> mean of squares -> sqrt(var + eps) -> divide ->
-    scale -> shift -> relu -> reshape in its order; backward runs that
-    chain's vjps once per upstream gradient, with its ``_unbroadcast``
-    sums and its accumulation order, so values and gradients equal the
-    chain's bit for bit (``tests/oracles.py`` keeps it).  Like the chain,
-    it raises NonFiniteError at the first non-finite stage, checking the
-    pre-norm values, the mean, the variance and the pre-ReLU values.
-    It keeps only ``centred`` and ``sd``: backward recomputes
+    scale -> shift -> relu -> reshape in its order, so its values equal
+    the chain's bit for bit (``tests/oracles.py`` keeps it).  Like the
+    chain, it raises NonFiniteError at the first non-finite stage,
+    checking the pre-norm values, the mean, the variance and the pre-ReLU
+    values.  It keeps only ``centred`` and ``sd``: backward recomputes
     ``normed = centred / sd`` and reads the ReLU mask off the output as
     ``out > 0``.
+
+    Backward is batch norm's closed form (Ioffe & Szegedy 2015, §3).  With
+    g the ReLU-masked upstream gradient, shift and scale get sum(g) and
+    sum(g * normed), the chain's bytes; the pre-norm values get (g - mean(g)
+    - normed * mean(g * normed)) * scale / sd, the chain's to rounding.
     """
     x = as_tensor(x)
     w, scale, shift = layer.weight, layer.norm_scale, layer.norm_shift
@@ -192,20 +195,14 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
     def grads_of(g):
         g = g.reshape(out.shape) * (out > 0.0)           # relu
         grads = [None] * len(parents)
+        normed = centred / sd
+        g_sum, gn_sum = g.sum(axis=0), (g * normed).sum(axis=0)
         if shift.requires_grad:
-            grads[3] = _unbroadcast(g, shift.data.shape)
+            grads[3] = g_sum
         if scale.requires_grad:
-            grads[2] = _unbroadcast(g * (centred / sd), scale.data.shape)
-        g = g * scale.data
-        # divide -> sqrt -> mean of squares, as (1, C) rows
-        g_sd = _unbroadcast(-g * centred / (sd * sd), sd.shape)
-        g_sq = (g_sd * 0.5 / sd) * inv_n
-        # centred's consumers in tape order: the divide, then both
-        # factors of centred * centred
-        g_centred = g / sd + g_sq * centred
-        g_centred = g_centred + g_sq * centred
-        # h's: the centring, then the mean
-        g = g_centred + _unbroadcast(-g_centred, sd.shape) * inv_n
+            grads[2] = gn_sum
+        g -= (normed * gn_sum + g_sum) * inv_n
+        g *= scale.data / sd
         if w.requires_grad:
             grads[1] = _grad_product(flat.T, g, layer.c_in, False)
         if x.requires_grad:

@@ -70,6 +70,18 @@ def test_malformed_set_item():
     assert run("check", "--set", "net.depth_bins") == 2
 
 
+@pytest.mark.parametrize("command, item", [
+    ("check", "net.raw_stages=[64,\"a\",16,8]"),
+    ("eval", "net.stage_channels=[12,16.5,20,24]"),
+    ("check", "net.l_group=true"),
+])
+def test_an_override_of_the_wrong_type_exits_2_naming_the_key(tmp_path, capsys, command, item):
+    assert run(command, "--out", str(tmp_path / "out"), "--set", item) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and item.split("=")[0] in err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_invalid_config_rejected_before_work():
     # stage widths must decrease; validate() runs before any command body
     assert run("overfit", "--set", "net.raw_stages=[8, 8]") == 2
@@ -108,6 +120,8 @@ def test_check_passes_and_writes_csv(tmp_path, capsys):
     assert rows[0] == "check,status,detail"
     assert len(rows) == 12
     assert all(",ok," in row for row in rows[1:])
+    # the checkpoint probe writes into a temporary directory of its own
+    assert sorted(os.listdir(out)) == ["checks.csv", "manifest.jsonl"]
 
 
 # -- overfit and its manifest ----------------------------------------------------------

@@ -129,6 +129,30 @@ def test_overrides_reject_bad_keys_and_types():
             apply_override(cfg, key, value)
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("net.l_group", "true", "net.l_group"),                  # int field, bool value
+    ("train.steps", "false", "train.steps"),
+    ("net.raw_stages", '[64, "a", 16, 8]', r"net.raw_stages\[1\]"),   # int elements
+    ("net.stage_channels", "[12, 16.5, 20, 24]", r"net.stage_channels\[1\]"),
+    ("net.encoder_strides", "[2, true]", r"net.encoder_strides\[1\]"),
+    ("scene.x_range", '[10.0, "far"]', r"scene.x_range\[1\]"),       # float elements
+    ("scene.yaw_range", "[false, 0.4]", r"scene.yaw_range\[0\]"),
+])
+def test_overrides_reject_values_of_the_wrong_type_naming_the_key(key, value, named):
+    cfg = RunConfig()
+    before = getattr(cfg, key.split(".")[0]).__dict__.copy()
+    with pytest.raises(ConfigError, match=named):
+        apply_override(cfg, key, value)
+    assert getattr(cfg, key.split(".")[0]).__dict__ == before
+
+
+def test_float_tuple_overrides_take_integers_as_floats():
+    cfg = RunConfig()
+    apply_override(cfg, "scene.x_range", "[12, 30]")
+    assert cfg.scene.x_range == (12.0, 30.0)
+    assert all(type(v) is float for v in cfg.scene.x_range)
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = RunConfig()
     apply_override(cfg, "train.lr", "0.002")

@@ -43,9 +43,13 @@ kernels (``OPENBLAS_CORETYPE`` Sandybridge, Nehalem, Prescott) on the
 recorded machine moved step 3's parts by at most 1.7e-11 relative, step 7's
 by up to 1.2e-2, and each detection score by at most 3.1e-15.
 
-A change that moves a digest on purpose rewrites the file with
-``PYTHONPATH=src python tests/test_digests.py`` and says why in
-CHANGES.md.
+A change that moves a digest on purpose first runs
+``PYTHONPATH=src python tests/test_digests.py --compare``, which writes
+nothing: it prints how many digests differ bytewise and how many differ
+off the fingerprint (as on another platform), shows the first few, and
+exits 1 if any differ off the fingerprint.  With none there, it rewrites
+the file with ``PYTHONPATH=src python tests/test_digests.py`` and says
+why in CHANGES.md.
 """
 
 import dataclasses
@@ -69,7 +73,7 @@ TRAIN_SEEDS = (7, 60)
 TRAIN_SCENES = 4
 TRAIN_STEPS = 8
 MODEL_SEED = 0                 # `pointfuse eval` default --seed
-OVERFIT_STEPS = 12             # 11 steps still give Car AP-40 0.0
+OVERFIT_STEPS = 13             # 12 steps still give Car AP-40 0.0
 ABLATE_STEPS = 3
 FOREIGN_RTOL = 1e-8             # off the recorded fingerprint, on every float compared
 FOREIGN_STEPS = 4               # ... and on the loss parts of these first steps only
@@ -307,6 +311,40 @@ def test_a_moved_digest_is_caught_in_both_modes():
         assert len(changed(edit, foreign=True)) == foreign
 
 
+def compare(shown: int = 5) -> int:
+    """Print the run's differences from the pins, bytewise and off the
+    fingerprint; 1 if any differ off the fingerprint, else 0."""
+    pinned = json.loads(DIGESTS.read_text())
+    run = current()
+    foreign = dict(pinned["fingerprint"], cpu=f"not {pinned['fingerprint']['cpu']}")
+    found = {"bytewise": differences(pinned, dict(run, fingerprint=pinned["fingerprint"])),
+             "off-fingerprint": differences(pinned, dict(run, fingerprint=foreign))}
+    for mode, lines in found.items():
+        print(f"{len(lines)} {mode} difference(s)")
+        for line in lines[:shown]:
+            print(f"  {line}")
+    return 1 if found["off-fingerprint"] else 0
+
+
+def test_compare_counts_both_modes_and_fails_only_off_the_fingerprint(monkeypatch, capsys):
+    pinned = json.loads(DIGESTS.read_text())
+    seed = str(TRAIN_SEEDS[0])
+    total = float.fromhex(pinned["train_desk"][seed][0]["total"])
+    for value, want, code in [(total, "0 bytewise difference(s)\n0 off-fingerprint", 0),
+                              (np.nextafter(total, math.inf), "1 bytewise difference(s)\n  train"
+                               f" seed {seed} step 0 total", 0),
+                              (total * (1 + 2 * FOREIGN_RTOL), "1 off-fingerprint", 1)]:
+        run = json.loads(json.dumps(pinned))
+        run["train_desk"][seed][0]["total"] = float(value).hex()
+        monkeypatch.setattr(sys.modules[__name__], "current", lambda: run)
+        assert compare() == code
+        assert want in capsys.readouterr().out
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--compare"]):
+        sys.exit(f"usage: {sys.argv[0]} [--compare]")
+    if sys.argv[1:] == ["--compare"]:
+        sys.exit(compare())
     DIGESTS.write_text(json.dumps(current(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}", file=sys.stderr)

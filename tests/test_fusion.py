@@ -42,7 +42,7 @@ from pointfuse.fusion import (
     route_stream,
     route_up,
 )
-from pointfuse.nn import Mlp, Rng, gradcheck
+from pointfuse.nn import Mlp, Rng, gradcheck, init_weight
 from pointfuse.tensor import NonFiniteError, Tensor
 
 import oracles
@@ -485,12 +485,12 @@ def test_transition_gradients_flow_to_both_levels():
 
 def mirror_cross_fusion(a: CrossFusion) -> CrossFusion:
     """Build the stream-swapped twin of ``a`` by copying parameters."""
-    c_raw = a.w_raw.data.shape[0]
-    c_pseudo = a.w_pseudo.data.shape[0]
-    b = CrossFusion(Rng(999), c_pseudo, c_raw, a.c_embed,
+    c_raw, c_embed = a.k_raw.data.shape
+    c_pseudo = a.k_pseudo.data.shape[0]
+    b = CrossFusion(Rng(999), c_pseudo, c_raw, c_embed,
                     a.n_pseudo, a.n_raw, a.combine, a.mode)
-    pairs = [(b.w_raw, a.w_pseudo), (b.w_pseudo, a.w_raw),
-             (b.proj_raw, a.proj_pseudo), (b.proj_pseudo, a.proj_raw)]
+    pairs = [(getattr(b, f"{w}_{side}"), getattr(a, f"{w}_{other}"))
+             for w in ("q", "k", "v", "proj") for side, other in (("raw", "pseudo"), ("pseudo", "raw"))]
     for dst, src in ((b.mix_raw, a.mix_pseudo), (b.mix_pseudo, a.mix_raw)):
         pairs += [(dst.fc1.weight, src.fc1.weight), (dst.fc1.bias, src.fc1.bias),
                   (dst.fc2.weight, src.fc2.weight), (dst.fc2.bias, src.fc2.bias)]
@@ -543,7 +543,7 @@ def test_one_way_cross_fusion_is_the_raw_half_of_the_two_way_link():
     for combine in ("subtract", "add", "concat"):
         both = CrossFusion(Rng(14), 6, 6, 6, 7, 4, combine=combine)
         one = CrossFusion(Rng(14), 6, 6, 6, 7, 4, combine=combine, one_way=True)
-        halves = ("proj_pseudo", "mix_pseudo", "out_pseudo")
+        halves = ("q_raw", "v_raw", "k_pseudo", "proj_pseudo", "mix_pseudo", "out_pseudo")
         assert [(n, p.data.tobytes()) for n, p in one.params("l")] == [
             (n, p.data.tobytes()) for n, p in both.params("l") if n.split(".")[1] not in halves]
         er_b, _, aux_b = both(f_raw, f_pseudo)
@@ -552,6 +552,13 @@ def test_one_way_cross_fusion_is_the_raw_half_of_the_two_way_link():
         assert er_o.data.tobytes() == er_b.data.tobytes(), combine
         assert list(aux_o) == ["attn_raw"]
         assert aux_o["attn_raw"].tobytes() == aux_b["attn_raw"].tobytes()
+    assert {n.split(".")[1] for n, _ in one.params("l")} == {
+        "k_raw", "q_pseudo", "v_pseudo", "proj_raw", "mix_raw", "out_raw"}
+    # each stream's q, k and v blocks are the column blocks of one draw
+    for side in ("raw", "pseudo"):
+        blocks = [getattr(both, f"{w}_{side}").data for w in "qkv"]
+        draw = init_weight(Rng(14).derive(f"w_{side}"), 6, 18).data
+        assert np.hstack(blocks).tobytes() == draw.tobytes()
 
 
 def test_backbone_final_link_is_one_way():

@@ -2,10 +2,11 @@
 
 The layer tests pin exact closed-form outputs for hand-picked weights
 (identity linear map, single-row standardisation degeneracy) and require
-the fused ``linear``/``lbr`` ops to equal their tape-op chains in
-``oracles.py`` bit for bit; the Adam tests pin the first-step magnitude,
-which Adam fixes at lr regardless of gradient scale; the checkpoint
-tests do byte-level corruption.
+the fused ``linear``/``lbr``/``mlp`` ops to equal their tape-op chains in
+``oracles.py`` bit for bit, except ``lbr``'s weight and input gradients,
+which its closed-form backward gives to a measured tolerance; the Adam
+tests pin the first-step magnitude, which Adam fixes at lr regardless of
+gradient scale; the checkpoint tests do byte-level corruption.
 """
 
 import numpy as np
@@ -156,6 +157,29 @@ def _loss_and_grads(op, layer, x, w, second_consumer):
     return out, loss, grads
 
 
+# lbr's backward is batch norm's closed form, not its chain's vjps, so
+# its weight and input gradients agree with the chain's to rounding: at
+# most 3.1e-15 of the largest |gradient| over 20 draws at each of 8
+# shapes from (1, 5 -> 4) to (4096, 16 -> 48), 2.6e-16 on the shapes
+# below.  With two rows the exact gradient is itself a cancellation
+# residue, and both forms differ by up to 8e-11 of it.  With a subnormal
+# upstream gradient the closed form's elementwise steps work on
+# subnormals, and both forms differ by up to 1.7e-13 over 28 seeds.
+LBR_GRAD_RTOL = 1e-14
+LBR_SUBNORMAL_GRAD_RTOL = 1e-12
+
+
+def _assert_same_gradients(kind, layer, got, want, rtol=LBR_GRAD_RTOL):
+    """Bit for bit, except lbr's weight and input gradients: those within
+    rtol of the largest |gradient|."""
+    names = [n for n, _ in layer.params("l")] + ["x"]
+    for name, g, h in zip(names, got, want):
+        if kind == "lbr-standardize" and name in ("l.weight", "x"):
+            assert np.max(np.abs(g - h)) <= rtol * np.max(np.abs(h)), name
+        else:
+            assert g.tobytes() == h.tobytes(), name
+
+
 @pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "mlp"])
 @pytest.mark.parametrize("shape", [(1, 4), (9, 4), (3, 5, 4)])
 @pytest.mark.parametrize("x_mode", ["constant", "leaf", "leaf-two-consumers"])
@@ -171,8 +195,7 @@ def test_fused_layer_equals_its_chain_bit_for_bit(kind, shape, x_mode):
     assert got_out.data.tobytes() == want_out.data.tobytes()
     assert got_loss.data.tobytes() == want_loss.data.tobytes()
     for got_pass, want_pass in zip(got, want):
-        for g, h in zip(got_pass, want_pass):
-            assert g.tobytes() == h.tobytes()
+        _assert_same_gradients(kind, layer, got_pass, want_pass)
 
 
 @pytest.mark.parametrize("kind", ["linear", "lbr-standardize", "mlp"])
@@ -206,8 +229,7 @@ def test_fused_layer_lifts_subnormal_gradients_as_its_chain_does(kind):
     (got_counts, got), (want_counts, want) = runs
     assert got_counts == want_counts and got_counts[0] == 4     # two products, two backwards
     assert got_counts[1] > 0
-    for g, h in zip(got[1], want[1]):
-        assert g.tobytes() == h.tobytes()
+    _assert_same_gradients(kind, layer, got[1], want[1], rtol=LBR_SUBNORMAL_GRAD_RTOL)
 
 
 @pytest.mark.parametrize("kind, x, weight, scale, shift", [
@@ -443,7 +465,7 @@ def check_blocked_adam_against_one_pass(monkeypatch, block, make_model):
         assert getattr(blocked, arena).tobytes() == getattr(oracle, arena).tobytes(), arena
 
 
-@pytest.mark.parametrize("block", [7, 10**9])     # does not divide the desk arena; exceeds it
+@pytest.mark.parametrize("block", [11, 10**9])    # does not divide the desk arena; exceeds it
 def test_blocked_adam_matches_the_one_pass_step_on_desk_steps(monkeypatch, block):
     cfg, prepared = _desk_model_and_scene()
 
@@ -451,7 +473,7 @@ def test_blocked_adam_matches_the_one_pass_step_on_desk_steps(monkeypatch, block
         model = DetectionModel(cfg, Rng(23))
         return model.params(), lambda: compute_losses(prepared, model.forward(prepared), LossWeights())[0]
 
-    assert sum(p.data.size for p in make_model()[0].values()) % 7
+    assert sum(p.data.size for p in make_model()[0].values()) % 11
     check_blocked_adam_against_one_pass(monkeypatch, block, make_model)
 
 

@@ -143,8 +143,9 @@ DEAD_BY_DESIGN = {
     "no-fusion-links": (100, lambda n: n.startswith(("net.pseudo_", "image.feat_head.",
                                                      "image.offset_head."))),
     # the pseudo decoder feeds only the final link, the last link's pseudo half only the decoder
-    "stage-links-only": (32, lambda n: n.startswith("net.pseudo_up") or n.startswith(
-        tuple(LAST_LINK + half for half in ("proj_pseudo", "mix_pseudo.", "out_pseudo.")))),
+    "stage-links-only": (35, lambda n: n.startswith("net.pseudo_up") or n.startswith(
+        tuple(LAST_LINK + half for half in ("q_raw", "v_raw", "k_pseudo", "proj_pseudo",
+                                            "mix_pseudo.", "out_pseudo.")))),
     # only keypoint sampling reads the predicted pixel offsets
     "sampling-fps": (2, lambda n: n.startswith("image.offset_head.")),
 }
@@ -396,7 +397,22 @@ def test_a_desk_training_step_builds_a_fixed_number_of_tape_nodes():
     cfg, prepared = make_prepared(0)
     model = DetectionModel(cfg, Rng(0))
     total, _ = compute_losses(prepared, model.forward(prepared), LossWeights())
-    assert len([node for node in T._topo_order(total) if node._parents]) == 361
+    assert len([node for node in T._topo_order(total) if node._parents]) == 351
+
+
+def test_every_column_of_every_cross_fusion_projection_gets_a_gradient():
+    # a column that nothing reads gets exactly 0: a per-tensor liveness
+    # test cannot see it inside a tensor whose other columns are live
+    cfg, prepared = make_prepared(0)
+    model = DetectionModel(cfg, Rng(0))
+    links = [f"net.link{k}." for k in range(len(cfg.stage_channels))] + ["net.final_link."]
+    projections = {n: p for n, p in model.params().items()
+                   if n.startswith(tuple(links)) and n.count(".") == 2}
+    assert {n.rsplit(".", 1)[0] + "." for n in projections} == set(links)
+    compute_losses(prepared, model.forward(prepared), LossWeights())[0].backward()
+    dead = {n: np.flatnonzero(~np.any(p.grad != 0.0, axis=0)).tolist()
+            for n, p in projections.items()}
+    assert {n: cols for n, cols in dead.items() if cols} == {}
 
 
 # bytes a desk forward plus compute_losses keeps alive: 5.18 MB at seed 0
