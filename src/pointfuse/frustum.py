@@ -175,6 +175,20 @@ class ForegroundSelection:
     in_image: np.ndarray     # [N_total] bool
 
 
+def _mask_hits(points: PointSet, mask: np.ndarray, calib: Calibration):
+    """Project the points into the image -> (uv, depth, in_image, hit),
+    hit marking the points whose pixel lies on the foreground mask."""
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    uv, depth, ok = calib.project_points(points.coords)
+    ui = np.floor(uv[:, 0]).astype(np.int64)
+    vi = np.floor(uv[:, 1]).astype(np.int64)
+    in_image = ok & (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
+    hit = np.zeros(len(points), dtype=bool)
+    hit[in_image] = mask[vi[in_image], ui[in_image]]
+    return uv, depth, in_image, hit
+
+
 def select_foreground(points: PointSet, mask: np.ndarray, calib: Calibration,
                       n: int, rng: Rng) -> ForegroundSelection:
     """Pick n point indices: mask-hit points first (by index), then a
@@ -182,16 +196,9 @@ def select_foreground(points: PointSet, mask: np.ndarray, calib: Calibration,
 
     Raises when the scene has no foreground at all.
     """
-    mask = np.asarray(mask, dtype=bool)
-    h, w = mask.shape
     if n < 1 or n > len(points):
         raise FrustumError(f"need 1 <= n <= {len(points)}, got {n}")
-    uv, depth, ok = calib.project_points(points.coords)
-    ui = np.floor(uv[:, 0]).astype(np.int64)
-    vi = np.floor(uv[:, 1]).astype(np.int64)
-    in_image = ok & (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
-    fg = np.zeros(len(points), dtype=bool)
-    fg[in_image] = mask[vi[in_image], ui[in_image]]
+    uv, depth, in_image, fg = _mask_hits(points, mask, calib)
     fg_idx = np.nonzero(fg)[0]
     if fg_idx.size == 0:
         raise FrustumError("no point projects onto the foreground mask")
@@ -238,16 +245,16 @@ class PseudoSources:
     uv: np.ndarray         # [m, 2] their projected image pixels
 
 
-def pseudo_sources(points: PointSet, mask: np.ndarray, calib: Calibration, m: int,
-                   rng: Rng | None = None) -> PseudoSources:
+def pseudo_sources(points: PointSet, mask: np.ndarray, calib: Calibration,
+                   m: int) -> PseudoSources:
     """m farthest-point picks among the points that hit the foreground
     mask.  Raises when fewer than m points do."""
-    sel = select_foreground(points, mask, calib, len(points), rng or Rng(0))
-    fg = sel.indices[:sel.n_foreground]
+    uv, _, _, hit = _mask_hits(points, mask, calib)
+    fg = np.nonzero(hit)[0]
     if fg.size < m:
         raise FrustumError(f"only {fg.size} foreground points for m={m}")
     keep = fg[farthest_point_sampling(points.coords[fg], m)]
-    uv = sel.uv[keep]
+    uv = uv[keep]
     keep.flags.writeable = uv.flags.writeable = False   # shared by every forward
     return PseudoSources(keep, uv)
 
@@ -264,14 +271,15 @@ def generate_pseudo_points(points: PointSet, mask: np.ndarray, calib: Calibratio
     are a farthest-point sample of the mask-hit points, so both modes
     share source indices.  ``sources``, if given, are that sample as
     ``pseudo_sources(points, mask, calib, m)`` returns it, and are used
-    instead of drawing it again.
+    instead of drawing it again.  The sample involves no random draw, so
+    ``rng`` changes nothing; it is accepted for callers that pass one.
     """
     if mode not in ("KPS", "FPS"):
         raise FrustumError(f"mode must be KPS or FPS, got {mode!r}")
     mask = np.asarray(mask, dtype=bool)
     img_h, img_w = mask.shape
     if sources is None:
-        sources = pseudo_sources(points, mask, calib, m, rng)
+        sources = pseudo_sources(points, mask, calib, m)
     elif len(sources.indices) != m:
         raise FrustumError(f"got {len(sources.indices)} pseudo sources for m={m}")
     keep, uv0 = sources.indices, sources.uv

@@ -14,10 +14,11 @@ while the pseudo stream is routed on every forward.
 Group reductions sort member indices ascending first, so outputs are
 bitwise identical under any permutation of a group's members.
 
-The inverse-distance interpolation, the attention's positional encoding
-and its score path are one tape op each.  Each keeps only the arrays its
-backward reads and recomputes the rest, with the forward's expressions,
-from its inputs; ``tests/oracles.py`` keeps the op chains they replace.
+The inverse-distance interpolation and the attention between its layers
+(positional encoding, score path and pooling) are one tape op each.
+Each keeps only the arrays its backward reads and recomputes the rest,
+with the forward's expressions, from its inputs; ``tests/oracles.py``
+keeps the op chains they replace.
 """
 
 from __future__ import annotations
@@ -131,105 +132,82 @@ def idw_interpolate(target_coords, source_coords, source_feats, idx: np.ndarray)
 
 # -- grouped positional attention -------------------------------------------------
 #
-# The attention's positional encoding and its score path run as one tape
-# op each.  Each runs the numpy expressions of the op chain it stands for
-# in the chain's order, and its backward runs that chain's vjps once per
-# upstream gradient, with the same ``_unbroadcast`` sums and
-# ``_scatter_rows`` scatters, so values and gradients equal the chain's
-# bit for bit (``tests/oracles.py`` keeps the chain).  Like the chain,
-# each raises NonFiniteError at the first stage that can turn non-finite.
-# Their MLPs run the MLP kernel in ``nn`` that ``nn.mlp`` runs.
+# The attention between its layers is one tape op.  It runs the numpy
+# expressions of the op chain it stands for in the chain's order, and its
+# backward runs that chain's vjps once per upstream gradient, with the
+# same sums and ``_scatter_rows`` scatters, so values and gradients equal
+# the chain's bit for bit (``tests/oracles.py`` keeps the chain).  Like
+# the chain, it raises NonFiniteError at the first stage that can turn
+# non-finite.  Its two MLPs run the MLP kernel in ``nn``.
 
 
-def pos_encoding(coords, groups, pos_mlp: Mlp) -> Tensor:
-    """The positional MLP over each group member's offset from its centre,
-    pos_mlp(coords[groups] - coords[:, None]) -> [m, L, c]: the chain
-    gather_rows -> reshape -> sub, then linear -> relu -> linear.
-
-    One tape op with parents (coords, coords, fc1.weight, fc1.bias,
-    fc2.weight, fc2.bias).  It keeps nothing: backward recomputes the
-    offsets and the hidden layer, whose K = 3 product is cheap, with the
-    forward's expressions.  coords is listed twice, so its two gradients
-    enter backward's sums one after the other, as the chain's two nodes
-    put them: first the gather's scatter-add, then the centring's sum
-    over the group.
-    """
-    coords = as_tensor(coords)
-    fc1, fc2 = pos_mlp.fc1, pos_mlp.fc2
-    m, d = coords.data.shape
-    if fc1.c_in != d:
-        raise ShapeError(f"pos_encoding needs a {d} -> c MLP, got {fc1.c_in} -> {fc2.c_out}")
-    groups = _row_index(groups, m, "pos_encoding")
-    parents = (coords, coords, fc1.weight, fc1.bias, fc2.weight, fc2.bias)
-    check = _finite_check("pos_encoding", parents)
-
-    def offsets():
-        return (coords.data[groups] - coords.data.reshape((m, 1, d))).reshape((-1, d))
-
-    flat = offsets()
-    check(flat)
-    out = _mlp_forward(flat, pos_mlp, check)[1]
-
-    def grads_of(g):
-        grads = [None] * len(parents)
-        flat = offsets()
-        hidden = _mlp_hidden(flat, fc1, check)
-        g_off = _mlp_backward(g.reshape((-1, fc2.c_out)), hidden, lambda: flat, pos_mlp,
-                              coords.requires_grad, grads, 2)
-        if g_off is not None:
-            g_off = g_off.reshape(groups.shape + (d,))
-            grads[0] = _scatter_rows(groups, g_off, coords.data.shape)
-            grads[1] = _unbroadcast(-g_off, (m, 1, d)).reshape(coords.data.shape)
-        return grads
-
-    return Tensor._result(out.reshape(groups.shape + (fc2.c_out,)), parents, grads_of)
-
-
-def attend(qkv, pos, groups, mode: str, score_mlp: Mlp) -> Tensor:
+def attend(qkv, coords, groups, mode: str, pos_mlp: Mlp, score_mlp: Mlp) -> Tensor:
     """Grouped vector attention -> [m, c], with q, k and v the thirds of
-    qkv [m, 3c] and pos [m, L, c]: the pre-score q - k[groups] + pos
+    qkv [m, 3c] and the positional encoding pos = pos_mlp(coords[groups]
+    - coords[:, None]) [m, L, c]: the pre-score q - k[groups] + pos
     ("subtract") or q * k[groups] + pos ("multiply"), the score MLP, a
     softmax over the group axis, then sum(attn * (v[groups] + pos),
-    axis=1).  The chain: narrow q and k, gather k, reshape q, subtract or
-    multiply, add pos; linear -> relu -> linear; softmax, narrow v, gather
-    v, add pos, multiply, sum.
+    axis=1).  The chain: gather coords, reshape, subtract, then the
+    positional MLP (linear -> relu -> linear); narrow q and k, gather k,
+    reshape q, subtract or multiply, add pos; the score MLP; softmax,
+    narrow v, gather v, add pos, multiply, sum.
 
-    One tape op with parents (qkv, pos, fc1.weight, fc1.bias, fc2.weight,
-    fc2.bias).  It keeps the score MLP's hidden layer and attn, plus
-    k[groups] in multiply mode; backward recomputes the pre-score and
-    v[groups] + pos from qkv and pos with the forward's expressions.
-    The gradients of qkv and pos are each the sum of the pooling's part
-    and the pre-score's part, the two parts the chain's ``flow`` adds.
+    One tape op with parents (qkv, coords, coords, then fc1.weight,
+    fc1.bias, fc2.weight and fc2.bias of the positional MLP and of the
+    score MLP).  coords is listed twice, so its two gradients enter
+    backward's sums in the chain's order: first the gather's scatter-add,
+    then the centring's sum over the group.  It keeps pos, the score
+    MLP's hidden layer and attn, plus k[groups] in multiply mode;
+    backward recomputes the pre-score, v[groups] + pos, the offsets and
+    the positional hidden layer (a cheap K = 3 product).  The gradients
+    of qkv and pos are each the sum of the pooling's part and the
+    pre-score's part, the two parts the chain's ``flow`` adds.
     """
-    qkv, pos = as_tensor(qkv), as_tensor(pos)
+    qkv, coords = as_tensor(qkv), as_tensor(coords)
+    pfc1, pfc2 = pos_mlp.fc1, pos_mlp.fc2
     fc1, fc2 = score_mlp.fc1, score_mlp.fc2
-    m, c = qkv.data.shape[0], qkv.data.shape[1] // 3
-    if not fc1.c_in == fc2.c_out == c:
-        raise ShapeError(f"attend needs a {c} -> {c} score MLP, got {fc1.c_in} -> {fc2.c_out}")
+    m, d, c = qkv.data.shape[0], coords.data.shape[-1], fc1.c_in
+    if (qkv.data.shape != (m, 3 * c) or coords.data.shape != (m, d)
+            or (pfc1.c_in, pfc2.c_out, fc2.c_out) != (d, c, c)):
+        raise ShapeError(f"attend needs qkv [m, 3c], coords [m, d], a d -> c positional MLP "
+                         f"and a c -> c score MLP, got qkv {qkv.data.shape}, coords "
+                         f"{coords.data.shape}, {pfc1.c_in} -> {pfc2.c_out} and {c} -> {fc2.c_out}")
     groups = _row_index(groups, m, "attend")
-    parents = (qkv, pos, fc1.weight, fc1.bias, fc2.weight, fc2.bias)
+    if groups.ndim != 2 or groups.shape[0] != m:
+        raise ShapeError(f"attend needs groups [{m}, L], got {groups.shape}")
+    pos_params = (pfc1.weight, pfc1.bias, pfc2.weight, pfc2.bias)
+    parents = (qkv, coords, coords) + pos_params + (fc1.weight, fc1.bias, fc2.weight, fc2.bias)
     check = _finite_check("attend", parents)
     multiply = mode == "multiply"
     qe = qkv.data[:, :c].reshape((m, 1, c))
 
-    def keys():
-        return qkv.data[:, c:2 * c][groups]
+    def offsets():                                       # one row per group member
+        return (coords.data[groups] - coords.data.reshape((m, 1, d))).reshape((-1, d))
 
-    def scores(kg):                                      # q against k, before pos
-        return qe * kg if multiply else qe - kg
+    kept_kg = qkv.data[:, c:2 * c][groups] if multiply else None
+
+    def scores():                                        # q against k, before pos
+        return qe * kept_kg if multiply else qe - qkv.data[:, c:2 * c][groups]
 
     def values():
-        return qkv.data[:, 2 * c:3 * c][groups] + pos.data
+        vp = qkv.data[:, 2 * c:3 * c][groups]
+        vp += pos
+        return vp
 
     def pre_rows():                                      # the score MLP's input rows
-        return (scores(keys() if kept_kg is None else kept_kg) + pos.data).reshape((-1, c))
+        pre = scores()
+        pre += pos
+        return pre.reshape((-1, c))
 
+    flat = offsets()
+    check(flat)
+    pos = _mlp_forward(flat, pos_mlp, check)[1].reshape(groups.shape + (c,))
+    check(pos)
     # in-place steps below run the chain's operations on the same values,
     # without the chain's temporaries
-    kept_kg = keys() if multiply else None
-    pre = scores(keys() if kept_kg is None else kept_kg)
+    pre = scores()
     check(pre)
-    pre += pos.data
+    pre += pos
     check(pre)
     hidden, attn = _mlp_forward(pre.reshape((-1, c)), score_mlp, check)
     del pre
@@ -243,38 +221,54 @@ def attend(qkv, pos, groups, mode: str, score_mlp: Mlp) -> Tensor:
     vp *= attn
     out = vp.sum(axis=(1,))
     del vp
-    pre_grad = qkv.requires_grad or pos.requires_grad
+    pos_grad = coords.requires_grad or any(p.requires_grad for p in pos_params)
+    pre_grad = qkv.requires_grad or pos_grad
 
     def grads_of(g):
         grads = [None] * len(parents)
-        # the pooling: multiply, sum over the group, softmax
+        # the pooling: multiply, sum over the group, softmax, in place on
+        # v[groups] + pos
         g = np.expand_dims(g, 1)
-        vp = values()
-        g_attn = g * vp
-        inner = (g_attn * attn).sum(axis=1, keepdims=True)
-        g_logits = (attn * (g_attn - inner)).reshape((-1, c))
-        g_vp = g * attn if pre_grad else None
-        del vp, g_attn, inner
+        g_logits = values()
+        g_logits *= g                                    # g_attn
+        inner = (g_logits * attn).sum(axis=1, keepdims=True)
+        g_logits -= inner
+        g_logits *= attn
         # the score MLP, then the pre-score; each input's pooling part
         # comes first, as in flow
-        g_pre = _mlp_backward(g_logits, hidden, pre_rows, score_mlp, pre_grad, grads, 2)
+        g_pre = _mlp_backward(g_logits.reshape((-1, c)), hidden, pre_rows, score_mlp, pre_grad,
+                              grads, 7)
+        del g_logits
         if g_pre is None:
             return grads
         g_pre = g_pre.reshape(attn.shape)
-        if pos.requires_grad:
-            grads[1] = _unbroadcast(g_vp, pos.data.shape) + _unbroadcast(g_pre, pos.data.shape)
+        g_vp = g * attn
         if qkv.requires_grad:
             if multiply:
-                g_q = _unbroadcast(g_pre * kept_kg, qe.shape)
-                g_k = _unbroadcast(g_pre * qe, kept_kg.shape)
+                g_q, g_k = _unbroadcast(g_pre * kept_kg, qe.shape), g_pre * qe
             else:
-                g_q, g_k = _unbroadcast(g_pre, qe.shape), _unbroadcast(-g_pre, groups.shape + (c,))
-            from_pool = np.zeros_like(qkv.data)
-            from_pool[:, 2 * c:3 * c] = _scatter_rows(groups, g_vp, (m, c))
-            from_pre = np.zeros_like(qkv.data)
-            from_pre[:, :c] = g_q.reshape((m, c))
-            from_pre[:, c:2 * c] = _scatter_rows(groups, g_k, (m, c))
-            grads[0] = from_pool + from_pre
+                g_q, g_k = _unbroadcast(g_pre, qe.shape), -g_pre
+            # each third's one part plus the +0.0 of the other, as the
+            # chain's sum of the two parts gives
+            g_qkv = np.empty_like(qkv.data)
+            g_qkv[:, :c] = g_q.reshape((m, c))
+            g_qkv[:, c:2 * c] = _scatter_rows(groups, g_k, (m, c))
+            g_qkv[:, 2 * c:] = _scatter_rows(groups, g_vp, (m, c))
+            g_qkv += 0.0
+            grads[0] = g_qkv
+            del g_q, g_k
+        if not pos_grad:
+            return grads
+        # the positional encoding, from pos's two parts
+        g_vp += g_pre
+        del g_pre
+        flat = offsets()
+        g_off = _mlp_backward(g_vp.reshape((-1, c)), _mlp_hidden(flat, pfc1, check), lambda: flat,
+                              pos_mlp, coords.requires_grad, grads, 3)
+        if g_off is not None:
+            g_off = g_off.reshape(groups.shape + (d,))
+            grads[1] = _scatter_rows(groups, g_off, coords.data.shape)
+            grads[2] = (-g_off).sum(axis=1)
         return grads
 
     return Tensor._result(out, parents, grads_of)
@@ -287,9 +281,9 @@ class PointAttention:
     query/key/value; a positional encoding of coordinate differences is
     added to both the score path and the values.  mode picks how query
     and key meet: "subtract" (q - k + pos) or "multiply" (q * k + pos).
-    The block output keeps its input as a residual.  A call records six
-    tape nodes: two LBRs, the expansion, the two ops above (the positional
-    encoding and the attention itself) and the residual add.
+    The block output keeps its input as a residual.  A call records five
+    tape nodes: two LBRs, the expansion, the attention op above and the
+    residual add.
     """
 
     def __init__(self, rng: Rng, channels: int, mode: str = "subtract"):
@@ -319,8 +313,8 @@ class PointAttention:
         groups = np.sort(np.asarray(groups), axis=1)    # canonical reduction order
 
         qkv = matmul(self.qkv_lbr(feats), self.expand)
-        pos = pos_encoding(coords, groups, self.pos_mlp)          # [m, L, c]
-        return self.out_lbr(attend(qkv, pos, groups, self.mode, self.score_mlp)) + feats
+        attended = attend(qkv, coords, groups, self.mode, self.pos_mlp, self.score_mlp)
+        return self.out_lbr(attended) + feats
 
 
 # -- routing --------------------------------------------------------------------------

@@ -65,28 +65,18 @@ def gradcheck_cases(seed: int, report: list | None = None):
         return gradcheck(lambda: tensor.tsum(layer(x) * w), ps, rng=r.derive("c"))
 
     def case_attend():
-        # its own stream, so replacing the two glue-op cases left every
-        # other case's inputs as they were
+        # its own stream, so merging the positional-encoding case into it
+        # left every other case's inputs as they were
         r = rng.derive("attend")
-        qkv = Tensor(r.normal((6, 12)), requires_grad=True)
-        pos = Tensor(r.normal((6, 3, 4)), requires_grad=True)
-        groups = np.sort(r.integers(0, 6, (6, 3)), axis=1)
-        score = nn.Mlp(r.derive("score"), 4, 4, 4)
-        w = Tensor(r.normal((6, 4)))
-        ps = [qkv, pos] + [t for _, t in score.params("s")]
-        return gradcheck(lambda: tensor.tsum(fusion.attend(qkv, pos, groups, "multiply", score) * w),
-                         ps, rng=r.derive("c"))
-
-    def case_pos_encoding():
-        # its own stream, so adding the case left every other case's inputs as they were
-        r = rng.derive("pos-encoding")
+        qkv = Tensor(r.normal((8, 12)), requires_grad=True)
         coords = Tensor(r.uniform(-1, 1, (8, 3)), requires_grad=True)
         groups = np.sort(geometry.knn_group(coords.data, coords.data, 3), axis=1)
         pos_mlp = nn.Mlp(r.derive("pos"), 3, 5, 4)
-        w = Tensor(r.normal((8, 3, 4)))
-        ps = [coords] + [t for _, t in pos_mlp.params("p")]
-        return gradcheck(lambda: tensor.tsum(fusion.pos_encoding(coords, groups, pos_mlp) * w),
-                         ps, rng=r.derive("c"))
+        score = nn.Mlp(r.derive("score"), 4, 4, 4)
+        w = Tensor(r.normal((8, 4)))
+        ps = [qkv, coords] + [t for _, t in pos_mlp.params("p") + score.params("s")]
+        return gradcheck(lambda: tensor.tsum(
+            fusion.attend(qkv, coords, groups, "multiply", pos_mlp, score) * w), ps, rng=r.derive("c"))
 
     def case_softmax():
         x = Tensor(rng.normal((6, 5)), requires_grad=True)
@@ -259,7 +249,6 @@ def gradcheck_cases(seed: int, report: list | None = None):
     yield "bilinear-sample", 1e-6, case_bilinear
     yield "trilinear-sample", 1e-6, case_trilinear
     yield "frustum-sample", 1e-6, case_frustum_sample
-    yield "pos-encoding", 1e-6, case_pos_encoding
     yield "attend", 1e-6, case_attend
     yield "attention-subtract", 1e-6, case_attention("subtract")
     yield "attention-multiply", 1e-6, case_attention("multiply")

@@ -227,7 +227,7 @@ class Mlp:
 
 
 # The MLP kernel of the fused ops that run an Mlp (``mlp`` below and the
-# point-attention ops ``fusion.pos_encoding`` and ``fusion.attend``): the
+# point-attention op ``fusion.attend``, for both of its MLPs): the
 # numpy expressions of the chain linear -> relu -> linear over rows and
 # of that chain's vjps, in its order (``tests/oracles.py`` keeps it).
 

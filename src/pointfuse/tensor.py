@@ -12,12 +12,12 @@ their ``grad`` buffers, so repeated backward calls accumulate until the
 buffers are zeroed.  Op results have no buffer (``grad`` is None).
 Inside ``with no_grad():`` ops record no tape at all, which is how
 inference runs.  Layer-level ops built on these primitives (``nn.linear``,
-``nn.lbr``, ``nn.mlp``, the point-attention ops ``fusion.pos_encoding``
-and ``fusion.attend``, and ``fusion.idw_interpolate``) record one node
-for what would otherwise be a chain of ops, and those that check stages
-before their output raise NonFiniteError through ``_finite_check``.
-The three that run an MLP (``nn.mlp``, ``pos_encoding``, ``attend``)
-share its kernel, ``nn._mlp_forward`` and ``nn._mlp_backward``.  They
+``nn.lbr``, ``nn.mlp``, the point-attention op ``fusion.attend`` and
+``fusion.idw_interpolate``) record one node for what would otherwise be
+a chain of ops, and those that check stages before their output raise
+NonFiniteError through ``_finite_check``.  The two that run an MLP
+(``nn.mlp``, and ``attend`` for its positional and score MLPs) share
+its kernel, ``nn._mlp_forward`` and ``nn._mlp_backward``.  They
 keep only the arrays their backward reads and rebuild the rest from
 them.
 

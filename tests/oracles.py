@@ -7,9 +7,10 @@ inverse-distance interpolation, the scalar Sutherland-Hodgman clip and
 the per-pair rotated IoU on top of it (``iou_bev_scalar``,
 ``iou_3d_scalar``), the per-proposal assignment rule, the per-vote box
 residual encode and per-row decode, and the
-``linear``/``lbr``/``mlp`` layers, the point-attention ops
-(``pos_encoding``, ``attend``) and the differentiable inverse-distance
-interpolation (``idw_chain``) as chains of single tape ops.
+``linear``/``lbr``/``mlp`` layers, the point-attention op ``attend``
+(``pos_encoding_chain`` feeding ``attend_chain``) and the differentiable
+inverse-distance interpolation (``idw_chain``) as chains of single tape
+ops.
 The library must match them exactly or within a stated tolerance.
 The tape ops ``exp`` and ``sqrt`` live here too: only tests and the
 ``lbr`` chain run them.  So do the plain forms of the library's
@@ -107,8 +108,8 @@ def group_offsets_chain(coords, groups):
 
 
 def pos_encoding_chain(coords, groups, pos_mlp):
-    """``fusion.pos_encoding`` as its chain: the group offsets' three ops,
-    then the positional MLP's three."""
+    """The positional encoding of ``fusion.attend`` as its chain: the
+    group offsets' three ops, then the positional MLP's three."""
     return mlp_chain(group_offsets_chain(coords, groups), pos_mlp)
 
 
@@ -133,8 +134,8 @@ def attn_pool_chain(logits, qkv, pos, groups):
 
 
 def attend_chain(qkv, pos, groups, mode, score_mlp):
-    """``fusion.attend`` as its chain: the pre-score, the score MLP's
-    three ops, the pooling."""
+    """``fusion.attend`` past its positional encoding pos, as its chain:
+    the pre-score, the score MLP's three ops, the pooling."""
     logits = mlp_chain(attn_pre_chain(qkv, pos, groups, mode), score_mlp)
     return attn_pool_chain(logits, qkv, pos, groups)
 

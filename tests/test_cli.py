@@ -158,6 +158,22 @@ def test_manifest_records_run_then_hashes(overfit_run):
         assert a["sha256"] == sha256(os.path.join(overfit_run, a["name"]))
 
 
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS reads its thread count when numpy loads, so each count
+    # runs in a process of its own; 2 threads at most, as on a 2-core host
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    hashes = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"threads{threads}")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-m", "pointfuse", "overfit", "--seed", "0",
+                               "--out", out, "--set", "train.steps=5"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        hashes.append([(a["name"], a["sha256"]) for a in read_manifest(out)[1:]])
+    assert len(hashes[0]) == 4 and hashes[0] == hashes[1]
+
+
 def test_replay_reproduces_bitwise(overfit_run, tmp_path, capsys):
     out = str(tmp_path / "replayed")
     rc = run("replay", "--manifest", os.path.join(overfit_run, "manifest.jsonl"),

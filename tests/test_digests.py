@@ -54,7 +54,6 @@ why in CHANGES.md.
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -219,11 +218,19 @@ def differences(pinned: dict, run: dict) -> list[str]:
         have = run["ablate"].get(label, {}).get("output_sha256")
         if exact and have != row["output_sha256"]:
             found.append(f"ablate {label} output_sha256 {have} != {row['output_sha256']}")
-    # the errors on the fingerprint only; the cases, tolerances and statuses everywhere
+    # rows by case name, so a missing, extra or changed case counts once;
+    # the errors on the fingerprint only, the tolerances and statuses everywhere
     keep = (lambda r: r) if exact else (lambda r: r[:1] + r[2:4])
-    found += [f"gradcheck {have} != {want}"
-              for want, have in itertools.zip_longest(pinned["gradcheck"], run["gradcheck"])
-              if want is None or have is None or keep(want) != keep(have)]
+    want_rows = {row[0]: row for row in pinned["gradcheck"]}
+    have_rows = {row[0]: row for row in run["gradcheck"]}
+    for name, want in want_rows.items():
+        have = have_rows.get(name)
+        if have is None:
+            found.append(f"gradcheck case {name} missing, pinned {want}")
+        elif keep(want) != keep(have):
+            found.append(f"gradcheck {have} != {want}")
+    found += [f"gradcheck case {name} not pinned: {have}"
+              for name, have in have_rows.items() if name not in want_rows]
     found += _eval_differences("", pinned, run, exact, same)
     want, have = pinned["overfit_eval"], run["overfit_eval"]
     if want["steps"] != have["steps"]:
@@ -299,6 +306,9 @@ def test_a_moved_digest_is_caught_in_both_modes():
         run["gradcheck"][0][4] = float(np.nextafter(float.fromhex(run["gradcheck"][0][4]),
                                                     math.inf)).hex()
 
+    def gradcheck_dropped(run):
+        del run["gradcheck"][len(run["gradcheck"]) // 2]
+
     ulp = ablate_total(np.nextafter(total, math.inf))
     assert ABLATE_STEPS <= FOREIGN_STEPS                       # every ablate step is compared
     for edit, bytewise, foreign in [(ulp, 1, 0),
@@ -306,7 +316,8 @@ def test_a_moved_digest_is_caught_in_both_modes():
                                     (ablate_hash, 1, 0),
                                     (gradcheck_error, 1, 0),
                                     (gradcheck_directional, 1, 0),
-                                    (gradcheck_status, 1, 1)]:
+                                    (gradcheck_status, 1, 1),
+                                    (gradcheck_dropped, 1, 1)]:
         assert len(changed(edit, foreign=False)) == bytewise
         assert len(changed(edit, foreign=True)) == foreign
 

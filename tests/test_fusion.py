@@ -5,7 +5,7 @@ promises it:
   differentiable IDW agrees with the plain-number oracle, including
     coincident targets,
   attention is invariant to the listed order of a neighbour group, and
-    its fused glue ops equal their tape-op chains in ``oracles.py``,
+    its one fused op equals its tape-op chain in ``oracles.py``,
   cross fusion is symmetric under swapping the streams together with
     their parameters, and its attention rows are stochastic; a one-way
     link is bitwise the raw half of a two-way one, and only the
@@ -37,7 +37,6 @@ from pointfuse.fusion import (
     TwoStreamNetwork,
     attend,
     idw_interpolate,
-    pos_encoding,
     route_down,
     route_stream,
     route_up,
@@ -224,22 +223,33 @@ def test_attention_equals_its_chain_bit_for_bit(mode, group, leaves):
     assert not np.array_equal(got[2][0][0], 0.0)
 
 
+def _attend_chain(qkv, coords, groups, mode, pos_mlp, score_mlp):
+    """``fusion.attend`` as its chain: the positional encoding's, then the
+    attention's."""
+    pos = oracles.pos_encoding_chain(coords, groups, pos_mlp)
+    return oracles.attend_chain(qkv, pos, groups, mode, score_mlp)
+
+
 @pytest.mark.parametrize("group", [1, 4])
 @pytest.mark.parametrize("coords_as", ["constant", "leaf", "leaf-second-consumer"])
 def test_pos_encoding_equals_its_chain_bit_for_bit(group, coords_as):
+    # the positional encoding inside attend, with the attention it feeds;
     # each group lists its centre, whose offset is exactly zero
     rng = np.random.default_rng(86 + group)
     coords = Tensor(rng.uniform(-4.0, 4.0, (10, 3)), requires_grad=coords_as != "constant")
+    qkv = Tensor(rng.standard_normal((10, 18)), requires_grad=True)
     groups = np.sort(G.knn_group(coords.data, coords.data, group), axis=1)
-    pos_mlp = Mlp(Rng(11), 3, 6, 6)
-    w = Tensor(rng.standard_normal((10, group, 6)))
-    ps = [p for _, p in pos_mlp.params("p")] + ([coords] if coords.requires_grad else [])
+    pos_mlp, score_mlp = Mlp(Rng(11), 3, 6, 6), Mlp(Rng(12), 6, 6, 6)
+    w = Tensor(rng.standard_normal((10, 6)))
+    ps = ([qkv] + [p for _, p in pos_mlp.params("p") + score_mlp.params("s")]
+          + ([coords] if coords.requires_grad else []))
     second = coords if coords_as == "leaf-second-consumer" else None
-    got = _backward_twice(lambda: pos_encoding(coords, groups, pos_mlp), ps, w, second)
-    _assert_same_bits(got, _backward_twice(
-        lambda: oracles.pos_encoding_chain(coords, groups, pos_mlp), ps, w, second))
-    # with groups of one, every offset and so every coordinate gradient is 0
-    assert all(np.any(g != 0.0) for g in got[2][0]) or group == 1
+    for mode in ("subtract", "multiply"):
+        args = (qkv, coords, groups, mode, pos_mlp, score_mlp)
+        got = _backward_twice(lambda: attend(*args), ps, w, second)
+        _assert_same_bits(got, _backward_twice(lambda: _attend_chain(*args), ps, w, second))
+        # with groups of one, every offset and so every coordinate gradient is 0
+        assert all(np.any(g != 0.0) for g in got[2][0]) or group == 1
 
 
 def _nodes_behind(out, inputs, block):
@@ -256,14 +266,14 @@ def _nodes_behind(out, inputs, block):
     return nodes
 
 
-def test_attention_records_at_most_six_tape_nodes():
-    # fails if the attention's layers or glue ops are split back into chains
+def test_attention_records_at_most_five_tape_nodes():
+    # fails if the attention's layers or its op are split back into chains
     rng = np.random.default_rng(81)
     coords, feats = cloud(rng, 10, 6)
     coords.requires_grad = True
     groups = G.knn_group(coords.data, coords.data, 4)
     block = PointAttention(Rng(9), 6)
-    assert _nodes_behind(block(coords, feats, groups), (coords, feats), block) <= 6
+    assert _nodes_behind(block(coords, feats, groups), (coords, feats), block) <= 5
     assert _nodes_behind(oracles.attention_chain(block, coords, feats, groups),
                          (coords, feats), block) == 25
 
@@ -275,15 +285,12 @@ def test_attention_without_a_tape_records_no_parents():
     block = PointAttention(Rng(10), 6)
     with T.no_grad():
         qkv = T.matmul(block.qkv_lbr(feats), block.expand)
-        pos = pos_encoding(coords, groups, block.pos_mlp)
-        want_pos = oracles.pos_encoding_chain(coords, groups, block.pos_mlp)
-        pooled = attend(qkv, pos, groups, "subtract", block.score_mlp)
-        want_pooled = oracles.attend_chain(qkv, pos, groups, "subtract", block.score_mlp)
+        args = (qkv, coords, groups, "subtract", block.pos_mlp, block.score_mlp)
+        pooled, want_pooled = attend(*args), _attend_chain(*args)
         out = block(coords, feats, groups)
         want = oracles.attention_chain(block, coords, feats, groups)
-    for t in (pos, pooled, out):
+    for t in (pooled, out):
         assert not t.requires_grad and t._parents == () and t._vjp is None
-    assert pos.data.tobytes() == want_pos.data.tobytes()
     assert pooled.data.tobytes() == want_pooled.data.tobytes()
     assert out.data.tobytes() == want.data.tobytes()
 
@@ -305,43 +312,73 @@ def _score_mlp(w1=0.5, w2=0.5, c_in=1):
     return score
 
 
-@pytest.mark.parametrize("op, args", [
-    ("pos_encoding", lambda: (_t([[BIG, 0.0, 0.0], [-BIG, 0.0, 0.0]]), PAIRS, _score_mlp(c_in=3))),
-    ("pos_encoding", lambda: (_t([[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0]]), PAIRS,
-                              _score_mlp(w1=1e10, c_in=3))),
-    ("pos_encoding", lambda: (_t([[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0]]), PAIRS,
-                              _score_mlp(w1=1.0, w2=1e10, c_in=3))),
-    ("attend", lambda: (_t([[BIG, -BIG, 0.0]] * 2), _t(np.zeros((2, 2, 1))), PAIRS, "subtract",
-                        _score_mlp())),
-    ("attend", lambda: (_t([[1e200, 1e200, 0.0]] * 2), _t(np.zeros((2, 2, 1))), PAIRS, "multiply",
-                        _score_mlp())),
-    ("attend", lambda: (_t([[BIG, 0.0, 0.0]] * 2), _t(np.full((2, 2, 1), BIG)), PAIRS, "subtract",
-                        _score_mlp())),
-    ("attend", lambda: (_t([[BIG, 0.0, 0.0]] * 2), _t(np.zeros((2, 2, 1))), PAIRS, "subtract",
-                        _score_mlp(w1=4.0))),
-    ("attend", lambda: (_t([[BIG, 0.0, 0.0]] * 2), _t(np.zeros((2, 2, 1))), PAIRS, "subtract",
-                        _score_mlp(w1=1.0, w2=4.0))),
-    ("attend", lambda: (_t([[0.0, 0.0, BIG]] * 2), _t(np.full((2, 2, 1), BIG)), PAIRS, "subtract",
-                        _score_mlp())),
+def _pos_mlp(shift=0.0):
+    """A 3 -> 1 -> 1 MLP whose output is ``shift`` at every offset."""
+    pos = _score_mlp(w1=0.0, w2=0.0, c_in=3)
+    pos.fc2.bias.data[:] = shift
+    return pos
+
+
+ZEROS = _t(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("args", [
+    lambda: (ZEROS, _t([[BIG, 0.0, 0.0], [-BIG, 0.0, 0.0]]), _score_mlp(c_in=3)),
+    lambda: (ZEROS, _t([[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0]]), _score_mlp(w1=1e10, c_in=3)),
+    lambda: (ZEROS, _t([[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0]]),
+             _score_mlp(w1=1.0, w2=1e10, c_in=3)),
+    lambda: (_t([[BIG, -BIG, 0.0]] * 2), ZEROS, _pos_mlp()),
+    lambda: (_t([[1e200, 1e200, 0.0]] * 2), ZEROS, _pos_mlp(), "multiply"),
+    lambda: (_t([[BIG, 0.0, 0.0]] * 2), ZEROS, _pos_mlp(BIG)),
+    lambda: (_t([[BIG, 0.0, 0.0]] * 2), ZEROS, _pos_mlp(), "subtract", _score_mlp(w1=4.0)),
+    lambda: (_t([[BIG, 0.0, 0.0]] * 2), ZEROS, _pos_mlp(), "subtract",
+             _score_mlp(w1=1.0, w2=4.0)),
+    lambda: (_t([[0.0, 0.0, BIG]] * 2), ZEROS, _pos_mlp(BIG)),
 ], ids=["pos-encoding", "pos-hidden", "pos-out", "q-minus-k", "q-times-k", "plus-pos",
         "score-hidden", "score-logits", "v-plus-pos"])
-def test_attention_ops_raise_where_their_chains_raise(op, args):
-    fused = {"pos_encoding": pos_encoding, "attend": attend}[op]
-    chain = getattr(oracles, op + "_chain")
+def test_attention_ops_raise_where_their_chains_raise(args):
+    # (qkv, coords, pos_mlp[, mode[, score_mlp]]); mode defaults to
+    # subtract, score_mlp to _score_mlp()
+    def call(op):
+        given = args()
+        qkv, coords, pos_mlp, mode, score_mlp = given + ("subtract", _score_mlp())[len(given) - 3:]
+        return op(qkv, coords, PAIRS, mode, pos_mlp, score_mlp)
+
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError):
-            chain(*args())
-        with pytest.raises(NonFiniteError, match=rf"from {op} on operand shapes"):
-            fused(*args())
+            call(_attend_chain)
+        with pytest.raises(NonFiniteError, match=r"from attend on operand shapes"):
+            call(attend)
 
 
 def test_attention_ops_validate_their_groups():
-    coords = Tensor(np.zeros((3, 3)))
-    with pytest.raises(T.ShapeError, match="pos_encoding index out of range"):
-        pos_encoding(coords, np.array([[0, 3]] * 3), Mlp(Rng(0), 3, 2, 2))
-    with pytest.raises(T.ShapeError, match="attend"):
-        attend(Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 2, 2))), np.array([[0.0, 1.0]] * 3),
-               "subtract", Mlp(Rng(0), 2, 2, 2))
+    coords, pos_mlp, score_mlp = Tensor(np.zeros((3, 3))), Mlp(Rng(0), 3, 2, 2), Mlp(Rng(0), 2, 2, 2)
+    qkv = Tensor(np.zeros((3, 6)))
+    with pytest.raises(T.ShapeError, match="attend index out of range"):
+        attend(qkv, coords, np.array([[0, 3]] * 3), "subtract", pos_mlp, score_mlp)
+    with pytest.raises(T.ShapeError, match="attend needs integer indices"):
+        attend(qkv, coords, np.array([[0.0, 1.0]] * 3), "subtract", pos_mlp, score_mlp)
+    groups = np.array([[0, 1]] * 3)
+    with pytest.raises(T.ShapeError, match=r"attend needs groups \[3, L\]"):
+        attend(qkv, coords, groups[:2], "subtract", pos_mlp, score_mlp)
+    # qkv must be exactly 3c wide for the score MLP's c, not pooled over
+    # its first 3c columns; coords need qkv's rows; MLPs d -> c and c -> c
+    shapes = "attend needs qkv \\[m, 3c\\], coords \\[m, d\\], a d -> c positional MLP"
+    for width in (5, 7, 8):
+        with pytest.raises(T.ShapeError, match=shapes + r".* got qkv \(3, %d\)" % width):
+            attend(Tensor(np.zeros((3, width))), coords, groups, "subtract", pos_mlp, score_mlp)
+    for bad in (np.zeros((4, 3)), np.zeros((3, 3, 1)), np.zeros(3)):
+        with pytest.raises(T.ShapeError, match=shapes):
+            attend(qkv, Tensor(bad), groups, "subtract", pos_mlp, score_mlp)
+    for pos in (Mlp(Rng(0), 2, 2, 2), Mlp(Rng(0), 3, 2, 1), Mlp(Rng(0), 3, 2, 3)):
+        with pytest.raises(T.ShapeError, match=shapes):
+            attend(qkv, coords, groups, "subtract", pos, score_mlp)
+    with pytest.raises(T.ShapeError, match=shapes + ".* 2 -> 3$"):
+        attend(qkv, coords, groups, "subtract", pos_mlp, Mlp(Rng(0), 2, 2, 3))
+    # qkv [5, 14] with a 4 -> 4 score MLP: columns 12-13 would go unread
+    with pytest.raises(T.ShapeError, match=shapes + r".* got qkv \(5, 14\)"):
+        attend(Tensor(np.zeros((5, 14))), Tensor(np.zeros((5, 3))), np.array([[0, 1, 2]] * 5),
+               "subtract", Mlp(Rng(0), 3, 4, 4), Mlp(Rng(0), 4, 4, 4))
 
 
 # -- the one-op IDW against its chain --------------------------------------------------

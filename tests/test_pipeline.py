@@ -397,7 +397,7 @@ def test_a_desk_training_step_builds_a_fixed_number_of_tape_nodes():
     cfg, prepared = make_prepared(0)
     model = DetectionModel(cfg, Rng(0))
     total, _ = compute_losses(prepared, model.forward(prepared), LossWeights())
-    assert len([node for node in T._topo_order(total) if node._parents]) == 351
+    assert len([node for node in T._topo_order(total) if node._parents]) == 339
 
 
 def test_every_column_of_every_cross_fusion_projection_gets_a_gradient():

@@ -25,7 +25,7 @@ import pytest
 
 import pointfuse.tensor as T
 from pointfuse.frustum import DepthPrediction, ImageFeatureGrid, build_frustum
-from pointfuse.fusion import attend, idw_interpolate, pos_encoding
+from pointfuse.fusion import attend, idw_interpolate
 from pointfuse.nn import LbrLayer, LinearLayer, Mlp, Rng, _mlp_hidden, gradcheck, lbr, linear, mlp
 from pointfuse.tensor import (
     EmptyInputError,
@@ -586,12 +586,12 @@ def _contract_cases(k=4):
         "linear": ([n((5, k)), n((k, 3)), n(3)], lambda x, *p: linear(x, _linear_of(*p))),
         "lbr": ([n((5, k)), n((k, 3)), n(3), n(3), n(3)], lambda x, *p: lbr(x, _lbr_of(*p))),
         "mlp": ([n((2, 3, k))] + mlp_arrays(k, 3), lambda x, *p: mlp(x, _mlp_of(*p))),
-        "pos_encoding": ([n((6, 3))] + mlp_arrays(3, 4),
-                         lambda c, *p: pos_encoding(c, groups, _mlp_of(*p))),
-        "attend-subtract": ([n((6, 12)), n((6, 3, 4))] + mlp_arrays(4, 4),
-                            lambda q, pos, *p: attend(q, pos, groups, "subtract", _mlp_of(*p))),
-        "attend-multiply": ([n((6, 12)), n((6, 3, 4))] + mlp_arrays(4, 4),
-                            lambda q, pos, *p: attend(q, pos, groups, "multiply", _mlp_of(*p))),
+        "attend-subtract": ([n((6, 12)), n((6, 3))] + mlp_arrays(3, 4) + mlp_arrays(4, 4),
+                            lambda q, c, *p: attend(q, c, groups, "subtract", _mlp_of(*p[:4]),
+                                                    _mlp_of(*p[4:]))),
+        "attend-multiply": ([n((6, 12)), n((6, 3))] + mlp_arrays(3, 4) + mlp_arrays(4, 4),
+                            lambda q, c, *p: attend(q, c, groups, "multiply", _mlp_of(*p[:4]),
+                                                    _mlp_of(*p[4:]))),
         "idw_interpolate": ([n((4, 3)), n((5, 3)), n((5, 2))],
                             lambda t, src, f: idw_interpolate(t, src, f, neighbours)),
     }
