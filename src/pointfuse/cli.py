@@ -189,7 +189,7 @@ def _check_checkpoint():
         path, bad = Path(tmp_dir, "ck_check.bin"), Path(tmp_dir, "ck_bad.bin")
         params = {"a": Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True),
                   "b": Tensor(np.ones(4), requires_grad=True)}
-        nn.save_checkpoint(str(path), sorted(params.items()))
+        nn.save_checkpoint(str(path), params)
         loaded = nn.load_checkpoint(str(path))
         for name, t in params.items():
             if not np.array_equal(loaded[name], t.data):

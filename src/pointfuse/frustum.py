@@ -104,23 +104,14 @@ class ImageEncoder:
         self.binning = binning or LidBinning(n_bins=depth_bins)
         if self.binning.n_bins != depth_bins:
             raise FrustumError("binning bin count must match depth_bins")
-        self.blocks = []
+        self.block = []
         c_prev = in_channels
         for i, (c, s) in enumerate(zip(block_channels, self.strides)):
-            self.blocks.append(LbrLayer(rng.derive(f"block{i}"), c_prev * s * s, c))
+            self.block.append(LbrLayer(rng.derive(f"block{i}"), c_prev * s * s, c))
             c_prev = c
         self.feat_head = LinearLayer(rng.derive("feat_head"), c_prev, feature_channels)
         self.depth_head = LinearLayer(rng.derive("depth_head"), c_prev, 2 * depth_bins)
         self.offset_head = LinearLayer(rng.derive("offset_head"), c_prev, 2)
-
-    def params(self, prefix: str = "encoder"):
-        out = []
-        for i, blk in enumerate(self.blocks):
-            out += blk.params(f"{prefix}.block{i}")
-        out += self.feat_head.params(f"{prefix}.feat_head")
-        out += self.depth_head.params(f"{prefix}.depth_head")
-        out += self.offset_head.params(f"{prefix}.offset_head")
-        return out
 
     def __call__(self, image: np.ndarray):
         return encode_image(image, self)
@@ -138,7 +129,7 @@ def encode_image(image: np.ndarray, encoder: ImageEncoder):
     if h % encoder.stride or w % encoder.stride:
         raise FrustumError(f"image {h}x{w} not divisible by encoder stride {encoder.stride}")
     x = T.Tensor(image)
-    for blk, s in zip(encoder.blocks, encoder.strides):
+    for blk, s in zip(encoder.block, encoder.strides):
         if s > 1:
             x = space_to_depth(x, s)
         x = blk(x)

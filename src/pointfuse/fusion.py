@@ -293,16 +293,9 @@ class PointAttention:
         self.mode = mode
         self.qkv_lbr = LbrLayer(rng.derive("qkv_lbr"), channels, channels)
         self.expand = init_weight(rng.derive("expand"), channels, 3 * channels)
-        self.pos_mlp = Mlp(rng.derive("pos"), 3, channels, channels)
-        self.score_mlp = Mlp(rng.derive("score"), channels, channels, channels)
+        self.pos = Mlp(rng.derive("pos"), 3, channels, channels)
+        self.score = Mlp(rng.derive("score"), channels, channels, channels)
         self.out_lbr = LbrLayer(rng.derive("out_lbr"), channels, channels)
-
-    def params(self, prefix: str):
-        return (self.qkv_lbr.params(prefix + ".qkv_lbr")
-                + [(prefix + ".expand", self.expand)]
-                + self.pos_mlp.params(prefix + ".pos")
-                + self.score_mlp.params(prefix + ".score")
-                + self.out_lbr.params(prefix + ".out_lbr"))
 
     def __call__(self, coords: Tensor, feats: Tensor, groups: np.ndarray) -> Tensor:
         m, c = feats.data.shape
@@ -313,7 +306,7 @@ class PointAttention:
         groups = np.sort(np.asarray(groups), axis=1)    # canonical reduction order
 
         qkv = matmul(self.qkv_lbr(feats), self.expand)
-        attended = attend(qkv, coords, groups, self.mode, self.pos_mlp, self.score_mlp)
+        attended = attend(qkv, coords, groups, self.mode, self.pos, self.score)
         return self.out_lbr(attended) + feats
 
 
@@ -396,11 +389,8 @@ class TransitionDown:
         self.c_in = c_in
         self.m_out = m_out
         self.l_group = l_group
-        self.local_lbr = LbrLayer(rng.derive("local"), c_in, c_out)
-        self.attention = PointAttention(rng.derive("attn"), c_out, mode)
-
-    def params(self, prefix: str):
-        return self.local_lbr.params(prefix + ".local") + self.attention.params(prefix + ".attn")
+        self.local = LbrLayer(rng.derive("local"), c_in, c_out)
+        self.attn = PointAttention(rng.derive("attn"), c_out, mode)
 
     def __call__(self, coords: Tensor, feats: Tensor, route: DownRoute):
         n = coords.data.shape[0]
@@ -409,9 +399,9 @@ class TransitionDown:
         if route.neigh.shape != (self.m_out, self.l_group):
             raise FusionError(f"route groups {route.neigh.shape}, block keeps "
                               f"[{self.m_out}, {self.l_group}]")
-        local = maxpool_group(self.local_lbr(gather_rows(feats, route.neigh)))
+        local = maxpool_group(self.local(gather_rows(feats, route.neigh)))
         down_coords = gather_rows(coords, route.centers)
-        return down_coords, self.attention(down_coords, local, route.groups)
+        return down_coords, self.attn(down_coords, local, route.groups)
 
 
 class TransitionUp:
@@ -427,11 +417,8 @@ class TransitionUp:
         self.c_coarse = c_coarse
         self.c_skip = c_skip
         self.l_group = l_group
-        self.skip_lbr = LbrLayer(rng.derive("skip"), c_skip, c_coarse)
-        self.attention = PointAttention(rng.derive("attn"), c_coarse, mode)
-
-    def params(self, prefix: str):
-        return self.skip_lbr.params(prefix + ".skip") + self.attention.params(prefix + ".attn")
+        self.skip = LbrLayer(rng.derive("skip"), c_skip, c_coarse)
+        self.attn = PointAttention(rng.derive("attn"), c_coarse, mode)
 
     def __call__(self, coarse_coords: Tensor, coarse_feats: Tensor,
                  skip_coords: Tensor, skip_feats: Tensor, route: UpRoute) -> Tensor:
@@ -441,8 +428,8 @@ class TransitionUp:
             raise FusionError(f"route groups {route.groups.shape}, block attends over "
                               f"[{skip_coords.data.shape[0]}, {self.l_group}]")
         merged = (idw_interpolate(skip_coords, coarse_coords, coarse_feats, route.interp)
-                  + self.skip_lbr(skip_feats))
-        return self.attention(skip_coords, merged, route.groups)
+                  + self.skip(skip_feats))
+        return self.attn(skip_coords, merged, route.groups)
 
 
 class FeatureProp:
@@ -453,9 +440,6 @@ class FeatureProp:
         self.c_skip = c_skip
         self.lbr1 = LbrLayer(rng.derive("lbr1"), c_coarse + c_skip, c_out)
         self.lbr2 = LbrLayer(rng.derive("lbr2"), c_out, c_out)
-
-    def params(self, prefix: str):
-        return self.lbr1.params(prefix + ".lbr1") + self.lbr2.params(prefix + ".lbr2")
 
     def __call__(self, coarse_coords: Tensor, coarse_feats: Tensor,
                  skip_coords: Tensor, skip_feats: Tensor, route: UpRoute) -> Tensor:
@@ -489,7 +473,8 @@ class CrossFusion:
     A one-way link runs the raw direction only, for a link whose pseudo
     output nothing reads: it builds no q_raw, v_raw, k_pseudo or
     pseudo-side projection, mixer or output LBR, passes f_pseudo through
-    unchanged and reports only ``attn_raw``.
+    unchanged and reports only ``attn_raw``.  It never assigns those
+    attributes, so ``nn.named_params`` lists none of them.
     """
 
     def __init__(self, rng: Rng, c_raw: int, c_pseudo: int, c_embed: int,
@@ -518,18 +503,6 @@ class CrossFusion:
             self.proj_pseudo = init_weight(rng.derive("proj_pseudo"), c_pseudo, c_embed)
             self.mix_pseudo = Mlp(rng.derive("mix_pseudo"), n_raw, n_raw, n_raw)
             self.out_pseudo = LbrLayer(rng.derive("out_pseudo"), merged, c_embed)
-
-    def params(self, prefix: str):
-        out = ([(prefix + "." + name, getattr(self, name))
-                for name in ("k_raw", "q_pseudo", "v_pseudo", "proj_raw")]
-               + self.mix_raw.params(prefix + ".mix_raw")
-               + self.out_raw.params(prefix + ".out_raw"))
-        if not self.one_way:
-            out += ([(prefix + "." + name, getattr(self, name))
-                     for name in ("q_raw", "v_raw", "k_pseudo", "proj_pseudo")]
-                    + self.mix_pseudo.params(prefix + ".mix_pseudo")
-                    + self.out_pseudo.params(prefix + ".out_pseudo"))
-        return out
 
     def _enhance(self, f_self, f_other, k_self, q_other, v_other, proj, mix, out_lbr):
         k_self, q_other = matmul(f_self, k_self), matmul(f_other, q_other)
@@ -586,7 +559,7 @@ class TwoStreamNetwork:
         sc = cfg.stage_channels
         self.raw_down = []
         self.pseudo_down = []
-        self.links = []
+        self.link = []
         c_raw, c_pseudo = RAW_IN_CHANNELS, cfg.feature_channels
         for k in range(len(sc)):
             self.raw_down.append(TransitionDown(
@@ -596,12 +569,12 @@ class TwoStreamNetwork:
                 rng.derive(f"pseudo_down{k}"), c_pseudo, sc[k], cfg.pseudo_stages[k],
                 cfg.l_group, cfg.attn_down))
             if cfg.pft_enabled:
-                self.links.append(CrossFusion(
+                self.link.append(CrossFusion(
                     rng.derive(f"link{k}"), sc[k], sc[k], sc[k],
                     cfg.raw_stages[k], cfg.pseudo_stages[k],
                     cfg.combine_mode, cfg.attn_fusion))
             else:
-                self.links.append(None)
+                self.link.append(None)
             c_raw = c_pseudo = sc[k]
 
         width = sc[-1]
@@ -622,18 +595,6 @@ class TwoStreamNetwork:
                 rng.derive("final_link"), width, width, width,
                 cfg.n_raw, cfg.n_pseudo, cfg.combine_mode, cfg.attn_fusion, one_way=True)
         self.width = width
-
-    def params(self, prefix: str = "net"):
-        out = []
-        for k, (rd, pd, ln) in enumerate(zip(self.raw_down, self.pseudo_down, self.links)):
-            out += rd.params(f"{prefix}.raw_down{k}") + pd.params(f"{prefix}.pseudo_down{k}")
-            if ln is not None:
-                out += ln.params(f"{prefix}.link{k}")
-        for i, (ru, pu) in enumerate(zip(self.raw_up, self.pseudo_up)):
-            out += ru.params(f"{prefix}.raw_up{i}") + pu.params(f"{prefix}.pseudo_up{i}")
-        if self.final_link is not None:
-            out += self.final_link.params(f"{prefix}.final_link")
-        return out
 
     def route_raw(self, coords: np.ndarray) -> StreamRoute:
         """Routing of the raw stream at coords [n_raw, 3]."""
@@ -657,8 +618,8 @@ class TwoStreamNetwork:
         for k in range(len(cfg.stage_channels)):
             rc, rf = self.raw_down[k](rc, rf, raw_route.down[k])
             pc, pf = self.pseudo_down[k](pc, pf, pseudo_route.down[k])
-            if self.links[k] is not None:
-                rf, pf, info = self.links[k](rf, pf)
+            if self.link[k] is not None:
+                rf, pf, info = self.link[k](rf, pf)
                 aux["links"].append(info)
             r_skips.append((rc, rf))
             p_skips.append((pc, pf))
@@ -727,24 +688,19 @@ class ProposalHead:
         self.c_in = c_in
         self.classes = tuple(classes)
         self.anchors = dict(anchors)
-        self.vote_mlp = Mlp(rng.derive("vote"), c_in, vote_hidden, 3)
-        self.cls_mlp = Mlp(rng.derive("cls"), c_in + 3, head_hidden, len(self.classes))
-        self.reg_mlp = Mlp(rng.derive("reg"), c_in + 3, head_hidden, 8)
-
-    def params(self, prefix: str = "head"):
-        return (self.vote_mlp.params(prefix + ".vote")
-                + self.cls_mlp.params(prefix + ".cls")
-                + self.reg_mlp.params(prefix + ".reg"))
+        self.vote = Mlp(rng.derive("vote"), c_in, vote_hidden, 3)
+        self.cls = Mlp(rng.derive("cls"), c_in + 3, head_hidden, len(self.classes))
+        self.reg = Mlp(rng.derive("reg"), c_in + 3, head_hidden, 8)
 
     def __call__(self, coords, feats) -> RpnOutput:
         coords = as_tensor(coords)
         feats = as_tensor(feats)
         if feats.data.shape[1] != self.c_in:
             raise FusionError(f"head expects {self.c_in} channels, got {feats.data.shape[1]}")
-        votes = coords + self.vote_mlp(feats)
+        votes = coords + self.vote(feats)
         joint = concat([votes, feats], axis=1)
-        cls_prob = sigmoid(self.cls_mlp(joint))
-        reg = self.reg_mlp(joint)
+        cls_prob = sigmoid(self.cls(joint))
+        reg = self.reg(joint)
         return RpnOutput(votes, cls_prob, reg)
 
     def decode_proposals(self, out: RpnOutput, score_threshold: float) -> ProposalSet:

@@ -34,13 +34,13 @@ def gradcheck_cases(seed: int, report: list | None = None):
     def case_linear():
         layer = nn.LinearLayer(rng.derive("lin"), 5, 4)
         x = Tensor(rng.normal((7, 5)), requires_grad=True)
-        ps = [t for _, t in layer.params("l")] + [x]
+        ps = [t for _, t in nn.named_params(layer, "l")] + [x]
         return gradcheck(lambda: tensor.tsum(layer(x) ** 2.0), ps, rng=rng.derive("c1"))
 
     def case_lbr():
         layer = nn.LbrLayer(rng.derive("lbr"), 5, 4)
         x = Tensor(rng.normal((9, 5)), requires_grad=True)
-        ps = [t for _, t in layer.params("l")] + [x]
+        ps = [t for _, t in nn.named_params(layer, "l")] + [x]
         return gradcheck(lambda: tensor.tsum(layer(x) ** 2.0), ps, rng=rng.derive("c2"))
 
     def case_lbr_grouped():
@@ -51,7 +51,7 @@ def gradcheck_cases(seed: int, report: list | None = None):
         layer = nn.LbrLayer(r.derive("layer"), 5, 4)
         x = Tensor(r.normal((4, 3, 5)), requires_grad=True)
         w = Tensor(r.normal((4, 3, 4)))
-        ps = [t for _, t in layer.params("l")] + [x]
+        ps = [t for _, t in nn.named_params(layer, "l")] + [x]
         return gradcheck(lambda: tensor.tsum(layer(x) * w), ps, rng=r.derive("c"))
 
     def case_mlp():
@@ -61,7 +61,7 @@ def gradcheck_cases(seed: int, report: list | None = None):
         layer = nn.Mlp(r.derive("layer"), 5, 6, 4)
         x = Tensor(r.normal((3, 4, 5)), requires_grad=True)
         w = Tensor(r.normal((3, 4, 4)))
-        ps = [t for _, t in layer.params("m")] + [x]
+        ps = [t for _, t in nn.named_params(layer, "m")] + [x]
         return gradcheck(lambda: tensor.tsum(layer(x) * w), ps, rng=r.derive("c"))
 
     def case_attend():
@@ -74,7 +74,8 @@ def gradcheck_cases(seed: int, report: list | None = None):
         pos_mlp = nn.Mlp(r.derive("pos"), 3, 5, 4)
         score = nn.Mlp(r.derive("score"), 4, 4, 4)
         w = Tensor(r.normal((8, 4)))
-        ps = [qkv, coords] + [t for _, t in pos_mlp.params("p") + score.params("s")]
+        ps = [qkv, coords] + [t for _, t in nn.named_params(pos_mlp, "p")
+                              + nn.named_params(score, "s")]
         return gradcheck(lambda: tensor.tsum(
             fusion.attend(qkv, coords, groups, "multiply", pos_mlp, score) * w), ps, rng=r.derive("c"))
 
@@ -113,7 +114,7 @@ def gradcheck_cases(seed: int, report: list | None = None):
             coords = Tensor(rng.uniform(-1, 1, (10, 3)))
             feats = Tensor(rng.normal((10, 6)), requires_grad=True)
             groups = geometry.knn_group(coords.data, coords.data, 4)
-            ps = [t for _, t in pa.params("pa")] + [feats]
+            ps = [t for _, t in nn.named_params(pa, "pa")] + [feats]
             w = Tensor(rng.normal((10, 6)))
             return gradcheck(lambda: tensor.tsum(pa(coords, feats, groups) * w),
                              ps, max_coords=12, rng=rng.derive("c6"))
@@ -124,7 +125,7 @@ def gradcheck_cases(seed: int, report: list | None = None):
         fr = Tensor(rng.normal((9, 5)), requires_grad=True)
         fp = Tensor(rng.normal((7, 4)), requires_grad=True)
         wr, wp = Tensor(rng.normal((9, 6))), Tensor(rng.normal((7, 6)))
-        ps = [t for _, t in cf.params("cf")] + [fr, fp]
+        ps = [t for _, t in nn.named_params(cf, "cf")] + [fr, fp]
 
         def f():
             a, b, _ = cf(fr, fp)
@@ -137,7 +138,7 @@ def gradcheck_cases(seed: int, report: list | None = None):
         td = fusion.TransitionDown(rng.derive("td"), 4, 6, 8, 4)
         tu = fusion.TransitionUp(rng.derive("tu"), 6, 4, 4)
         w = Tensor(rng.normal((18, 6)))
-        ps = [t for _, t in td.params("td") + tu.params("tu")] + [feats]
+        ps = [t for _, t in nn.named_params(td, "td") + nn.named_params(tu, "tu")] + [feats]
         route = fusion.route_stream(coords.data, (8,), 4, attention_up=True)
         return gradcheck(
             lambda: tensor.tsum(tu(*td(coords, feats, route.down[0]), coords, feats, route.up[0]) * w),
@@ -157,7 +158,7 @@ def gradcheck_cases(seed: int, report: list | None = None):
         coords = Tensor(rng.uniform(0, 10, (8, 3)))
         feats = Tensor(rng.normal((8, 5)), requires_grad=True)
         ws = (Tensor(rng.normal((8, 3))), Tensor(rng.normal((8, 3))), Tensor(rng.normal((8, 8))))
-        ps = [t for _, t in head.params()] + [feats]
+        ps = [t for _, t in nn.named_params(head, "head")] + [feats]
 
         def f():
             o = head(coords, feats)
@@ -180,7 +181,7 @@ def gradcheck_cases(seed: int, report: list | None = None):
         image = rng.uniform(0, 1, (8, 12, 3))
         ws = (Tensor(rng.normal((2, 3, 5))), Tensor(rng.normal((2, 3, 8))),
               Tensor(rng.normal((2, 3, 8))), Tensor(rng.normal((2, 3, 2))))
-        ps = [t for _, t in enc.params()]
+        ps = [t for _, t in nn.named_params(enc, "encoder")]
 
         def f():
             fi, dp, og = enc(image)
@@ -209,7 +210,7 @@ def gradcheck_cases(seed: int, report: list | None = None):
         net, rc, rf, pc, pf = _miniature()
         wr = Tensor(rng.normal((32, net.width)))
         wp = Tensor(rng.normal((16, net.width)))
-        ps = [t for _, t in net.params()][:10] + [rf, pf]
+        ps = [t for _, t in nn.named_params(net, "net")][:10] + [rf, pf]
         route = net.route_raw(rc.data)
 
         def f():
@@ -230,7 +231,8 @@ def gradcheck_cases(seed: int, report: list | None = None):
             rng.normal((32, 8), 0.3), rng.integers(0, 2, 32).astype(bool),
             rng.uniform(0, 10, (32, 3)), rng.integers(0, 2, 32).astype(bool))
         weights = losses.LossWeights()
-        ps = [t for _, t in net.params()][-8:] + [t for _, t in head.params()][:4] + [rf, pf, logits]
+        ps = ([t for _, t in nn.named_params(net, "net")][-8:]
+              + [t for _, t in nn.named_params(head, "head")][:4] + [rf, pf, logits])
         route = net.route_raw(rc.data)
 
         def f():

@@ -1,8 +1,11 @@
-"""Layers, initialisation, Adam, checkpoints and the gradient checker.
+"""Layers, initialisation, the parameter walker, Adam, checkpoints and
+the gradient checker.
 
 Everything here runs the tensor core deterministically: the same Rng
 seed yields the same parameters, the same forward values, and the same
-checkpoint bytes on every platform.
+checkpoint bytes on every platform.  Layers list no parameters
+themselves: ``named_params`` finds them by walking attributes, and names
+each by its attribute path.
 """
 
 from __future__ import annotations
@@ -73,6 +76,31 @@ def init_bias(rng: Rng, c_in: int, c_out: int) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, (c_out,)), requires_grad=True)
 
 
+def named_params(module, prefix: str) -> list[tuple[str, Tensor]]:
+    """Every Tensor a module holds, as (name, Tensor) pairs.
+
+    Walks the module's instance attributes in the order they were
+    assigned.  A Tensor is named by its attribute path under ``prefix``
+    (``head.cls.fc1.weight``); an item of a list or tuple adds its index
+    to the attribute's name, with no dot (``net.raw_down0``); any other
+    object with a ``__dict__`` is walked into, and everything else, None
+    included, is skipped.  The attribute path is the parameter's
+    checkpoint key, so renaming an attribute on the way to a Tensor
+    breaks every saved checkpoint.  A Tensor kept anywhere the walk does
+    not reach, in a dict say, is neither trained nor saved.
+    """
+    out = []
+    for attr, value in vars(module).items():
+        # a lone value takes the empty index, so both kinds share one name rule
+        items = enumerate(value) if isinstance(value, (list, tuple)) else (("", value),)
+        for i, item in items:
+            if isinstance(item, Tensor):
+                out.append((f"{prefix}.{attr}{i}", item))
+            elif hasattr(item, "__dict__"):
+                out += named_params(item, f"{prefix}.{attr}{i}")
+    return out
+
+
 class LinearLayer:
     """y = x @ weight + bias."""
 
@@ -81,9 +109,6 @@ class LinearLayer:
         self.c_out = c_out
         self.weight = init_weight(rng, c_in, c_out)
         self.bias = init_bias(rng, c_in, c_out)
-
-    def params(self, prefix: str):
-        return [(prefix + ".weight", self.weight), (prefix + ".bias", self.bias)]
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self)
@@ -136,10 +161,6 @@ class LbrLayer:
         self.weight = init_weight(rng, c_in, c_out)
         self.norm_scale = Tensor(np.ones(c_out), requires_grad=True)
         self.norm_shift = Tensor(np.zeros(c_out), requires_grad=True)
-
-    def params(self, prefix: str):
-        return [(prefix + ".weight", self.weight), (prefix + ".norm_scale", self.norm_scale),
-                (prefix + ".norm_shift", self.norm_shift)]
 
     def __call__(self, x: Tensor) -> Tensor:
         return lbr(x, self)
@@ -218,9 +239,6 @@ class Mlp:
     def __init__(self, rng: Rng, c_in: int, c_hidden: int, c_out: int):
         self.fc1 = LinearLayer(rng.derive("fc1"), c_in, c_hidden)
         self.fc2 = LinearLayer(rng.derive("fc2"), c_hidden, c_out)
-
-    def params(self, prefix: str):
-        return self.fc1.params(prefix + ".fc1") + self.fc2.params(prefix + ".fc2")
 
     def __call__(self, x: Tensor) -> Tensor:
         return mlp(x, self)
@@ -393,7 +411,7 @@ class Adam:
 #   magic b"TNSR" | u32 version=1 | u32 tensor count
 #   per tensor: u32 name length | name utf-8 | u32 ndim | u32 * ndim dims
 #               | float64 payload, C order
-# Loader validates magic, version and payload lengths.
+# Loader validates magic, version, names (utf-8, each once) and payload lengths.
 
 CHECKPOINT_MAGIC = b"TNSR"
 CHECKPOINT_VERSION = 1
@@ -426,10 +444,15 @@ def load_checkpoint(path: str) -> dict:
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         out = {}
-        for _ in range(count):
+        for index in range(count):
             (name_len,) = struct.unpack_from("<I", blob, off)
             off += 4
-            name = blob[off:off + name_len].decode("utf-8")
+            try:
+                name = blob[off:off + name_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"name of tensor {index} is not utf-8: {exc}") from exc
+            if name in out:
+                raise CheckpointError(f"tensor name {name!r} listed twice")
             off += name_len
             (ndim,) = struct.unpack_from("<I", blob, off)
             off += 4

@@ -24,7 +24,7 @@ from .fusion import (RAW_IN_CHANNELS, ProposalHead, RpnOutput, StreamRoute, TwoS
 from .geometry import LidBinning, farthest_point_sampling, lid_encode
 from .kitti import SceneSample
 from .losses import DepthTargets, LossWeights, RpnTargets, depth_loss, rpn_loss, total_loss
-from .nn import Adam, Rng, load_checkpoint, restore_params, save_checkpoint
+from .nn import Adam, Rng, load_checkpoint, named_params, restore_params, save_checkpoint
 from .tensor import Tensor, no_grad
 
 
@@ -133,8 +133,8 @@ class DetectionModel:
                                  DEFAULT_ANCHORS, cfg.vote_hidden, cfg.head_hidden)
 
     def params(self) -> dict:
-        pairs = (self.encoder.params("image") + self.backbone.params("net")
-                 + self.head.params("head"))
+        pairs = (named_params(self.encoder, "image") + named_params(self.backbone, "net")
+                 + named_params(self.head, "head"))
         out = dict(pairs)
         if len(out) != len(pairs):
             raise PipelineError("duplicate parameter names")
@@ -156,7 +156,7 @@ class DetectionModel:
         return ForwardState(fi, dp, og, pseudo, raw_coords, raw_out, pseudo_out, rpn, aux)
 
     def save(self, path: str) -> None:
-        save_checkpoint(path, sorted(self.params().items()))
+        save_checkpoint(path, self.params())
 
     def load(self, path: str) -> None:
         restore_params(self.params(), load_checkpoint(path))

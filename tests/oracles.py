@@ -172,8 +172,8 @@ def attention_chain(block, coords, feats, groups):
     """``fusion.PointAttention.__call__`` as its 25-node tape-op chain."""
     groups = np.sort(np.asarray(groups), axis=1)
     qkv = matmul(block.qkv_lbr(feats), block.expand)
-    pos = pos_encoding_chain(coords, groups, block.pos_mlp)
-    return block.out_lbr(attend_chain(qkv, pos, groups, block.mode, block.score_mlp)) + feats
+    pos = pos_encoding_chain(coords, groups, block.pos)
+    return block.out_lbr(attend_chain(qkv, pos, groups, block.mode, block.score)) + feats
 
 
 # -- point routing ----------------------------------------------------------------

@@ -46,10 +46,13 @@ by up to 1.2e-2, and each detection score by at most 3.1e-15.
 A change that moves a digest on purpose first runs
 ``PYTHONPATH=src python tests/test_digests.py --compare``, which writes
 nothing: it prints how many digests differ bytewise and how many differ
-off the fingerprint (as on another platform), shows the first few, and
-exits 1 if any differ off the fingerprint.  With none there, it rewrites
-the file with ``PYTHONPATH=src python tests/test_digests.py`` and says
-why in CHANGES.md.
+off the fingerprint (as on another platform), then how many gradcheck
+cases were added or removed, shows the first few of each, and exits 1 if
+any value differs off the fingerprint.  A changed case list does not set
+the exit code, and a change that makes one lists those cases in
+CHANGES.md.  With no off-fingerprint difference, it rewrites the file
+with ``PYTHONPATH=src python tests/test_digests.py`` and says why in
+CHANGES.md.
 """
 
 import dataclasses
@@ -221,16 +224,12 @@ def differences(pinned: dict, run: dict) -> list[str]:
     # rows by case name, so a missing, extra or changed case counts once;
     # the errors on the fingerprint only, the tolerances and statuses everywhere
     keep = (lambda r: r) if exact else (lambda r: r[:1] + r[2:4])
-    want_rows = {row[0]: row for row in pinned["gradcheck"]}
     have_rows = {row[0]: row for row in run["gradcheck"]}
-    for name, want in want_rows.items():
-        have = have_rows.get(name)
-        if have is None:
-            found.append(f"gradcheck case {name} missing, pinned {want}")
-        elif keep(want) != keep(have):
+    for want in pinned["gradcheck"]:
+        have = have_rows.get(want[0])
+        if have is not None and keep(want) != keep(have):
             found.append(f"gradcheck {have} != {want}")
-    found += [f"gradcheck case {name} not pinned: {have}"
-              for name, have in have_rows.items() if name not in want_rows]
+    found += case_list_changes(pinned, run)
     found += _eval_differences("", pinned, run, exact, same)
     want, have = pinned["overfit_eval"], run["overfit_eval"]
     if want["steps"] != have["steps"]:
@@ -322,19 +321,36 @@ def test_a_moved_digest_is_caught_in_both_modes():
         assert len(changed(edit, foreign=True)) == foreign
 
 
+def case_list_changes(pinned: dict, run: dict) -> list[str]:
+    """The gradcheck cases only one side has.  A changed case list reads
+    the same on every fingerprint."""
+    want = {row[0]: row for row in pinned["gradcheck"]}
+    have = {row[0]: row for row in run["gradcheck"]}
+    return ([f"gradcheck case {name} missing, pinned {row}"
+             for name, row in want.items() if name not in have]
+            + [f"gradcheck case {name} not pinned: {row}"
+               for name, row in have.items() if name not in want])
+
+
 def compare(shown: int = 5) -> int:
-    """Print the run's differences from the pins, bytewise and off the
-    fingerprint; 1 if any differ off the fingerprint, else 0."""
+    """Print the run's value differences from the pins, bytewise and off
+    the fingerprint, then its gradcheck case-list changes; 1 if any value
+    differs off the fingerprint, else 0."""
     pinned = json.loads(DIGESTS.read_text())
     run = current()
     foreign = dict(pinned["fingerprint"], cpu=f"not {pinned['fingerprint']['cpu']}")
-    found = {"bytewise": differences(pinned, dict(run, fingerprint=pinned["fingerprint"])),
-             "off-fingerprint": differences(pinned, dict(run, fingerprint=foreign))}
-    for mode, lines in found.items():
-        print(f"{len(lines)} {mode} difference(s)")
+    cases = case_list_changes(pinned, run)
+
+    def values(fp):
+        return [line for line in differences(pinned, dict(run, fingerprint=fp)) if line not in cases]
+    found = {"bytewise difference(s)": values(pinned["fingerprint"]),
+             "off-fingerprint difference(s)": values(foreign),
+             "gradcheck case-list change(s)": cases}
+    for what, lines in found.items():
+        print(f"{len(lines)} {what}")
         for line in lines[:shown]:
             print(f"  {line}")
-    return 1 if found["off-fingerprint"] else 0
+    return 1 if found["off-fingerprint difference(s)"] else 0
 
 
 def test_compare_counts_both_modes_and_fails_only_off_the_fingerprint(monkeypatch, capsys):
@@ -350,6 +366,15 @@ def test_compare_counts_both_modes_and_fails_only_off_the_fingerprint(monkeypatc
         monkeypatch.setattr(sys.modules[__name__], "current", lambda: run)
         assert compare() == code
         assert want in capsys.readouterr().out
+    # an added or removed gradcheck case is counted apart and passes
+    run = json.loads(json.dumps(pinned))
+    dropped = run["gradcheck"].pop(0)
+    run["gradcheck"].append(["new-case"] + dropped[1:])
+    monkeypatch.setattr(sys.modules[__name__], "current", lambda: run)
+    assert compare() == 0
+    assert ("0 bytewise difference(s)\n0 off-fingerprint difference(s)\n"
+            f"2 gradcheck case-list change(s)\n  gradcheck case {dropped[0]} missing"
+            in capsys.readouterr().out)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from pointfuse.fusion import (
     route_stream,
     route_up,
 )
-from pointfuse.nn import Mlp, Rng, gradcheck, init_weight
+from pointfuse.nn import Mlp, Rng, gradcheck, init_weight, named_params
 from pointfuse.tensor import NonFiniteError, Tensor
 
 import oracles
@@ -215,7 +215,7 @@ def test_attention_equals_its_chain_bit_for_bit(mode, group, leaves):
     w = Tensor(rng.standard_normal((10, 6)))
     groups = G.knn_group(coords.data, coords.data, group)
     block = PointAttention(Rng(8), 6, mode=mode)
-    ps = [p for _, p in block.params("a")] + [t for t in (coords, feats) if t.requires_grad]
+    ps = [p for _, p in named_params(block, "a")] + [t for t in (coords, feats) if t.requires_grad]
     second = coords if "coords" in leaves else None
     got = _backward_twice(lambda: block(coords, feats, groups), ps, w, second)
     _assert_same_bits(got, _backward_twice(
@@ -241,7 +241,7 @@ def test_pos_encoding_equals_its_chain_bit_for_bit(group, coords_as):
     groups = np.sort(G.knn_group(coords.data, coords.data, group), axis=1)
     pos_mlp, score_mlp = Mlp(Rng(11), 3, 6, 6), Mlp(Rng(12), 6, 6, 6)
     w = Tensor(rng.standard_normal((10, 6)))
-    ps = ([qkv] + [p for _, p in pos_mlp.params("p") + score_mlp.params("s")]
+    ps = ([qkv] + [p for _, p in named_params(pos_mlp, "p") + named_params(score_mlp, "s")]
           + ([coords] if coords.requires_grad else []))
     second = coords if coords_as == "leaf-second-consumer" else None
     for mode in ("subtract", "multiply"):
@@ -254,7 +254,7 @@ def test_pos_encoding_equals_its_chain_bit_for_bit(group, coords_as):
 
 def _nodes_behind(out, inputs, block):
     """Op nodes between out and the inputs or the block's parameters."""
-    stop = {id(t) for t in inputs} | {id(p) for _, p in block.params("a")}
+    stop = {id(t) for t in inputs} | {id(p) for _, p in named_params(block, "a")}
     stack, seen, nodes = [out], {id(out)}, 0
     while stack:
         node = stack.pop()
@@ -285,7 +285,7 @@ def test_attention_without_a_tape_records_no_parents():
     block = PointAttention(Rng(10), 6)
     with T.no_grad():
         qkv = T.matmul(block.qkv_lbr(feats), block.expand)
-        args = (qkv, coords, groups, "subtract", block.pos_mlp, block.score_mlp)
+        args = (qkv, coords, groups, "subtract", block.pos, block.score)
         pooled, want_pooled = attend(*args), _attend_chain(*args)
         out = block(coords, feats, groups)
         want = oracles.attention_chain(block, coords, feats, groups)
@@ -581,15 +581,15 @@ def test_one_way_cross_fusion_is_the_raw_half_of_the_two_way_link():
         both = CrossFusion(Rng(14), 6, 6, 6, 7, 4, combine=combine)
         one = CrossFusion(Rng(14), 6, 6, 6, 7, 4, combine=combine, one_way=True)
         halves = ("q_raw", "v_raw", "k_pseudo", "proj_pseudo", "mix_pseudo", "out_pseudo")
-        assert [(n, p.data.tobytes()) for n, p in one.params("l")] == [
-            (n, p.data.tobytes()) for n, p in both.params("l") if n.split(".")[1] not in halves]
+        assert [(n, p.data.tobytes()) for n, p in named_params(one, "l")] == [
+            (n, p.data.tobytes()) for n, p in named_params(both, "l") if n.split(".")[1] not in halves]
         er_b, _, aux_b = both(f_raw, f_pseudo)
         er_o, ep_o, aux_o = one(f_raw, f_pseudo)
         assert ep_o is f_pseudo
         assert er_o.data.tobytes() == er_b.data.tobytes(), combine
         assert list(aux_o) == ["attn_raw"]
         assert aux_o["attn_raw"].tobytes() == aux_b["attn_raw"].tobytes()
-    assert {n.split(".")[1] for n, _ in one.params("l")} == {
+    assert {n.split(".")[1] for n, _ in named_params(one, "l")} == {
         "k_raw", "q_pseudo", "v_pseudo", "proj_raw", "mix_raw", "out_raw"}
     # each stream's q, k and v blocks are the column blocks of one draw
     for side in ("raw", "pseudo"):
@@ -604,7 +604,7 @@ def test_backbone_final_link_is_one_way():
     _, pf, aux = net(*backbone_inputs(cfg))
     assert list(aux["final"]) == ["attn_raw"]
     assert all("attn_pseudo" in info for info in aux["links"])
-    names = [n for n, _ in net.params()]
+    names = [n for n, _ in named_params(net, "net")]
     assert not any(n.startswith("net.final_link.") and "_pseudo." in n for n in names)
     assert sum(n.startswith(f"net.link{k}.out_pseudo.") for n in names
                for k in range(len(cfg.stage_channels))) == 3 * len(cfg.stage_channels)
@@ -658,7 +658,7 @@ def test_backbone_width_contract_and_aux():
     assert pf.shape == (cfg.n_pseudo, cfg.stage_channels[-1])
     assert len(aux["links"]) == len(cfg.stage_channels)
     assert "final" in aux
-    names = [n for n, _ in net.params()]
+    names = [n for n, _ in named_params(net, "net")]
     assert len(names) == len(set(names))  # no duplicate parameter names
 
 
@@ -669,7 +669,7 @@ def test_backbone_disabled_links_change_structure_not_shapes():
     assert rf.shape == (cfg.n_raw, cfg.stage_channels[-1])
     assert aux["links"] == []
     assert "final" not in aux
-    assert not any("link" in n for n, _ in net.params())
+    assert not any("link" in n for n, _ in named_params(net, "net"))
 
 
 def test_backbone_without_links_isolates_the_streams():

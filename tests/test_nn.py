@@ -9,6 +9,8 @@ tests pin the first-step magnitude, which Adam fixes at lr regardless of
 gradient scale; the checkpoint tests do byte-level corruption.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from pointfuse.nn import (
     linear,
     load_checkpoint,
     mlp,
+    named_params,
     restore_params,
     save_checkpoint,
 )
@@ -144,7 +147,7 @@ def _loss_and_grads(op, layer, x, w, second_consumer):
     """Backward twice through sum(op(x) * w) (plus sum(x * x) when x has a
     second consumer) from zeroed grads; returns the output, the loss and
     the leaf grads after each backward."""
-    leaves = [p for _, p in layer.params("l")] + ([x] if x.requires_grad else [])
+    leaves = [p for _, p in named_params(layer, "l")] + ([x] if x.requires_grad else [])
     T.zero_grads(leaves)
     out = op(x, layer)
     loss = T.tsum(out * w)
@@ -172,7 +175,7 @@ LBR_SUBNORMAL_GRAD_RTOL = 1e-12
 def _assert_same_gradients(kind, layer, got, want, rtol=LBR_GRAD_RTOL):
     """Bit for bit, except lbr's weight and input gradients: those within
     rtol of the largest |gradient|."""
-    names = [n for n, _ in layer.params("l")] + ["x"]
+    names = [n for n, _ in named_params(layer, "l")] + ["x"]
     for name, g, h in zip(names, got, want):
         if kind == "lbr-standardize" and name in ("l.weight", "x"):
             assert np.max(np.abs(g - h)) <= rtol * np.max(np.abs(h)), name
@@ -203,7 +206,7 @@ def test_fused_layer_is_one_op_on_the_input_and_the_layer_parameters(kind):
     layer, fused, chain = _layer(kind)
     x = Tensor(Rng(3).normal((6, 4)))
     out = fused(x, layer)
-    params = tuple(p for _, p in layer.params("l"))
+    params = tuple(p for _, p in named_params(layer, "l"))
     assert len(out._parents) == len(out._vjp(np.ones(out.shape))) == 1 + len(params)
     assert all(a is b for a, b in zip(out._parents, (x,) + params))
     with T.no_grad():
@@ -296,11 +299,11 @@ def test_mlp_with_frozen_first_layer_computes_only_the_second_layers_gradients()
 def test_lbr_and_mlp_gradients():
     layer = LbrLayer(Rng(6), 4, 3)
     x = Tensor(np.random.default_rng(2).standard_normal((6, 4)), requires_grad=True)
-    leaves = [x] + [p for _, p in layer.params("l")]
+    leaves = [x] + [p for _, p in named_params(layer, "l")]
     err = gradcheck(lambda: T.tsum(layer(x) ** 2), leaves, rng=Rng(60))
     assert err < 1e-6
     mlp = Mlp(Rng(7), 4, 5, 2)
-    leaves = [x] + [p for _, p in mlp.params("m")]
+    leaves = [x] + [p for _, p in named_params(mlp, "m")]
     err = gradcheck(lambda: T.tsum(mlp(x) ** 2), leaves, rng=Rng(61))
     assert err < 1e-6
 
@@ -483,7 +486,7 @@ def test_blocked_adam_matches_the_one_pass_step_with_one_entry_blocks(monkeypatc
 
     def make_model():
         mlp = Mlp(Rng(5), 4, 6, 3)
-        return dict(mlp.params("m")), lambda: T.tsum(mlp(x) ** 2)
+        return dict(named_params(mlp, "m")), lambda: T.tsum(mlp(x) ** 2)
 
     check_blocked_adam_against_one_pass(monkeypatch, 1, make_model)
 
@@ -617,6 +620,18 @@ def test_checkpoint_corruption_is_detected(tmp_path):
     (tmp_path / "x.bin").write_bytes(bytes(blob) + b"\x00")  # trailing junk
     with pytest.raises(CheckpointError):
         load_checkpoint(str(tmp_path / "x.bin"))
+
+    # saved in name order (head.weight, layer.bias, layer.weight), so the
+    # second tensor's name is "layer.bias"
+    (tmp_path / "u.bin").write_bytes(bytes(blob).replace(b"layer.bias", b"layer.bia\xff"))
+    with pytest.raises(CheckpointError, match="name of tensor 1 is not utf-8"):
+        load_checkpoint(str(tmp_path / "u.bin"))
+
+    renamed = bytes(blob).replace(struct.pack("<I", 10) + b"layer.bias",
+                                  struct.pack("<I", 11) + b"head.weight")
+    (tmp_path / "d.bin").write_bytes(renamed)       # one name listed twice
+    with pytest.raises(CheckpointError, match="'head.weight' listed twice"):
+        load_checkpoint(str(tmp_path / "d.bin"))
 
 
 # -- gradcheck ------------------------------------------------------------------

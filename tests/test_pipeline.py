@@ -5,6 +5,7 @@ test is a short smoke (the full 200-step overfit lives with the
 acceptance criteria); it asserts direction, not convergence.
 """
 
+import hashlib
 import tracemalloc
 import weakref
 
@@ -128,6 +129,18 @@ def test_model_params_unique_and_trainable():
     assert all(p.requires_grad for p in params.values())
 
 
+def test_desk_checkpoint_keys_are_pinned():
+    # parameter names are attribute paths (nn.named_params) and checkpoints
+    # store them, so a renamed attribute silently orphans every saved
+    # checkpoint.  Moving this digest breaks every saved checkpoint: a
+    # change that does so must say so in CHANGES.md.
+    params = DetectionModel(NetworkConfig.desk(), Rng(0)).params()
+    keys = "\n".join(f"{n} {params[n].data.shape}" for n in sorted(params))
+    assert len(params) == 363
+    assert hashlib.sha256(keys.encode()).hexdigest() == (
+        "8b6c1c09b5403c3a921cdbe0a66dc571d8f193a4af782e59e54e3fdc498529be")
+
+
 # A parameter is dead in a row when its largest |gradient| is at most this
 # share of the row's largest: parameters the output cannot see get rounding
 # residues (at most 2e-14 of the top), every live one at least 1e-5 of it.
@@ -153,7 +166,9 @@ DEAD_BY_DESIGN = {
 
 def test_every_parameter_reaches_the_loss_under_every_ablation_row():
     # one seeded desk pass over 4 scenes per row, gradients summed without a
-    # step; a parameter that falls off the loss path shows up here
+    # step; a parameter that falls off the loss path shows up here, and a
+    # trained leaf that ``named_params`` cannot see (one kept in a dict, say)
+    # would be neither updated nor saved
     scenes = cli._make_scenes(RunConfig(), Rng(0), 4)
     for label, overrides in cli.ABLATION_ROWS:
         cfg = RunConfig()
@@ -162,9 +177,13 @@ def test_every_parameter_reaches_the_loss_under_every_ablation_row():
         cfg.validate()
         model = DetectionModel(cfg.net, Rng(0).derive("model"))
         params = model.params()
+        named = {id(p) for p in params.values()}
         for prepared in scenes:
             total, _ = compute_losses(prepared, model.forward(prepared), cfg.loss)
             total.backward()
+            unnamed = [t.data.shape for t in T._topo_order(total)
+                       if not t._parents and id(t) not in named]
+            assert not unnamed, (label, unnamed)
         top = {n: np.max(np.abs(p.grad)) for n, p in params.items()}
         dead = sorted(n for n, g in top.items() if g <= DEAD_SHARE * max(top.values()))
         expected = []
