@@ -17,7 +17,8 @@ bitwise identical under any permutation of a group's members.
 The inverse-distance interpolation and the attention between its layers
 (positional encoding, score path and pooling) are one tape op each.
 Each keeps only the arrays its backward reads and recomputes the rest,
-with the forward's expressions, from its inputs; ``tests/oracles.py``
+with the forward's expressions, from its inputs; the attention op also
+lets go of what it kept once its backward has run.  ``tests/oracles.py``
 keeps the op chains they replace.
 """
 
@@ -157,11 +158,13 @@ def attend(qkv, coords, groups, mode: str, pos_mlp: Mlp, score_mlp: Mlp) -> Tens
     score MLP).  coords is listed twice, so its two gradients enter
     backward's sums in the chain's order: first the gather's scatter-add,
     then the centring's sum over the group.  It keeps pos, the score
-    MLP's hidden layer and attn, plus k[groups] in multiply mode;
-    backward recomputes the pre-score, v[groups] + pos, the offsets and
-    the positional hidden layer (a cheap K = 3 product).  The gradients
-    of qkv and pos are each the sum of the pooling's part and the
-    pre-score's part, the two parts the chain's ``flow`` adds.
+    MLP's hidden layer and attn, plus k[groups] in multiply mode, until
+    its backward has run; a later backward over the same graph rebuilds
+    them with ``build``, the forward's own body.  Backward recomputes the
+    pre-score, v[groups] + pos, the offsets and the positional hidden
+    layer (a cheap K = 3 product).  The gradients of qkv and pos are
+    each the sum of the pooling's part and the pre-score's part, the two
+    parts the chain's ``flow`` adds.
     """
     qkv, coords = as_tensor(qkv), as_tensor(coords)
     pfc1, pfc2 = pos_mlp.fc1, pos_mlp.fc2
@@ -184,39 +187,45 @@ def attend(qkv, coords, groups, mode: str, pos_mlp: Mlp, score_mlp: Mlp) -> Tens
     def offsets():                                       # one row per group member
         return (coords.data[groups] - coords.data.reshape((m, 1, d))).reshape((-1, d))
 
-    kept_kg = qkv.data[:, c:2 * c][groups] if multiply else None
+    def scores(kg):                                      # q against k, before pos
+        return qe * kg if multiply else qe - qkv.data[:, c:2 * c][groups]
 
-    def scores():                                        # q against k, before pos
-        return qe * kept_kg if multiply else qe - qkv.data[:, c:2 * c][groups]
-
-    def values():
+    def values(pos):
         vp = qkv.data[:, 2 * c:3 * c][groups]
         vp += pos
         return vp
 
-    def pre_rows():                                      # the score MLP's input rows
-        pre = scores()
+    def pre_rows(pos, kg):                               # the score MLP's input rows
+        pre = scores(kg)
         pre += pos
         return pre.reshape((-1, c))
 
-    flat = offsets()
-    check(flat)
-    pos = _mlp_forward(flat, pos_mlp, check)[1].reshape(groups.shape + (c,))
-    check(pos)
-    # in-place steps below run the chain's operations on the same values,
-    # without the chain's temporaries
-    pre = scores()
-    check(pre)
-    pre += pos
-    check(pre)
-    hidden, attn = _mlp_forward(pre.reshape((-1, c)), score_mlp, check)
-    del pre
-    attn = attn.reshape(groups.shape + (c,))
-    check(attn)
-    attn -= attn.max(axis=1, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=1, keepdims=True)
-    vp = values()
+    def build():
+        """pos, the score MLP's hidden layer, attn and k[groups] (None
+        unless multiply): what backward reads, by the forward's body."""
+        kg = qkv.data[:, c:2 * c][groups] if multiply else None
+        flat = offsets()
+        check(flat)
+        pos = _mlp_forward(flat, pos_mlp, check)[1].reshape(groups.shape + (c,))
+        check(pos)
+        # in-place steps below run the chain's operations on the same
+        # values, without the chain's temporaries
+        pre = scores(kg)
+        check(pre)
+        pre += pos
+        check(pre)
+        hidden, attn = _mlp_forward(pre.reshape((-1, c)), score_mlp, check)
+        del pre
+        attn = attn.reshape(groups.shape + (c,))
+        check(attn)
+        attn -= attn.max(axis=1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=1, keepdims=True)
+        return pos, hidden, attn, kg
+
+    kept = [build()]                                     # taken by the first backward
+    pos, _, attn, _ = kept[0]
+    vp = values(pos)
     check(vp)
     vp *= attn
     out = vp.sum(axis=(1,))
@@ -226,26 +235,29 @@ def attend(qkv, coords, groups, mode: str, pos_mlp: Mlp, score_mlp: Mlp) -> Tens
 
     def grads_of(g):
         grads = [None] * len(parents)
+        # the first backward takes the kept arrays, so they go when it is
+        # done with them; a later one rebuilds them bit for bit
+        pos, hidden, attn, kg = kept.pop() if kept else build()
         # the pooling: multiply, sum over the group, softmax, in place on
         # v[groups] + pos
         g = np.expand_dims(g, 1)
-        g_logits = values()
+        g_logits = values(pos)
         g_logits *= g                                    # g_attn
         inner = (g_logits * attn).sum(axis=1, keepdims=True)
         g_logits -= inner
         g_logits *= attn
         # the score MLP, then the pre-score; each input's pooling part
         # comes first, as in flow
-        g_pre = _mlp_backward(g_logits.reshape((-1, c)), hidden, pre_rows, score_mlp, pre_grad,
-                              grads, 7)
-        del g_logits
+        g_pre = _mlp_backward(g_logits.reshape((-1, c)), hidden, lambda: pre_rows(pos, kg),
+                              score_mlp, pre_grad, grads, 7)
+        del g_logits, hidden, pos
         if g_pre is None:
             return grads
         g_pre = g_pre.reshape(attn.shape)
         g_vp = g * attn
         if qkv.requires_grad:
             if multiply:
-                g_q, g_k = _unbroadcast(g_pre * kept_kg, qe.shape), g_pre * qe
+                g_q, g_k = _unbroadcast(g_pre * kg, qe.shape), g_pre * qe
             else:
                 g_q, g_k = _unbroadcast(g_pre, qe.shape), -g_pre
             # each third's one part plus the +0.0 of the other, as the

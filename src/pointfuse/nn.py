@@ -176,9 +176,11 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
     the chain's bit for bit (``tests/oracles.py`` keeps it).  Like the
     chain, it raises NonFiniteError at the first non-finite stage,
     checking the pre-norm values, the mean, the variance and the pre-ReLU
-    values.  It keeps only ``centred`` and ``sd``: backward recomputes
-    ``normed = centred / sd`` and reads the ReLU mask off the output as
-    ``out > 0``.
+    values.  It keeps ``centred``, its [1, c] mean ``mu`` and ``sd``, and
+    reads the ReLU mask off the output as ``out > 0``.  Backward turns
+    ``centred`` into ``normed = centred / sd`` in place, which releases
+    it; a later backward over the same graph rebuilds it as ``flat @
+    weight`` followed by ``-= mu``, the forward's bytes.
 
     Backward is batch norm's closed form (Ioffe & Szegedy 2015, §3).  With
     g the ReLU-masked upstream gradient, shift and scale get sum(g) and
@@ -212,11 +214,17 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
     pre += shift.data
     check(pre)
     out = _relu_(pre)
+    kept = [centred]                                     # taken by the first backward
 
     def grads_of(g):
         g = g.reshape(out.shape) * (out > 0.0)           # relu
         grads = [None] * len(parents)
-        normed = centred / sd
+        if kept:                   # the forward's centred, released as it turns into normed
+            normed = kept.pop()
+        else:                      # a later backward rebuilds it
+            normed = flat @ w.data
+            normed -= mu
+        normed /= sd
         g_sum, gn_sum = g.sum(axis=0), (g * normed).sum(axis=0)
         if shift.requires_grad:
             grads[3] = g_sum
@@ -230,7 +238,7 @@ def lbr(x, layer: LbrLayer, eps: float = LBR_NORM_EPS) -> Tensor:
             grads[0] = _grad_product(g, w.data.T, layer.c_in, True).reshape(x.data.shape)
         return grads
 
-    return Tensor._result(out.reshape(lead + (layer.c_out,)), parents, grads_of)
+    return Tensor._result(out.reshape(lead + (layer.c_out,)), parents, grads_of, finite=True)
 
 
 class Mlp:
@@ -301,7 +309,9 @@ def mlp(x, layer: Mlp) -> Tensor:
     fc2.bias), running the MLP kernel above, so values and gradients
     equal the chain linear -> relu -> linear bit for bit.  Like the
     chain, it raises NonFiniteError if the hidden layer or the output is
-    non-finite.  It keeps the hidden layer.
+    non-finite.  It keeps the hidden layer until its backward has run; a
+    later backward over the same graph rebuilds it with ``_mlp_hidden``,
+    the forward's own first half.
     """
     x = as_tensor(x)
     fc1, fc2 = layer.fc1, layer.fc2
@@ -310,10 +320,15 @@ def mlp(x, layer: Mlp) -> Tensor:
     parents = (x, fc1.weight, fc1.bias, fc2.weight, fc2.bias)
     lead = x.data.shape[:-1]
     flat = x.data.reshape((-1, fc1.c_in))
-    hidden, out = _mlp_forward(flat, layer, _finite_check("mlp", parents))
+    check = _finite_check("mlp", parents)
+    hidden, out = _mlp_forward(flat, layer, check)
+    kept = [hidden]                                      # taken by the first backward
 
     def grads_of(g):
         grads = [None] * len(parents)
+        # the forward's hidden layer, released when this backward returns;
+        # a later backward rebuilds it
+        hidden = kept.pop() if kept else _mlp_hidden(flat, fc1, check)
         g_x = _mlp_backward(g.reshape(out.shape), hidden, lambda: flat, layer,
                             x.requires_grad, grads, 1)
         if g_x is not None:
@@ -418,8 +433,15 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path: str, named) -> None:
+    """Write a name -> Tensor (or array) dict, or (name, Tensor) pairs, in
+    name order.  A name given twice raises CheckpointError before the
+    file is opened, as the loader rejects it."""
+    pairs = sorted(named.items() if isinstance(named, dict) else named, key=lambda kv: kv[0])
+    for (name, _), (after, _) in zip(pairs, pairs[1:]):
+        if name == after:
+            raise CheckpointError(f"tensor name {name!r} listed twice")
     items = [(name, np.asarray(t.data if isinstance(t, Tensor) else t, dtype=np.float64))
-             for name, t in sorted(dict(named).items())]
+             for name, t in pairs]
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(items)))

@@ -19,7 +19,9 @@ NonFiniteError through ``_finite_check``.  The two that run an MLP
 (``nn.mlp``, and ``attend`` for its positional and score MLPs) share
 its kernel, ``nn._mlp_forward`` and ``nn._mlp_backward``.  They
 keep only the arrays their backward reads and rebuild the rest from
-them.
+them.  ``attend``, ``lbr`` and ``mlp`` let go of what they keep once
+their backward has run; a later backward over the same graph rebuilds
+it from the node's parents with the forward's expressions, bit for bit.
 
 Three hard rules hold everywhere:
   * non-finite values (NaN/Inf) raise immediately instead of propagating,
@@ -131,15 +133,19 @@ class Tensor:
     # -- construction of op results ------------------------------------
 
     @staticmethod
-    def _result(data, parents, vjp):
+    def _result(data, parents, vjp, finite: bool = False):
         """The op result ``data`` as a tape node over ``parents``, if one
         of them requires grad and the tape is on.  ``vjp(g)`` maps the
         output's gradient g to a sequence with one entry per parent, in
         parent order: that parent's gradient, or None exactly where the
-        parent does not require grad (such an entry costs nothing)."""
+        parent does not require grad (such an entry costs nothing).
+        ``finite=True`` skips the finite test, for an op whose output is
+        finite whenever its operands are: one that only selects, moves or
+        clips their values, or one that has checked them itself
+        (``tests/test_hygiene.py`` lists these ops)."""
         out = Tensor.__new__(Tensor)
         out.data = np.asarray(data, dtype=np.float64)
-        if not _all_finite(out.data):
+        if not finite and not _all_finite(out.data):
             # name the op that called us; only the failure path pays for it
             raise _non_finite(sys._getframe(1).f_code.co_name,
                               (p.data.shape for p in parents))
@@ -252,7 +258,13 @@ def _topo_order(root: Tensor):
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(x) into ``grad`` for every requires_grad
     leaf reachable from ``loss``.  ``loss`` must be scalar.  Gradients of
-    intermediates exist only in ``flow`` and are dropped once passed on."""
+    intermediates exist only in ``flow`` and are dropped once passed on.
+
+    The walk leaves every node's output and parents in place, so calling
+    it again over the same graph adds the same gradients once more.  The
+    fused ops ``nn.lbr``, ``nn.mlp`` and ``fusion.attend`` release the
+    arrays they kept for their backward as it runs (a graph held after
+    backward holds less), and a second call rebuilds them bit for bit."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -376,7 +388,9 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     """Clip values to [lo, hi]; gradient is identity strictly inside."""
     a = as_tensor(a)
     mask = (a.data > lo) & (a.data < hi)
-    return Tensor._result(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
+    # only a NaN bound can put a non-finite value into the clipped output
+    return Tensor._result(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,),
+                          finite=not (np.isnan(lo) or np.isnan(hi)))
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -539,7 +553,7 @@ def amax(a, axis: int, keepdims: bool = False) -> Tensor:
         np.put_along_axis(z, np.expand_dims(idx, ax), g, axis=ax)
         return (z,)
 
-    return Tensor._result(out, (a,), vjp)
+    return Tensor._result(out, (a,), vjp, finite=True)
 
 
 def maxpool_group(x) -> Tensor:
@@ -572,14 +586,15 @@ def softmax(a, axis: int = -1) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     out = a.data.reshape(shape)
-    return Tensor._result(out, (a,), lambda g: (g.reshape(a.data.shape),))
+    return Tensor._result(out, (a,), lambda g: (g.reshape(a.data.shape),), finite=True)
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    return Tensor._result(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
+    return Tensor._result(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),),
+                          finite=True)
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -595,7 +610,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
         z[sl] = g
         return (z,)
 
-    return Tensor._result(a.data[sl], (a,), vjp)
+    return Tensor._result(a.data[sl], (a,), vjp, finite=True)
 
 
 def concat(parts, axis: int = 0) -> Tensor:
@@ -611,7 +626,7 @@ def concat(parts, axis: int = 0) -> Tensor:
         return [g[lead + (slice(end - p.data.shape[ax], end),)] if p.requires_grad else None
                 for p, end in zip(parts, ends)]
 
-    return Tensor._result(out, parts, vjp)
+    return Tensor._result(out, parts, vjp, finite=True)
 
 
 def _scatter_rows(rows: np.ndarray, vals: np.ndarray, shape: tuple) -> np.ndarray:
@@ -646,7 +661,8 @@ def gather_rows(a, idx) -> Tensor:
     idx = _row_index(idx, a.data.shape[0], "gather_rows")
     out = a.data[idx]
 
-    return Tensor._result(out, (a,), lambda g: (_scatter_rows(idx, g, a.data.shape),))
+    return Tensor._result(out, (a,), lambda g: (_scatter_rows(idx, g, a.data.shape),),
+                          finite=True)
 
 
 # -- differentiable grid sampling ---------------------------------------------

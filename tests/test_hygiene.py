@@ -14,6 +14,12 @@ No module under ``src/`` computes a ReLU as ``np.where(x > 0, x, 0)``:
 its per-element branch is mispredicted on mixed signs, and
 ``tensor._relu_`` gives the same bytes without one.
 
+Only the ops listed in ``FINITE_SKIPS`` pass ``finite=`` to
+``Tensor._result`` and so skip the finite test of their output: each
+only selects, moves or clips its operands' values, or (``lbr``) has
+checked the values its output is the ReLU of.  A new skip is a choice
+that this list must record.
+
 Every field of a config dataclass (a section of ``RunConfig``) must be
 read somewhere in ``src/`` outside the ``validate`` and ``__post_init__``
 checks: a setting that only its own check reads changes nothing a run
@@ -185,3 +191,40 @@ def test_no_module_in_src_computes_a_relu_with_where():
              for path in sorted((ROOT / "src").rglob("*.py"))
              for line in where_relus(path.read_text())]
     assert not found, "np.where ReLU, use tensor._relu_:\n" + "\n".join(found)
+
+
+# module:function of every op whose output skips Tensor._result's finite test
+FINITE_SKIPS = ["nn.py:lbr", "tensor.py:amax", "tensor.py:clamp", "tensor.py:concat",
+                "tensor.py:gather_rows", "tensor.py:narrow", "tensor.py:reshape",
+                "tensor.py:transpose"]
+
+
+def finite_skips(source: str) -> list[str]:
+    """Module-level functions of ``source`` that call ``_result`` with a
+    ``finite=`` keyword."""
+    found = []
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_result"
+                and any(k.arg == "finite" for k in node.keywords)
+                for node in ast.walk(fn)):
+            found.append(fn.name)
+    return found
+
+
+def test_finite_skips_are_found():
+    src = ("def a(x):\n"
+           "    return Tensor._result(x, (), None, finite=True)\n"
+           "def b(x):\n"
+           "    return Tensor._result(x, (), None)\n"
+           "def c(x):\n"
+           "    def inner():\n"
+           "        return T.Tensor._result(x, (), None, finite=x > 0)\n"
+           "    return inner()\n")
+    assert finite_skips(src) == ["a", "c"]
+
+
+def test_only_the_listed_ops_skip_the_finite_test_of_their_output():
+    found = sorted(f"{path.name}:{name}" for path in sorted((ROOT / "src").rglob("*.py"))
+                   for name in finite_skips(path.read_text()))
+    assert found == FINITE_SKIPS

@@ -633,6 +633,12 @@ def test_checkpoint_corruption_is_detected(tmp_path):
     with pytest.raises(CheckpointError, match="'head.weight' listed twice"):
         load_checkpoint(str(tmp_path / "d.bin"))
 
+    # the writer rejects the same fault instead of keeping the last pair
+    twice = named + [("layer.bias", Tensor(np.zeros(4)))]
+    with pytest.raises(CheckpointError, match="'layer.bias' listed twice"):
+        save_checkpoint(str(tmp_path / "w.bin"), twice)
+    assert not (tmp_path / "w.bin").exists()
+
 
 # -- gradcheck ------------------------------------------------------------------
 

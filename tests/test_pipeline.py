@@ -196,6 +196,27 @@ def test_every_parameter_reaches_the_loss_under_every_ablation_row():
                                   f"alive {sorted(set(expected) - set(dead))}")
 
 
+def test_a_second_backward_through_a_training_graph_doubles_every_gradient():
+    # the first backward releases what attend, lbr and mlp kept for it and
+    # the second rebuilds it, through every op of every ablate row's graph
+    # (attend's multiply mode under attn-all-multiply); x + x is exact, so
+    # a rebuilt array that moved one byte moves a gradient
+    prepared = cli._make_scenes(RunConfig(), Rng(0), 1)[0]
+    for label, overrides in cli.ABLATION_ROWS:
+        cfg = RunConfig()
+        for key, value in overrides.items():
+            apply_override(cfg, key, value)
+        cfg.validate()
+        model = DetectionModel(cfg.net, Rng(0).derive("model"))
+        params = model.params()
+        total, _ = compute_losses(prepared, model.forward(prepared), cfg.loss)
+        total.backward()
+        twice = {n: p.grad * 2.0 for n, p in params.items()}
+        total.backward()
+        moved = [n for n, p in params.items() if p.grad.tobytes() != twice[n].tobytes()]
+        assert not moved, (label, moved)
+
+
 # -- raw routing, built once per scene ----------------------------------------------
 
 
@@ -434,11 +455,16 @@ def test_every_column_of_every_cross_fusion_projection_gets_a_gradient():
     assert {n: cols for n, cols in dead.items() if cols} == {}
 
 
-# bytes a desk forward plus compute_losses keeps alive: 5.18 MB at seed 0
-# (6.56 MB while idw_interpolate and the positional encoding ran as chains
-# and the depth loss picked its bins with one-hot products; 9.48 MB while
-# the attention glue kept every [m, L, c] intermediate)
+# bytes a desk forward plus compute_losses keeps alive: 4.90 MB at seed 0
+# (5.18 MB when this bound was set; 6.56 MB while idw_interpolate and the
+# positional encoding ran as chains and the depth loss picked its bins
+# with one-hot products; 9.48 MB while the attention glue kept every
+# [m, L, c] intermediate)
 DESK_GRAPH_BYTES = 5_400_000
+# bytes the same graph keeps once backward has run: 2.61 MB at seed 0
+# (4.88 MB while attend, lbr and mlp held what only their backward reads
+# for as long as the graph lived)
+DESK_USED_GRAPH_BYTES = 2_900_000
 GRAPH_SITE_FRAMES = 32     # deep enough to reach the pointfuse frame of a numpy allocation
 
 
@@ -457,7 +483,8 @@ def _largest_sites(before, after, count=5):
 
 
 def test_a_desk_training_graph_keeps_a_bounded_number_of_bytes_alive():
-    # fails if a tape op goes back to keeping arrays its backward can rebuild
+    # fails if a tape op goes back to keeping arrays its backward can
+    # rebuild, or to holding them after its backward has run
     cfg, prepared = make_prepared(0)
     model = DetectionModel(cfg, Rng(0))
     total, _ = compute_losses(prepared, model.forward(prepared), LossWeights())
@@ -471,11 +498,16 @@ def test_a_desk_training_graph_keeps_a_bounded_number_of_bytes_alive():
         total, _ = compute_losses(prepared, state, LossWeights())
         kept = tracemalloc.get_traced_memory()[0] - base
         after = tracemalloc.take_snapshot()
+        total.backward()
+        used = tracemalloc.get_traced_memory()[0] - base
+        after_backward = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     assert total.requires_grad
     assert kept <= DESK_GRAPH_BYTES, (f"{kept / 1e6:.2f} MB kept; largest sites: "
                                       f"{_largest_sites(before, after)}")
+    assert used <= DESK_USED_GRAPH_BYTES, (f"{used / 1e6:.2f} MB kept after backward; largest "
+                                           f"sites: {_largest_sites(before, after_backward)}")
 
 
 def test_train_requires_scenes():

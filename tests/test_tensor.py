@@ -814,6 +814,10 @@ def test_finite_guard_checks_every_element_without_overflowing():
     # the sum of these overflows to inf, yet every element is finite
     big = Tensor([1e308, 1e308])
     assert np.array_equal((big * 1.0).data, [1e308, 1e308])
+    # clamp skips the test of its output, except under a NaN bound
+    assert np.array_equal(T.clamp(big, -np.inf, np.inf).data, big.data)
+    with pytest.raises(NonFiniteError, match="clamp"):
+        T.clamp(big, 0.0, np.nan)
 
 
 def test_non_finite_error_names_the_op_and_operand_shapes():
